@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 invalid config (with the dotted field path),
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import json
 import sys
@@ -130,8 +129,7 @@ def cmd_ablate(args) -> int:
     for label, overrides in cells:
         finals = []
         for seed in seeds:
-            cell_raw = apply_overrides(copy.deepcopy(raw), list(args.set or []))
-            cell_raw = apply_overrides(cell_raw, overrides + [f"master_seed={seed}"])
+            cell_raw = apply_overrides(raw, overrides + [f"master_seed={seed}"])
             result = run_experiment(resolve_config(cell_raw))
             top1 = [r.top1 for r in result.records if r.top1 is not None]
             finals.append(top1[-1] if top1 else float("nan"))

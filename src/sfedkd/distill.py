@@ -149,7 +149,89 @@ def teacher_weights(teacher_dists: list[ClassDistribution], student_dist: ClassD
     return g, inv / inv.sum()
 
 
-def _check_kd_args(student_logits, teacher_logits, targets, weights, tau):
+
+def _log_parts(logits: np.ndarray, labels: np.ndarray, tau: float):
+    """One pass over logits/tau: ls, the log softmax over the non-target
+    classes (0 at the label), r = exp(ls) (0 at the label), and log p_target,
+    log p_rest of the full softmax. The full log-sum-exp is the logaddexp of
+    the target logit and the rest one, so saturated rows stay finite."""
+    rows = np.arange(len(labels))
+    z = logits / tau  # fresh array; safe to mutate
+    z_t = z[rows, labels]
+    z[rows, labels] = -np.inf
+    zmax = z.max(axis=1, keepdims=True)
+    e = np.exp(z - zmax)
+    s = e.sum(axis=1, keepdims=True)
+    lse_rest = zmax + np.log(s)
+    ls = z - lse_rest
+    ls[rows, labels] = 0.0
+    lse_all = np.logaddexp(z_t, lse_rest[:, 0])
+    return ls, e / s, z_t - lse_all, lse_rest[:, 0] - lse_all
+
+
+@dataclass(frozen=True)
+class KDTargets:
+    """The teacher side of both KD terms, one mixed target per sample.
+
+    A weighted sum of KLs is linear in the teacher distributions:
+    sum_k w_k KL(q_k||p) = sum_k w_k sum q_k log q_k - sum (sum_k w_k q_k) log p,
+    so K teachers reduce to their w-mixture plus a per-sample constant.
+    """
+
+    nt: np.ndarray        # (n, C) g-mixture of non-target distributions, 0 at the label
+    nt_const: np.ndarray  # (n,) sum_k g_k sum_j q_kj log q_kj
+    t: np.ndarray         # (n,) h-mixture of the teachers' target probability
+    rest: np.ndarray      # (n,) h-mixture of the teachers' rest probability
+    t_const: np.ndarray   # (n,) sum_k h_k (q_t log q_t + q_rest log q_rest)
+
+    @classmethod
+    def from_logits(cls, teacher_logits, labels, g, h, tau: float) -> "KDTargets":
+        """Mix K teachers' (n, C) logits with weights g (non-target) and h (target)."""
+        nt = np.zeros(np.shape(teacher_logits[0]))
+        nt_const, t, rest, t_const = np.zeros((4, len(nt)))
+        for g_k, h_k, logits in zip(g, h, teacher_logits):
+            ls, q, lq_t, lq_rest = _log_parts(logits, labels, tau)
+            q_t, q_rest = np.exp(lq_t), np.exp(lq_rest)
+            nt += g_k * q
+            nt_const += g_k * (q * ls).sum(axis=1)
+            t += h_k * q_t
+            rest += h_k * q_rest
+            t_const += h_k * (q_t * lq_t + q_rest * lq_rest)
+        return cls(nt, nt_const, t, rest, t_const)
+
+    def take(self, idx) -> "KDTargets":
+        return KDTargets(*(a[idx] for a in vars(self).values()))
+
+
+def kd_targets(ensemble: TeacherEnsemble | None, features: np.ndarray, labels: np.ndarray,
+               cfg: KDConfig) -> KDTargets | None:
+    """Mixed targets from one forward per teacher; None when distillation is
+    off (no teachers, or gamma and beta both zero)."""
+    if ensemble is None or ensemble.k == 0 or (cfg.gamma == 0 and cfg.beta == 0):
+        return None
+    if ensemble.g is None or ensemble.h is None:
+        raise ValueError("ensemble weights not set; call with_weights() first")
+    return KDTargets.from_logits([forward(t, features) for t in ensemble.teachers],
+                                 labels, ensemble.g, ensemble.h, cfg.tau)
+
+
+def _kd_terms(logits, labels, targets: KDTargets, tau: float, gamma: float, beta: float):
+    """Per-sample gamma * NCKD + beta * TCKD and its student-logit gradient,
+    without the tau**2 factor or batch mean. The NCKD gradient is
+    sum(nt) * r - nt. The TCKD gradient is c * (r - onehot(label)) with
+    c = t * p_rest - rest * p_t, probability products only, so it stays
+    bounded when the student saturates."""
+    ls, r, lp_t, lp_rest = _log_parts(logits, labels, tau)
+    p_t, p_rest = np.exp(lp_t), np.exp(lp_rest)
+    nckd = targets.nt_const - (targets.nt * ls).sum(axis=1)
+    tckd = targets.t_const - targets.t * lp_t - targets.rest * lp_rest
+    c = targets.t * p_rest - targets.rest * p_t
+    dz = (gamma * targets.nt.sum(axis=1) + beta * c)[:, None] * r - gamma * targets.nt
+    dz[np.arange(len(labels)), labels] -= beta * c
+    return gamma * nckd + beta * tckd, dz / tau
+
+
+def _kd_loss(student_logits, teacher_logits, targets, weights, tau, gamma, beta) -> float:
     if tau <= 0:
         raise ValueError("tau must be positive")
     s = np.atleast_2d(np.asarray(student_logits, dtype=np.float64))
@@ -161,83 +243,15 @@ def _check_kd_args(student_logits, teacher_logits, targets, weights, tau):
     if t.min() < 0 or t.max() >= s.shape[1]:
         raise ValueError("target out of range")
     teachers = [np.atleast_2d(np.asarray(tl, dtype=np.float64)) for tl in teacher_logits]
-    for tl in teachers:
-        if tl.shape != s.shape:
-            raise ValueError("teacher logits must match student logits shape")
+    if any(tl.shape != s.shape for tl in teachers):
+        raise ValueError("teacher logits must match student logits shape")
     w = np.asarray(weights, dtype=np.float64)
     if len(w) != len(teachers):
         raise ValueError("need one weight per teacher")
-    return s, teachers, t, w
-
-
-def _masked_log_softmax(logits: np.ndarray, targets: np.ndarray, tau: float) -> np.ndarray:
-    """Log softmax over the non-target classes; -inf at each row's target."""
-    z = logits / tau  # fresh array; safe to mutate
-    z[np.arange(len(targets)), targets] = -np.inf
-    zmax = z.max(axis=1, keepdims=True)
-    return z - zmax - np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
-
-
-def _nckd_terms(student_logits, teacher_logits, targets, g, tau):
-    """Per-sample non-target KD loss and its gradient w.r.t. the student
-    logits, both without the tau**2 factor or batch reduction."""
-    rows = np.arange(len(targets))
-    mask = np.ones_like(student_logits, dtype=bool)
-    mask[rows, targets] = False
-    ls_s = _masked_log_softmax(student_logits, targets, tau)
-    p_s = np.exp(ls_s)  # zero at targets
-    ls_s = np.where(mask, ls_s, 0.0)  # drop the -inf target entries
-    per_sample = np.zeros(len(targets))
-    dlogits = np.zeros_like(student_logits)
-    for q_weight, t_logits in zip(g, teacher_logits):
-        ls_t = _masked_log_softmax(t_logits, targets, tau)
-        q = np.exp(ls_t)  # zero at targets, so those terms vanish
-        ls_t = np.where(mask, ls_t, 0.0)
-        per_sample += q_weight * (q * (ls_t - ls_s)).sum(axis=1)
-        dlogits += q_weight * (p_s - q)
-    return per_sample, dlogits / tau
-
-
-def _binary_log_probs(logits: np.ndarray, targets: np.ndarray, tau: float):
-    """Stable (log p_target, log p_rest) from the full temperature softmax."""
-    z = logits / tau
-    zmax = z.max(axis=1, keepdims=True)
-    lse_all = (zmax + np.log(np.exp(z - zmax).sum(axis=1, keepdims=True)))[:, 0]
-    zm = z.copy()
-    rows = np.arange(len(targets))
-    zm[rows, targets] = -np.inf
-    zmmax = zm.max(axis=1, keepdims=True)
-    lse_rest = (zmmax + np.log(np.exp(zm - zmmax).sum(axis=1, keepdims=True)))[:, 0]
-    return z[rows, targets] - lse_all, lse_rest - lse_all
-
-
-def _tckd_terms(student_logits, teacher_logits, targets, h, tau):
-    """Per-sample target KD loss and its student-logit gradient, unscaled.
-
-    The gradient is assembled from probability products only (never the
-    ratio p_t / p_rest), so it stays bounded even when the student is
-    saturated: for j != t it is q_t * p_j - q_rest * p_t * r_j with r the
-    non-target renormalized softmax, and at j = t it is
-    q_rest * p_t - q_t * p_rest.
-    """
-    rows = np.arange(len(targets))
-    z = student_logits / tau
-    zmax = z.max(axis=1, keepdims=True)
-    p_full = np.exp(z - zmax)
-    p_full /= p_full.sum(axis=1, keepdims=True)
-    lp_t, lp_nt = _binary_log_probs(student_logits, targets, tau)
-    p_t, p_nt = np.exp(lp_t), np.exp(lp_nt)
-    r = np.exp(_masked_log_softmax(student_logits, targets, tau))  # zero at t
-    per_sample = np.zeros(len(targets))
-    dlogits = np.zeros_like(student_logits)
-    for q_weight, t_logits in zip(h, teacher_logits):
-        lq_t, lq_nt = _binary_log_probs(t_logits, targets, tau)
-        q_t, q_nt = np.exp(lq_t), np.exp(lq_nt)
-        per_sample += q_weight * (q_t * (lq_t - lp_t) + q_nt * (lq_nt - lp_nt))
-        dz = q_t[:, None] * p_full - (q_nt * p_t)[:, None] * r
-        dz[rows, targets] = q_nt * p_t - q_t * p_nt
-        dlogits += q_weight * dz
-    return per_sample, dlogits / tau
+    if not teachers:
+        return 0.0
+    mixed = KDTargets.from_logits(teachers, t, w, w, tau)
+    return float(tau * tau * _kd_terms(s, t, mixed, tau, gamma, beta)[0].mean())
 
 
 def nckd_loss(student_logits, teacher_logits, targets, g, tau: float) -> float:
@@ -246,47 +260,32 @@ def nckd_loss(student_logits, teacher_logits, targets, g, tau: float) -> float:
     With two classes the single non-target probability is 1 for teacher
     and student alike, so the loss is identically zero.
     """
-    s, teachers, t, w = _check_kd_args(student_logits, teacher_logits, targets, g, tau)
-    if not teachers:
-        return 0.0
-    per_sample, _ = _nckd_terms(s, teachers, t, w, tau)
-    return float(tau * tau * per_sample.mean())
+    return _kd_loss(student_logits, teacher_logits, targets, g, tau, 1.0, 0.0)
 
 
 def tckd_loss(student_logits, teacher_logits, targets, h, tau: float) -> float:
     """Weighted target-class (binary) KD loss, batch-mean, scaled by tau**2."""
-    s, teachers, t, w = _check_kd_args(student_logits, teacher_logits, targets, h, tau)
-    if not teachers:
-        return 0.0
-    per_sample, _ = _tckd_terms(s, teachers, t, w, tau)
-    return float(tau * tau * per_sample.mean())
+    return _kd_loss(student_logits, teacher_logits, targets, h, tau, 0.0, 1.0)
 
 
 def total_loss(params: ModelParams, features: np.ndarray, labels: np.ndarray,
-               ensemble: TeacherEnsemble | None, cfg: KDConfig) -> tuple[float, ModelParams]:
+               ensemble: TeacherEnsemble | None, cfg: KDConfig,
+               targets: KDTargets | None = None) -> tuple[float, ModelParams]:
     """Cross-entropy plus gamma * non-target KD plus beta * target KD.
 
     Returns the scalar loss and analytic gradients for every parameter.
-    Teacher forward passes run on frozen snapshots and contribute no
-    parameter gradients of their own. With no teachers, or gamma and beta
-    both zero, the result is exactly the cross-entropy path.
+    `targets` are this batch's rows of `kd_targets`; without them they are
+    built here from the ensemble's frozen teachers. With no teachers, or
+    gamma and beta both zero, the result is exactly the cross-entropy path.
     """
     logits, cache = forward_cached(params, features)
     loss, dlogits = cross_entropy_grad(logits, labels)
-    use_kd = ensemble is not None and ensemble.k > 0 and (cfg.gamma > 0 or cfg.beta > 0)
-    if use_kd:
-        if ensemble.g is None or ensemble.h is None:
-            raise ValueError("ensemble weights not set; call with_weights() first")
-        targets = np.asarray(labels, dtype=np.int64)
-        t_logits = [forward(t, features) for t in ensemble.teachers]
-        batch = len(targets)
+    if targets is None:
+        targets = kd_targets(ensemble, features, labels, cfg)
+    if targets is not None:
         factor = cfg.tau * cfg.tau if cfg.tau_sq else 1.0
-        if cfg.gamma > 0:
-            per_sample, dz = _nckd_terms(logits, t_logits, targets, ensemble.g, cfg.tau)
-            loss += cfg.gamma * factor * float(per_sample.mean())
-            dlogits = dlogits + cfg.gamma * factor * dz / batch
-        if cfg.beta > 0:
-            per_sample, dz = _tckd_terms(logits, t_logits, targets, ensemble.h, cfg.tau)
-            loss += cfg.beta * factor * float(per_sample.mean())
-            dlogits = dlogits + cfg.beta * factor * dz / batch
+        per_sample, dz = _kd_terms(logits, np.asarray(labels, dtype=np.int64), targets,
+                                   cfg.tau, cfg.gamma * factor, cfg.beta * factor)
+        loss += float(per_sample.mean())
+        dlogits = dlogits + dz / len(per_sample)
     return loss, backprop(params, cache, dlogits)

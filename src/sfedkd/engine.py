@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import ClassDistribution, Dataset, class_distribution
-from .distill import KDConfig, TeacherEnsemble, total_loss
+from .distill import KDConfig, TeacherEnsemble, kd_targets, total_loss
 from .metrics import EvalTrace, consistency, evaluate, forgetting_measure
 from .model import ModelParams, sgd_step, snapshot
 from .selection import SelectionInstance, greedy_select, random_select
@@ -182,13 +182,14 @@ def local_train(model: ModelParams, client: Dataset, ensemble: TeacherEnsemble,
     """E epochs of mini-batch SGD on one client, KD-guided when teachers exist.
 
     The dataset is reshuffled every epoch and the last partial batch is kept.
-    Teacher weights are fixed once per client from the ensemble's class
-    distributions and this client's own.
+    Teacher weights (from the ensemble's and this client's class distributions)
+    and the frozen teachers' mixed targets are computed once per client.
     """
     if len(client) == 0:
         raise ValueError("client dataset must be non-empty")
     if ensemble.k and ensemble.g is None:
         ensemble = ensemble.with_weights(class_distribution(client), cfg.kd)
+    targets = kd_targets(ensemble, client.features, client.labels, cfg.kd)
     params = model
     n = len(client)
     for _ in range(cfg.E):
@@ -196,7 +197,7 @@ def local_train(model: ModelParams, client: Dataset, ensemble: TeacherEnsemble,
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             loss, grads = total_loss(params, client.features[idx], client.labels[idx],
-                                     ensemble, cfg.kd)
+                                     ensemble, cfg.kd, targets and targets.take(idx))
             if loss_sink is not None:
                 loss_sink.append(loss)
             params = sgd_step(params, grads, cfg.eta, cfg.weight_decay)

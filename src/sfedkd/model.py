@@ -196,12 +196,16 @@ def load_params(path) -> ModelParams:
     """Inverse of save_params; values round-trip bit-exactly."""
     with open(path, "rb") as fh:
         buf = fh.read()
-    if buf[:4] != _CKPT_MAGIC:
+    if len(buf) < 12 or buf[:4] != _CKPT_MAGIC:
         raise ValueError(f"{path}: not a model checkpoint")
     (n_dims,) = struct.unpack_from("<q", buf, 4)
-    offset = 12
-    dims = np.frombuffer(buf, dtype="<i8", count=n_dims, offset=offset)
-    offset += 8 * n_dims
+    if not 2 <= n_dims <= (len(buf) - 12) // 8:
+        raise ValueError(f"{path}: bad dims count {n_dims} for a {len(buf)}-byte file")
+    dims = struct.unpack_from(f"<{n_dims}q", buf, 12)
+    offset = 12 + 8 * n_dims
+    size = offset + 8 * sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
+    if min(dims) < 1 or size != len(buf):
+        raise ValueError(f"{path}: header dims do not match a {len(buf)}-byte file")
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         w = np.frombuffer(buf, dtype="<f8", count=fan_in * fan_out, offset=offset)
@@ -210,6 +214,4 @@ def load_params(path) -> ModelParams:
         offset += 8 * fan_out
         weights.append(w.reshape(fan_out, fan_in).copy())
         biases.append(b.copy())
-    if offset != len(buf):
-        raise ValueError(f"{path}: trailing bytes in checkpoint")
     return ModelParams(weights, biases)

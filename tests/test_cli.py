@@ -219,6 +219,23 @@ def test_ablate_cell_matches_standalone_run(tmp_path):
     assert final["top1"] == pytest.approx(fedseq_mean, abs=1e-12)
 
 
+def test_ablate_set_reaches_every_cell(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, tiny_raw(out, mode="sfedkd", rounds=2))
+    assert main(["ablate", str(cfg), "--axis", "mode", "--seeds", "3",
+                 "--set", "train.eta=0.3"]) == 0
+    rows = (out / "ablate_mode.csv").read_text().strip().split("\n")[1:]
+    for row in rows:
+        mode, mean_top1 = row.split(",")[:2]
+        solo_out = tmp_path / f"solo_{mode}"
+        assert main(["run", str(cfg), "--set", "train.eta=0.3",
+                     "--set", f"train.mode={mode}", "--set", "master_seed=3",
+                     "--set", f"output.dir={solo_out}"]) == 0
+        final = json.loads((solo_out / "rounds.jsonl").read_text().strip().split("\n")[-1])
+        assert final["top1"] == pytest.approx(float(mean_top1), abs=1e-12)
+    assert len(rows) == 3
+
+
 # -------------------------------------------------------- inspect-partition
 
 def test_inspect_partition_prints_histograms(tmp_path, capsys):

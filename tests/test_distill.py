@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from sfedkd.data import ClassDistribution
 from sfedkd.distill import (KDConfig, TeacherEnsemble, discrepancy,
                             nckd_loss, tckd_loss, teacher_weights, total_loss)
-from sfedkd.model import (backprop, cross_entropy_grad, forward,
+from sfedkd.model import (ModelParams, backprop, cross_entropy_grad, forward,
                           forward_cached, init_params)
+
+from kd_oracle import total_loss_oracle
 
 
 def dist(*values):
@@ -353,3 +355,41 @@ def test_total_loss_gradient_finite_differences():
         arr[ix] = orig
         num = (up - down) / (2 * h)
         assert abs(num - g[ix]) / max(abs(num), abs(g[ix]), 1e-5) < 1e-4
+
+
+# ------------------------------------------- mixture vs per-teacher oracle
+
+def _flat(grads):
+    return np.concatenate([a.ravel() for a in grads.weights + grads.biases])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(2, 10), st.integers(1, 10),
+       st.sampled_from([1.0, 4.0]), st.sampled_from([1.0, 30.0, 1e3]),
+       st.sampled_from([(1.0, 0.0), (0.0, 3.0), (1.0, 3.0)]), st.booleans())
+def test_total_loss_matches_per_teacher_oracle(seed, c, k, tau, scale, coeffs, clone):
+    # The mixture computes each KD term as a teacher constant minus a cross
+    # term, both of order log C; where they cancel (a teacher equal to the
+    # student, `clone`) an exact 0 becomes rounding noise, so errors are
+    # relative to max(|reference|, 1).
+    rng = np.random.default_rng(seed)
+
+    def net(s):
+        p = init_params((3, 6, c), seed=s)
+        return ModelParams(p.weights[:-1] + [scale * p.weights[-1]],
+                           p.biases[:-1] + [scale * rng.standard_normal(c)])
+
+    student = net(seed)
+    teachers = [student if clone and i == 0 else net(seed + 1 + i) for i in range(k)]
+    g, h = rng.random(k) + 1e-3, rng.random(k) + 1e-3
+    ens = TeacherEnsemble(teachers, [dist(*np.full(c, 1 / c))] * k, list(range(k)),
+                          g=g / g.sum(), h=h / h.sum())
+    cfg = KDConfig(tau=tau, gamma=coeffs[0], beta=coeffs[1])
+    n = int(rng.integers(1, 9))
+    X = 2 * rng.standard_normal((n, 3))
+    y = rng.integers(0, c, size=n)
+    loss, grads = total_loss(student, X, y, ens, cfg)
+    ref_loss, ref_grads = total_loss_oracle(student, X, y, ens, cfg)
+    assert abs(loss - ref_loss) <= 1e-12 * max(abs(ref_loss), 1.0)
+    a, b = _flat(grads), _flat(ref_grads)
+    assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)

@@ -177,6 +177,25 @@ def test_local_train_first_step_loss_matches_pre_update_evaluation():
     assert sink[0] == pytest.approx(expected, abs=1e-15)
 
 
+def test_local_train_first_step_loss_matches_total_loss_with_teachers():
+    # local_train forwards the teachers once over the whole client; the
+    # replayed batch forwards them per batch, which may differ in the last ULPs
+    state = small_state()
+    client = max(state.client_datasets, key=len)
+    cfg = small_cfg(E=2, batch_size=4)
+    ens = TeacherEnsemble([init_params((3, 5, 4), seed=20 + i) for i in range(3)],
+                          state.client_dists[:3], [0, 1, 2])
+    sink = []
+    local_train(state.global_model, client, ens, cfg, np.random.default_rng(7),
+                loss_sink=sink)
+    idx = np.random.default_rng(7).permutation(len(client))[:4]
+    expected, _ = total_loss(state.global_model, client.features[idx], client.labels[idx],
+                             ens.with_weights(class_distribution(client), cfg.kd), cfg.kd)
+    assert sink[0] > total_loss(state.global_model, client.features[idx],
+                                client.labels[idx], None, cfg.kd)[0]
+    assert abs(sink[0] - expected) <= 1e-12 * abs(expected)
+
+
 def test_local_train_rejects_empty_client():
     state = small_state()
     empty = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 4)

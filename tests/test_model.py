@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -249,3 +251,20 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 20)
     with pytest.raises(ValueError):
         load_params(path)
+
+
+def test_checkpoint_rejects_truncation_and_bad_headers(tmp_path):
+    good = tmp_path / "model.bin"
+    save_params(init_params((4, 7, 3), seed=9), good)
+    buf = good.read_bytes()
+    bad = tmp_path / "bad.bin"
+    cases = [buf[:cut] for cut in range(len(buf))]
+    for n_dims in (-1, 0, 1, 2, 4, 2**40, 2**63 - 1):
+        cases.append(buf[:4] + struct.pack("<q", n_dims) + buf[12:])
+    cases.append(buf[:12] + struct.pack("<q", 0) + buf[20:])        # zero dim
+    cases.append(buf[:12] + struct.pack("<q", 2**40) + buf[20:])    # huge dim
+    cases.append(buf + b"\x00" * 8)                                  # trailing bytes
+    for data in cases:
+        bad.write_bytes(data)
+        with pytest.raises(ValueError, match="bad.bin"):
+            load_params(bad)
