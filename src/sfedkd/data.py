@@ -185,6 +185,8 @@ def load_idx(images_path, labels_path, n_classes: int | None = None,
     n_images = _read_be_u32(img_buf, 4, images_path)
     rows = _read_be_u32(img_buf, 8, images_path)
     cols = _read_be_u32(img_buf, 12, images_path)
+    if rows * cols == 0:
+        raise IdxFormatError(f"{images_path}: {rows}x{cols} images have no pixels")
     if len(img_buf) < 16 + n_images * rows * cols:
         raise IdxTruncatedError(f"{images_path}: expected {n_images * rows * cols} pixel bytes")
 
@@ -200,6 +202,8 @@ def load_idx(images_path, labels_path, n_classes: int | None = None,
     pixels = np.frombuffer(img_buf, dtype=np.uint8, count=n_images * rows * cols, offset=16)
     features = pixels.reshape(n_images, rows * cols).astype(np.float64) / 255.0
     labels = np.frombuffer(lab_buf, dtype=np.uint8, count=n_labels, offset=8).astype(np.int64)
+    if n_classes is not None and n_labels and labels.max() >= n_classes:
+        raise IdxFormatError(f"{labels_path}: label {labels.max()} outside [0, {n_classes})")
     c_total = n_classes if n_classes is not None else int(labels.max()) + 1 if n_labels else 2
     return Dataset(features, labels, c_total, name)
 

@@ -276,13 +276,10 @@ def weighted_average(params_list: list[ModelParams], weights) -> ModelParams:
     if len(w) != len(params_list) or (w < 0).any() or w.sum() <= 0:
         raise ValueError("weights must be non-negative with a positive sum")
     w = w / w.sum()
-    avg_w = [np.zeros_like(x) for x in params_list[0].weights]
-    avg_b = [np.zeros_like(x) for x in params_list[0].biases]
+    avg = np.zeros_like(params_list[0].flat)
     for coeff, params in zip(w, params_list):
-        for i in range(params.n_layers):
-            avg_w[i] += coeff * params.weights[i]
-            avg_b[i] += coeff * params.biases[i]
-    return ModelParams(avg_w, avg_b)
+        avg += coeff * params.flat
+    return ModelParams.from_flat(avg, params_list[0].dims)
 
 
 def fedavg_round(state: FederationState, cfg: TrainConfig,

@@ -1,12 +1,14 @@
 """Small MLP classifier with explicit forward pass and analytic gradients.
 
 Hidden layers use ReLU, the output layer is linear, and everything is
-float64. Parameters are a value type: every operation returns new arrays
-and never mutates its inputs, so snapshots are cheap deep copies.
+float64. Parameters live in one float64 buffer laid out as the checkpoint
+body; operations return new parameter sets and never mutate their inputs.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -15,28 +17,53 @@ import numpy as np
 _CKPT_MAGIC = b"MLPW"
 
 
-@dataclass
+@functools.cache
+def _layout(dims: tuple[int, ...]) -> tuple:
+    """Per layer: the weight slice, the bias slice and the weight shape in `flat`."""
+    layers, start = [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        end = start + fan_in * fan_out
+        layers.append((slice(start, end), slice(end, end + fan_out), (fan_out, fan_in)))
+        start = end + fan_out
+    return tuple(layers)
+
+
+def _views(flat: np.ndarray, dims) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    return ([flat[w].reshape(shape) for w, _, shape in _layout(dims)],
+            [flat[b] for _, b, _ in _layout(dims)])
+
+
+@dataclass(eq=False)
 class ModelParams:
-    """Ordered (weight, bias) pairs; weights[i] is (out_i, in_i)."""
+    """Ordered (weight, bias) pairs; weights[i] is (out_i, in_i). Both are
+    writable views into `flat`, which holds per layer the row-major weight
+    matrix, then the bias vector; in-place edits reach `flat`."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray | None = None   # given only with views of it (from_flat)
+    dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if len(self.weights) != len(self.biases) or not self.weights:
-            raise ValueError("weights and biases must be non-empty and aligned")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-                raise ValueError(f"layer {i}: bad shapes {w.shape} / {b.shape}")
-            if i and w.shape[1] != self.weights[i - 1].shape[0]:
-                raise ValueError(f"layer {i}: input dim {w.shape[1]} does not chain")
-        if not all(np.isfinite(w).all() and np.isfinite(b).all()
-                   for w, b in zip(self.weights, self.biases)):
+        if self.flat is None:
+            if len(self.weights) != len(self.biases) or not self.weights:
+                raise ValueError("weights and biases must be non-empty and aligned")
+            for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+                if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
+                    raise ValueError(f"layer {i}: bad shapes {w.shape} / {b.shape}")
+                if i and w.shape[1] != self.weights[i - 1].shape[0]:
+                    raise ValueError(f"layer {i}: input dim {w.shape[1]} does not chain")
+            self.dims = (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
+            self.flat = np.concatenate([a.ravel() for pair in zip(self.weights, self.biases)
+                                        for a in pair], dtype=np.float64)
+            self.weights, self.biases = _views(self.flat, self.dims)
+        if not np.isfinite(self.flat).all():
             raise ValueError("parameters must be finite")
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, dims: tuple[int, ...]) -> ModelParams:
+        """Parameters viewing `flat` (float64, checkpoint body order) without a copy."""
+        return cls(*_views(flat, dims), flat, dims)
 
     @property
     def n_layers(self) -> int:
@@ -93,15 +120,15 @@ def forward_cached(params: ModelParams, features: np.ndarray):
 def backprop(params: ModelParams, cache, dlogits: np.ndarray) -> ModelParams:
     """Parameter gradients from a (B, C) loss gradient w.r.t. the logits."""
     inputs, relu_masks = cache
-    grads_w = [None] * params.n_layers
-    grads_b = [None] * params.n_layers
+    flat = np.empty_like(params.flat)
+    grads_w, grads_b = _views(flat, params.dims)
     delta = np.asarray(dlogits, dtype=np.float64)
     for i in range(params.n_layers - 1, -1, -1):
-        grads_w[i] = delta.T @ inputs[i]
-        grads_b[i] = delta.sum(axis=0)
+        np.matmul(delta.T, inputs[i], out=grads_w[i])
+        np.sum(delta, axis=0, out=grads_b[i])
         if i:
             delta = (delta @ params.weights[i]) * relu_masks[i - 1]
-    return ModelParams(grads_w, grads_b)
+    return ModelParams(grads_w, grads_b, flat, params.dims)
 
 
 def log_softmax(logits: np.ndarray, tau: float = 1.0) -> np.ndarray:
@@ -155,15 +182,23 @@ def sgd_step(params: ModelParams, grads: ModelParams, eta: float,
         raise ValueError("weight_decay must be non-negative")
     if params.dims != grads.dims:
         raise ValueError("gradient shapes do not match parameters")
-    new_w = [w - eta * (g + weight_decay * w) for w, g in zip(params.weights, grads.weights)]
-    new_b = [b - eta * g for b, g in zip(params.biases, grads.biases)]
-    return ModelParams(new_w, new_b)
+    t = _decay_mask(params.dims, weight_decay, math.copysign(1.0, weight_decay)) * params.flat
+    t += grads.flat
+    t *= eta
+    return ModelParams.from_flat(np.subtract(params.flat, t, out=t), params.dims)
+
+
+@functools.cache
+def _decay_mask(dims: tuple[int, ...], weight_decay: float, sign: float) -> np.ndarray:
+    """weight_decay on weight entries and 0 on biases, so that sgd_step's biases
+    stay bit-equal to b - eta * grad; `sign` keys -0.0 apart from 0.0."""
+    sizes = [s.stop - s.start for layer in _layout(dims) for s in layer[:2]]
+    return np.repeat([weight_decay, 0.0] * len(_layout(dims)), sizes)
 
 
 def snapshot(params: ModelParams) -> ModelParams:
     """Deep, independent copy; safe to keep while the source keeps training."""
-    return ModelParams([w.copy() for w in params.weights],
-                       [b.copy() for b in params.biases])
+    return ModelParams.from_flat(params.flat.copy(), params.dims)
 
 
 def restore(saved: ModelParams) -> ModelParams:
@@ -173,10 +208,7 @@ def restore(saved: ModelParams) -> ModelParams:
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:
     """Bit-exact equality of two parameter sets."""
-    return a.dims == b.dims and all(
-        np.array_equal(x, y)
-        for x, y in zip(a.weights + a.biases, b.weights + b.biases)
-    )
+    return a.dims == b.dims and np.array_equal(a.flat, b.flat)
 
 
 def save_params(params: ModelParams, path) -> None:
@@ -184,12 +216,8 @@ def save_params(params: ModelParams, path) -> None:
     row-major float64 weight matrix followed by the bias vector."""
     dims = params.dims
     with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<q", len(dims)))
-        fh.write(np.asarray(dims, dtype="<i8").tobytes())
-        for w, b in zip(params.weights, params.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        fh.write(_CKPT_MAGIC + struct.pack(f"<{len(dims) + 1}q", len(dims), *dims))
+        fh.write(params.flat.astype("<f8").tobytes())
 
 
 def load_params(path) -> ModelParams:
@@ -206,12 +234,8 @@ def load_params(path) -> ModelParams:
     size = offset + 8 * sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
     if min(dims) < 1 or size != len(buf):
         raise ValueError(f"{path}: header dims do not match a {len(buf)}-byte file")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        w = np.frombuffer(buf, dtype="<f8", count=fan_in * fan_out, offset=offset)
-        offset += 8 * fan_in * fan_out
-        b = np.frombuffer(buf, dtype="<f8", count=fan_out, offset=offset)
-        offset += 8 * fan_out
-        weights.append(w.reshape(fan_out, fan_in).copy())
-        biases.append(b.copy())
-    return ModelParams(weights, biases)
+    flat = np.frombuffer(buf, dtype="<f8", offset=offset).astype(np.float64)
+    try:
+        return ModelParams.from_flat(flat, dims)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -1,11 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sfedkd.cli import main
-from sfedkd.config import (ConfigError, apply_overrides, load_raw_config,
-                           resolve_config)
+from sfedkd.config import (DEFAULTS, ConfigError, apply_overrides,
+                           load_raw_config, resolve_config)
 from sfedkd.model import load_params
 
 
@@ -262,6 +263,21 @@ def test_config_defaults_and_derived_seeds(tmp_path):
     # explicit seeds are honored verbatim
     raw2 = dict(raw, partition=dict(raw["partition"], seed=77))
     assert resolve_config(raw2).partition.seed == 77
+
+
+def test_schema_defaults_match_config_defaults():
+    schema = json.loads((Path(__file__).parents[1] / "configs" / "schema.json").read_text())
+
+    def check(node, defaults, path):
+        props = node["properties"]
+        assert set(props) == set(defaults), path
+        for key, sub in props.items():
+            if "properties" in sub:
+                check(sub, defaults[key], f"{path}{key}.")
+            elif "default" in sub:
+                assert sub["default"] == defaults[key], f"{path}{key}"
+
+    check(schema, DEFAULTS, "")
 
 
 def test_config_validation_paths():

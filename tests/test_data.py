@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -140,6 +141,23 @@ def test_load_idx_truncated(tmp_path):
     lab_path.write_bytes(idx_label_bytes([0, 1]))
     with pytest.raises(IdxTruncatedError):
         load_idx(img_path, lab_path)
+
+
+def test_load_idx_rejects_pixelless_images(tmp_path):
+    img_path, lab_path = tmp_path / "img", tmp_path / "lab"
+    img_path.write_bytes(struct.pack(">IIII", 0x00000803, 2, 0, 5))
+    lab_path.write_bytes(idx_label_bytes([0, 1]))
+    with pytest.raises(IdxFormatError, match=re.escape(f"{img_path}: 0x5 images")):
+        load_idx(img_path, lab_path)
+
+
+def test_load_idx_rejects_label_outside_class_count(tmp_path):
+    img_path, lab_path = tmp_path / "img", tmp_path / "lab"
+    img_path.write_bytes(idx_image_bytes(np.zeros((2, 1, 1), dtype=np.uint8)))
+    lab_path.write_bytes(idx_label_bytes([0, 3]))
+    with pytest.raises(IdxFormatError, match=re.escape(f"{lab_path}: label 3 outside [0, 3)")):
+        load_idx(img_path, lab_path, n_classes=3)
+    assert load_idx(img_path, lab_path, n_classes=4).c_total == 4
 
 
 # ----------------------------------------------------- largest remainder

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from param_oracle import param_sets, sgd_step_oracle
 from sfedkd.model import (ModelParams, backprop, cross_entropy,
                           cross_entropy_grad, forward, forward_cached,
                           init_params, load_params, params_equal, restore,
@@ -46,6 +48,33 @@ def test_params_shape_chain_validated():
     with pytest.raises(ValueError):
         ModelParams([np.zeros((3, 2)), np.zeros((4, 5))],
                     [np.zeros(3), np.zeros(4)])
+
+
+def test_params_are_views_of_one_flat_buffer():
+    p = ModelParams([np.arange(6.0).reshape(3, 2), np.ones((1, 3))],
+                    [np.full(3, -1.0), np.array([7.0])])
+    assert p.dims == (2, 3, 1)
+    assert p.flat.tolist() == [0, 1, 2, 3, 4, 5, -1, -1, -1, 1, 1, 1, 7]
+    for a in p.weights + p.biases:
+        assert np.shares_memory(a, p.flat)
+    p.weights[1][0, 2] = 5.0   # in-place edits reach the buffer
+    assert p.flat[11] == 5.0
+
+
+def test_every_construction_rejects_non_finite():
+    p = init_params((3, 4, 2), seed=0)
+    with pytest.raises(ValueError, match="parameters must be finite"):
+        ModelParams([np.full((2, 2), np.nan)], [np.zeros(2)])
+    bad = p.flat.copy()
+    bad[-1] = np.inf
+    with pytest.raises(ValueError, match="parameters must be finite"):
+        ModelParams.from_flat(bad, p.dims)
+    _, cache = forward_cached(p, np.ones((2, 3)))
+    with pytest.raises(ValueError, match="parameters must be finite"):
+        backprop(p, cache, np.full((2, 2), np.nan))
+    huge = ModelParams.from_flat(np.full_like(p.flat, 1e300), p.dims)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="parameters must be finite"):
+        sgd_step(p, huge, 1e10)
 
 
 # --------------------------------------------------------------- forward
@@ -196,6 +225,19 @@ def test_sgd_bias_skips_weight_decay():
     assert out.biases[0][0] == 1.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(param_sets(2), st.sampled_from([1e-3, 0.07, 0.5, 1.0]),
+       st.sampled_from([0.0, -0.0, 1e-4, 0.3]))
+def test_sgd_step_matches_per_layer_oracle_bytes(pair, eta, weight_decay):
+    # the fused flat update must equal the per-layer formula bit for bit,
+    # signed zeros included
+    params, grads = pair
+    got = sgd_step(params, grads, eta, weight_decay)
+    want = sgd_step_oracle(params, grads, eta, weight_decay)
+    assert got.dims == want.dims
+    assert got.flat.tobytes() == want.flat.tobytes()
+
+
 def test_sgd_rejects_mismatched_shapes():
     p = init_params((3, 2), seed=0)
     g = init_params((3, 4), seed=0)
@@ -244,6 +286,27 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert p.dims == q.dims
     for a, b in zip(p.weights + p.biases, q.weights + q.biases):
         assert np.array_equal(a, b)
+    # the body after the 12-byte header and the dims is the flat buffer
+    assert path.read_bytes()[12 + 8 * 3:] == p.flat.astype("<f8").tobytes()
+
+
+def test_checkpoint_bytes_pinned(tmp_path):
+    # recorded when each layer was still written as its own array; pins the
+    # byte format (header, then per layer the weights and the bias)
+    path = tmp_path / "model.bin"
+    save_params(init_params((4, 7, 3), seed=9), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "40b1132cb3c8602ccb3a67c71a91390a4b280daf2a9c9a2bf8095e5bc0cd2f94")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_checkpoint_rejects_non_finite_body(tmp_path, value):
+    path = tmp_path / "model.bin"
+    save_params(init_params((2, 3, 2), seed=0), path)
+    buf = path.read_bytes()
+    path.write_bytes(buf[:-8] + struct.pack("<d", value))
+    with pytest.raises(ValueError, match=r"model\.bin: parameters must be finite"):
+        load_params(path)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
