@@ -205,6 +205,9 @@ def load_idx(images_path, labels_path, n_classes: int | None = None,
     if n_classes is not None and n_labels and labels.max() >= n_classes:
         raise IdxFormatError(f"{labels_path}: label {labels.max()} outside [0, {n_classes})")
     c_total = n_classes if n_classes is not None else int(labels.max()) + 1 if n_labels else 2
+    if c_total < 2 and n_classes is None:
+        raise IdxFormatError(f"{labels_path}: every label is 0, so the file holds one class; "
+                             "at least 2 are needed")
     return Dataset(features, labels, c_total, name)
 
 

@@ -37,11 +37,9 @@ def evaluate(params: ModelParams, dataset: Dataset) -> tuple[float, np.ndarray]:
         raise ValueError("cannot evaluate on an empty dataset")
     preds = forward(params, dataset.features).argmax(axis=1)
     correct = preds == dataset.labels
-    classwise = np.full(dataset.c_total, np.nan)
-    for c in range(dataset.c_total):
-        mask = dataset.labels == c
-        if mask.any():
-            classwise[c] = correct[mask].mean()
+    counts = np.bincount(dataset.labels, minlength=dataset.c_total)
+    hits = np.bincount(dataset.labels, weights=correct, minlength=dataset.c_total)
+    classwise = np.divide(hits, counts, out=np.full(dataset.c_total, np.nan), where=counts > 0)
     return float(correct.mean()), classwise
 
 
@@ -74,13 +72,8 @@ def forgetting_measure(trace: EvalTrace) -> float:
     if len(trace) < 2:
         raise ValueError("need at least two checkpoints")
     hist = np.stack([cw for _, cw, _ in trace.checkpoints])
-    final = hist[-1]
-    drops = []
-    for c in range(hist.shape[1]):
-        past = hist[:-1, c]
-        if np.isnan(final[c]) or np.isnan(past).all():
-            continue
-        drops.append(np.nanmax(past) - final[c])
-    if not drops:
+    past, final = hist[:-1], hist[-1]
+    keep = ~(np.isnan(final) | np.isnan(past).all(axis=0))
+    if not keep.any():
         raise ValueError("no class has finite accuracy entries")
-    return float(np.mean(drops))
+    return float(np.mean(np.fmax.reduce(past[:, keep], axis=0) - final[keep]))

@@ -3,6 +3,8 @@
 Hidden layers use ReLU, the output layer is linear, and everything is
 float64. Parameters live in one float64 buffer laid out as the checkpoint
 body; operations return new parameter sets and never mutate their inputs.
+The kernels (forward, backprop, softmax, cross-entropy) work in place only
+on temporaries they allocate themselves, never on an array passed in.
 """
 
 from __future__ import annotations
@@ -107,13 +109,12 @@ def forward_cached(params: ModelParams, features: np.ndarray):
     last = params.n_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(a)
-        z = a @ w.T + b
+        a = a @ w.T
+        a += b
         if i < last:
-            mask = z > 0
-            relu_masks.append(mask)
-            a = np.where(mask, z, 0.0)
-        else:
-            a = z
+            relu_masks.append(a > 0)
+            # fmax maps NaN to 0.0 as where(a > 0, a, 0.0) does; maximum keeps NaN
+            np.fmax(a, 0.0, out=a)
     return a, (inputs, relu_masks)
 
 
@@ -125,9 +126,10 @@ def backprop(params: ModelParams, cache, dlogits: np.ndarray) -> ModelParams:
     delta = np.asarray(dlogits, dtype=np.float64)
     for i in range(params.n_layers - 1, -1, -1):
         np.matmul(delta.T, inputs[i], out=grads_w[i])
-        np.sum(delta, axis=0, out=grads_b[i])
+        delta.sum(axis=0, out=grads_b[i])
         if i:
-            delta = (delta @ params.weights[i]) * relu_masks[i - 1]
+            delta = delta @ params.weights[i]
+            delta *= relu_masks[i - 1]
     return ModelParams(grads_w, grads_b, flat, params.dims)
 
 
@@ -135,9 +137,12 @@ def log_softmax(logits: np.ndarray, tau: float = 1.0) -> np.ndarray:
     """Row-wise log softmax of logits/tau with max-subtraction."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    z = np.asarray(logits, dtype=np.float64) / tau
+    z = np.asarray(logits, dtype=np.float64)
+    if tau != 1.0:  # x / 1.0 is x, bit for bit
+        z = z / tau
     z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return z
 
 
 def softmax_temp(logits: np.ndarray, tau: float) -> np.ndarray:
@@ -168,9 +173,10 @@ def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, n
     logp = log_softmax(logits, 1.0)
     rows = np.arange(len(labels))
     loss = float(-logp[rows, labels].mean())
-    dlogits = np.exp(logp)
+    dlogits = np.exp(logp, out=logp)
     dlogits[rows, labels] -= 1.0
-    return loss, dlogits / len(labels)
+    dlogits /= len(labels)
+    return loss, dlogits
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, eta: float,

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,8 @@ from sfedkd.cli import main
 from sfedkd.config import (DEFAULTS, ConfigError, apply_overrides,
                            load_raw_config, resolve_config)
 from sfedkd.model import load_params
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def tiny_raw(out_dir, mode="fedseq", rounds=3):
@@ -310,3 +315,29 @@ def test_load_raw_config_requires_object(tmp_path):
     path.write_text("[1,2]")
     with pytest.raises(ConfigError):
         load_raw_config(path)
+
+
+def run_in_subprocess(out_dir, threads, *overrides):
+    """`sfedkd run` on synthetic_small in a fresh interpreter with `threads`
+    BLAS threads; returns the bytes of rounds.jsonl and model_final.bin."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    cmd = [sys.executable, "-m", "sfedkd.cli", "run", str(ROOT / "configs" / "synthetic_small.json"),
+           "--set", f"output.dir={out_dir}"]
+    for override in overrides:
+        cmd += ["--set", override]
+    subprocess.run(cmd, env=env, check=True, capture_output=True, timeout=300)
+    return [(out_dir / name).read_bytes() for name in ("rounds.jsonl", "model_final.bin")]
+
+
+def test_run_bytes_fixed_per_blas_thread_count(tmp_path):
+    # synthetic_small's matrices are too small for OpenBLAS to split, so its
+    # bytes do not depend on the thread count. 784-wide GEMMs are split, and
+    # model_final.bin then differs between 1 and 2 threads at ULP level; a
+    # rerun at the same count still repeats every byte.
+    assert (run_in_subprocess(tmp_path / "t1", 1, "train.R=5")
+            == run_in_subprocess(tmp_path / "t2", 2, "train.R=5"))
+    wide = ("train.R=1", "dataset.features=784", "dataset.n_per_class=100", "model.hidden=[64]")
+    assert (run_in_subprocess(tmp_path / "w1", 2, *wide)
+            == run_in_subprocess(tmp_path / "w2", 2, *wide))

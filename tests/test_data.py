@@ -160,6 +160,17 @@ def test_load_idx_rejects_label_outside_class_count(tmp_path):
     assert load_idx(img_path, lab_path, n_classes=4).c_total == 4
 
 
+def test_load_idx_rejects_single_class_labels(tmp_path):
+    # without n_classes the class count comes from the labels; all-zero
+    # labels give one class, which must be reported against the label file
+    img_path, lab_path = tmp_path / "img", tmp_path / "lab"
+    img_path.write_bytes(idx_image_bytes(np.zeros((2, 1, 1), dtype=np.uint8)))
+    lab_path.write_bytes(idx_label_bytes([0, 0]))
+    with pytest.raises(IdxFormatError, match=re.escape(f"{lab_path}: every label is 0")):
+        load_idx(img_path, lab_path)
+    assert load_idx(img_path, lab_path, n_classes=2).c_total == 2
+
+
 # ----------------------------------------------------- largest remainder
 
 def test_largest_remainder_exact_and_ties():

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kernel_oracle import evaluate_oracle, forgetting_measure_oracle
 from sfedkd.data import Dataset
 from sfedkd.metrics import EvalTrace, consistency, evaluate, forgetting_measure
 from sfedkd.model import ModelParams
@@ -94,6 +97,27 @@ def test_top1_is_frequency_weighted_classwise_mean():
     assert top1 == pytest.approx(np.sum(freqs[present] * classwise[present]), abs=1e-12)
 
 
+@st.composite
+def eval_sets(draw):
+    """Integer logits (many argmax ties) over a random subset of the classes."""
+    c = draw(st.integers(2, 6))
+    present = draw(st.lists(st.integers(0, c - 1), min_size=1, max_size=c, unique=True))
+    n = draw(st.integers(1, 60))
+    labels = draw(st.lists(st.sampled_from(present), min_size=n, max_size=n))
+    logits = draw(st.lists(st.integers(0, 2), min_size=n * c, max_size=n * c))
+    return dataset_from_logits(np.reshape(logits, (n, c)), labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eval_sets())
+def test_evaluate_matches_per_class_oracle_bytes(ds):
+    model = logit_passthrough(ds.c_total)
+    top1, classwise = evaluate(model, ds)
+    want_top1, want = evaluate_oracle(model, ds)
+    assert np.float64(top1).tobytes() == np.float64(want_top1).tobytes()
+    assert classwise.tobytes() == want.tobytes()  # absent classes keep np.nan's bytes
+
+
 # ------------------------------------------------------------- consistency
 
 def test_consistency_identical_vectors():
@@ -166,3 +190,32 @@ def test_fm_requires_two_checkpoints():
 def test_fm_skips_absent_classes():
     trace = trace_from([0.8, np.nan], [0.2, np.nan])
     assert forgetting_measure(trace) == pytest.approx(0.6)
+
+
+# accuracies as evaluate produces them: NaN or a fraction in [0, 1], never -0.0
+ACCURACY = st.one_of(st.just(np.nan), st.integers(0, 12).map(lambda k: k / 12),
+                     st.floats(0, 1).map(abs))
+
+
+@st.composite
+def histories(draw):
+    """Traces of 2-8 checkpoints, some classes with an all-NaN history."""
+    t, c = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    hist = np.reshape(draw(st.lists(ACCURACY, min_size=t * c, max_size=t * c)), (t, c))
+    hist[:-1, draw(st.lists(st.integers(0, c - 1), max_size=c))] = np.nan
+    trace = EvalTrace()
+    for i, row in enumerate(hist):
+        trace.add(f"t{i}", row, 0.0)
+    return trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(histories())
+def test_forgetting_measure_matches_per_class_oracle_bytes(trace):
+    try:
+        want = forgetting_measure_oracle(trace)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            forgetting_measure(trace)
+        return
+    assert np.float64(forgetting_measure(trace)).tobytes() == np.float64(want).tobytes()

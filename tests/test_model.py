@@ -3,14 +3,16 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kernel_oracle import (backprop_oracle, cross_entropy_grad_oracle,
+                           forward_cached_oracle, log_softmax_oracle)
 from param_oracle import param_sets, sgd_step_oracle
 from sfedkd.model import (ModelParams, backprop, cross_entropy,
                           cross_entropy_grad, forward, forward_cached,
-                          init_params, load_params, params_equal, restore,
-                          save_params, sgd_step, snapshot, softmax_temp)
+                          init_params, load_params, log_softmax, params_equal,
+                          restore, save_params, sgd_step, snapshot, softmax_temp)
 
 
 # ------------------------------------------------------------------ init
@@ -199,6 +201,88 @@ def test_cross_entropy_grad_matches_finite_differences():
             arr[ix] = orig
             num = (up - down) / (2 * h)
             assert abs(num - g[ix]) / max(abs(num), abs(g[ix]), 1e-5) < 1e-4
+
+
+# ------------------------------------------------ kernels against oracles
+
+# besides ordinary values: inputs that make ±0.0, NaN, ±inf and subnormal
+# pre-activations (inf * 0 weight is NaN, 1e308 * weight overflows)
+SPECIAL = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308])
+FEATURES = st.one_of(SPECIAL, st.floats(-10, 10))
+
+
+@st.composite
+def net_and_batch(draw, values=FEATURES):
+    (params,) = draw(param_sets(1))
+    n, f = draw(st.integers(1, 6)), params.dims[0]
+    return params, np.array(draw(st.lists(values, min_size=n * f, max_size=n * f))).reshape(n, f)
+
+
+# hidden pre-activations x * 1 + b are -0.0, 0.0, NaN, ±inf and ±subnormal
+RELU_EDGES = (ModelParams([np.ones((2, 1)), np.ones((1, 2))], [np.array([-0.0, 0.0]), np.zeros(1)]),
+              np.array([[-0.0], [0.0], [np.nan], [np.inf], [-np.inf], [5e-324], [-5e-324]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(net_and_batch())
+@example(RELU_EDGES)
+def test_forward_cached_matches_where_oracle_bytes(case):
+    params, X = case
+    before = X.tobytes()
+    with np.errstate(all="ignore"):
+        logits, (inputs, masks) = forward_cached(params, X)
+        want, (want_inputs, want_masks) = forward_cached_oracle(params, X)
+    assert X.tobytes() == before
+    assert logits.tobytes() == want.tobytes()
+    assert [a.tobytes() for a in inputs] == [a.tobytes() for a in want_inputs]
+    assert [m.tobytes() for m in masks] == [m.tobytes() for m in want_masks]
+
+
+@settings(max_examples=150, deadline=None)
+@given(net_and_batch(st.floats(-10, 10)), st.data())
+def test_backprop_matches_oracle_bytes(case, data):
+    params, X = case
+    logits, cache = forward_cached(params, X)
+    dlogits = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=logits.size,
+                                          max_size=logits.size))).reshape(logits.shape)
+    before = dlogits.tobytes()
+    got = backprop(params, cache, dlogits)
+    assert dlogits.tobytes() == before
+    assert got.flat.tobytes() == backprop_oracle(params, cache, dlogits).flat.tobytes()
+
+
+LOGITS = st.one_of(SPECIAL, st.floats(-1e3, 1e3))
+
+
+@st.composite
+def logit_batches(draw, values=LOGITS):
+    n, c = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    return np.array(draw(st.lists(values, min_size=n * c, max_size=n * c))).reshape(n, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(logit_batches(), st.sampled_from([1, 1.0, 0.5, 4.0]), st.booleans())
+def test_log_softmax_matches_oracle_bytes(z, tau, one_row):
+    z = z[0] if one_row else z
+    before = z.tobytes()
+    with np.errstate(all="ignore"):
+        got, want = log_softmax(z, tau), log_softmax_oracle(z, tau)
+    assert z.tobytes() == before
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(logit_batches(), st.data())
+def test_cross_entropy_grad_matches_oracle_bytes(z, data):
+    y = np.array(data.draw(st.lists(st.integers(0, z.shape[1] - 1),
+                                    min_size=len(z), max_size=len(z))))
+    before = z.tobytes()
+    with np.errstate(all="ignore"):
+        loss, dlogits = cross_entropy_grad(z, y)
+        want_loss, want = cross_entropy_grad_oracle(z, y)
+    assert z.tobytes() == before
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert dlogits.tobytes() == want.tobytes()
 
 
 # -------------------------------------------------------------- sgd_step
