@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, apply_overrides, load_raw_config, resolve_config
+from .config import (METRICS, MODES, ConfigError, ExperimentConfig, apply_overrides,
+                     load_raw_config, resolve_config)
 from .data import ClassDistribution, class_distribution, partition_exdir
-from .distill import METRICS
 from .experiment import build_dataset, run_experiment
 from .model import save_params
 from .selection import (SelectionInstance, aggregate_objective,
@@ -104,12 +104,8 @@ def _ablation_cells(axis: str, cfg: ExperimentConfig):
         return [({"metric": m}, [f"train.kd.metric={m}", "train.mode=sfedkd"])
                 for m in METRICS]
     if axis == "teachers":
-        return [
-            ({"K": k, "solver": solver},
-             [f"train.K={k}",
-              "train.mode=" + ("sfedkd" if solver == "greedy" else "sfedkd_random_teachers")])
-            for k in cfg.ablate.k_values for solver in ("greedy", "random")
-        ]
+        return [({"K": k, "solver": solver}, [f"train.K={k}", f"train.mode={mode}"])
+                for k in cfg.ablate.k_values for mode, solver in MODES.items() if solver]
     if axis == "mode":
         return [({"mode": m}, [f"train.mode={m}"])
                 for m in ("sfedkd", "fedseq", "fedavg")]

@@ -1,21 +1,47 @@
-"""Experiment configuration: JSON loading, defaults, validation, overrides.
+"""Experiment configuration: JSON loading, declarations, validation, overrides.
 
 Config files are plain JSON with nested blocks (dataset / partition / model /
-train / eval / output). Any field can be overridden from the command line
-with `--set dotted.path=value`. Validation errors carry the dotted field
-path of the offending entry. See configs/schema.json for the full reference.
-"""
+train / eval / output / ablate). Any field can be overridden from the command
+line with `--set dotted.path=value`. Each field is declared once, on the
+dataclass of its block: its type annotation, its default and its bound or
+choice list. Constructing a block checks every field against those
+declarations, whether the block comes from JSON or is built in Python.
+Errors carry the dotted field path of the offending entry. configs/schema.json
+restates the declarations for readers; a test keeps the two equal.
 
-from __future__ import annotations
+This module imports nothing from the package, so data, distill and engine
+take their config blocks and seed helpers from here.
+"""
 
 import copy
 import json
-from dataclasses import dataclass, field
+import math
+import operator
+import types
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
-from .data import PartitionSpec
-from .distill import METRICS, KDConfig
-from .engine import (MODES, SEED_DATA, SEED_PARTITION, SEED_SPLIT,
-                     TrainConfig, derive_seed)
+import numpy as np
+
+METRICS = ("L1", "L2", "KL", "JS")
+
+# Each mode's teacher solver; a mode with none trains without distillation.
+MODES = {"sfedkd": "greedy", "fedseq": None, "fedavg": None,
+         "sfedkd_random_teachers": "random"}
+
+# sub-seed purpose tags; see derive_seed
+SEED_INIT = 1
+SEED_DATA = 2
+SEED_PARTITION = 3
+SEED_SPLIT = 4
+SEED_SEQUENCE = 5
+SEED_SHUFFLE = 6
+SEED_RANDOM_TEACHERS = 7
+
+
+def derive_seed(master_seed: int, *tags: int) -> int:
+    """Deterministic sub-seed for one purpose (plus optional round/position)."""
+    ss = np.random.SeedSequence([int(master_seed), *(int(t) for t in tags)])
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 class ConfigError(ValueError):
@@ -24,131 +50,185 @@ class ConfigError(ValueError):
     def __init__(self, field_path: str, message: str):
         super().__init__(f"{field_path}: {message}")
         self.field = field_path
+        self.reason = message
 
 
-DEFAULTS: dict = {
-    "master_seed": 0,
-    "dataset": {
-        "kind": "synthetic",
-        "name": "synthetic",
-        "n_per_class": 150,
-        "classes": 10,
-        "features": 16,
-        "spread": 2.5,
-        "seed": None,          # derived from master_seed when null
-        "test_fraction": 0.2,
-        "split_seed": None,    # derived from master_seed when null
-        "images": None,        # IDX paths (kind == "idx")
-        "labels": None,
-        "test_images": None,
-        "test_labels": None,
-    },
-    "partition": {"N": 100, "C": 2, "alpha": 0.5, "seed": None},
-    "model": {"hidden": [32]},
-    "train": {
-        "M": 10, "K": 5, "R": 60, "E": 5,
-        "batch_size": 64, "eta": 0.01, "weight_decay": 1e-4,
-        "mode": "sfedkd",
-        "kd": {
-            "tau": 4.0, "gamma": 1.0, "beta": 3.0,
-            "metric": "KL", "epsilon": 1e-4,
-            "tau_sq": True, "uniform_g": False, "uniform_h": False,
-        },
-    },
-    "eval": {"granularity": "round", "split": "test"},
-    "output": {"dir": "runs/experiment", "formats": ["jsonl", "csv"]},
-    "ablate": {"seeds": None, "k_values": None},
-}
+def option(default, **rules):
+    """Declare a config field: its default and the rules its block checks.
+
+    `ge`, `gt` and `lt` bound a number, `choices` lists the allowed values and
+    `nonempty` requires a list to hold an item. On a list field, bounds and
+    choices apply to every item.
+    """
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=rules)
+    return field(default=default, metadata=rules)
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true/false", str: "a string"}
+_BOUNDS = {"ge": (">=", operator.ge), "gt": (">", operator.gt), "lt": ("<", operator.lt)}
+
+
+def _checked(tp, value, rules, path):
+    if isinstance(tp, types.UnionType):  # `T | None`
+        if value is None:
+            return None
+        tp, _ = tp.__args__
+    if is_dataclass(tp):
+        return value if isinstance(value, tp) else _build(tp, value, path)
+    if getattr(tp, "__origin__", None) is list:
+        if not isinstance(value, list):
+            raise ConfigError(path, f"expected a list, got {value!r}")
+        if rules.get("nonempty") and not value:
+            raise ConfigError(path, "must not be empty")
+        return [_checked(tp.__args__[0], item, rules, path) for item in value]
+    if (not isinstance(value, (int, float) if tp is float else tp)
+            or isinstance(value, bool) != (tp is bool)):
+        raise ConfigError(path, f"expected {_TYPE_NAMES[tp]}, got {value!r}")
+    if tp is float:
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(path, f"expected a finite number, got {value!r}")
+    if "choices" in rules and value not in rules["choices"]:
+        raise ConfigError(path, f"must be one of {list(rules['choices'])}, got {value!r}")
+    for rule, (sign, holds) in _BOUNDS.items():
+        if rule in rules and not holds(value, rules[rule]):
+            raise ConfigError(path, f"must be {sign} {rules[rule]}, got {value!r}")
+    return value
+
+
+def _build(cls, raw, path: str = ""):
+    """A `cls` block from a dict of its fields; absent fields take their defaults."""
+    if not isinstance(raw, dict):
+        raise ConfigError(path or "<root>", f"expected an object, got {raw!r}")
+    prefix = f"{path}." if path else ""
+    names = {f.name for f in fields(cls)}
+    for key in raw:
+        if key not in names:
+            raise ConfigError(f"{prefix}{key}", "unknown field")
+    try:
+        return cls(**raw)
+    except ConfigError as exc:
+        raise ConfigError(prefix + exc.field, exc.reason) from None
+
+
+class _Block:
+    """Base of the config blocks: construction checks every field against its
+    declaration. Ints pass for float fields and are stored as floats, bools
+    pass only for bool fields, and floats must be finite. A dict given for a
+    nested block is built into that block. ConfigError names the field."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            setattr(self, f.name, _checked(f.type, getattr(self, f.name), f.metadata, f.name))
 
 
 @dataclass
-class DatasetConfig:
-    kind: str
-    name: str
-    n_per_class: int
-    classes: int
-    features: int
-    spread: float
-    seed: int
-    test_fraction: float
-    split_seed: int
-    images: str | None = None
+class DatasetConfig(_Block):
+    kind: str = option("synthetic", choices=("synthetic", "idx"))
+    name: str = "synthetic"
+    n_per_class: int = option(150, ge=1)
+    classes: int = option(10, ge=2)
+    features: int = option(16, ge=2)
+    spread: float = option(2.5, gt=0)
+    seed: int | None = option(None, ge=0)        # derived from master_seed when None
+    test_fraction: float = option(0.2, ge=0, lt=1)
+    split_seed: int | None = option(None, ge=0)  # derived from master_seed when None
+    images: str | None = None                    # IDX paths (kind == "idx")
     labels: str | None = None
     test_images: str | None = None
     test_labels: str | None = None
 
 
 @dataclass
-class EvalConfig:
-    granularity: str = "round"
-    split: str = "test"
+class PartitionSpec(_Block):
+    """Extended-Dirichlet partition parameters: N clients, C classes each."""
+
+    N: int = option(100, ge=1)
+    C: int = option(2, ge=1)
+    alpha: float = option(0.5, gt=0)
+    seed: int | None = option(None, ge=0)  # derived from master_seed when None
 
 
 @dataclass
-class OutputConfig:
+class ModelConfig(_Block):
+    hidden: list[int] = option([32], ge=1, nonempty=True)
+
+
+@dataclass
+class KDConfig(_Block):
+    """Distillation knobs; gamma weights the non-target term, beta the target term."""
+
+    tau: float = option(4.0, gt=0)
+    gamma: float = option(1.0, ge=0)
+    beta: float = option(3.0, ge=0)
+    metric: str = option("KL", choices=METRICS)
+    epsilon: float = option(1e-4, gt=0)
+    tau_sq: bool = True        # scale both KD losses by tau**2
+    uniform_g: bool = False    # ablation: replace g with uniform weights
+    uniform_h: bool = False    # ablation: replace h with uniform weights
+
+
+@dataclass
+class TrainConfig(_Block):
+    M: int = option(10, ge=1)  # clients sampled per round
+    K: int = option(5, ge=1)   # teachers distilled from
+    R: int = option(60, ge=1)  # rounds
+    E: int = option(5, ge=1)   # local epochs
+    batch_size: int = option(64, ge=1)
+    eta: float = option(0.01, gt=0)
+    weight_decay: float = option(1e-4, ge=0)
+    mode: str = option("sfedkd", choices=MODES)
+    kd: KDConfig = field(default_factory=KDConfig)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.K > self.M:
+            raise ConfigError("K", f"K={self.K} exceeds M={self.M}")
+
+
+@dataclass
+class EvalConfig(_Block):
+    granularity: str = option("round", choices=("round", "client"))
+    split: str = option("test", choices=("test", "train"))
+
+
+@dataclass
+class OutputConfig(_Block):
     dir: str = "runs/experiment"
-    formats: list[str] = field(default_factory=lambda: ["jsonl", "csv"])
+    formats: list[str] = option(["jsonl", "csv"], choices=("jsonl", "csv"))
 
 
 @dataclass
-class AblateConfig:
-    seeds: list[int]
-    k_values: list[int]
+class AblateConfig(_Block):
+    seeds: list[int] | None = option(None, ge=0, nonempty=True)     # [master_seed] when None
+    k_values: list[int] | None = option(None, ge=1, nonempty=True)  # [train.K] when None
 
 
 @dataclass
-class ExperimentConfig:
-    master_seed: int
-    dataset: DatasetConfig
-    partition: PartitionSpec
-    hidden: list[int]
-    train: TrainConfig
-    eval: EvalConfig
-    output: OutputConfig
-    ablate: AblateConfig
+class ExperimentConfig(_Block):
+    master_seed: int = option(0, ge=0)
+    dataset: DatasetConfig = field(default_factory=DatasetConfig)
+    partition: PartitionSpec = field(default_factory=PartitionSpec)
+    model: ModelConfig = field(default_factory=ModelConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    eval: EvalConfig = field(default_factory=EvalConfig)
+    output: OutputConfig = field(default_factory=OutputConfig)
+    ablate: AblateConfig = field(default_factory=AblateConfig)
+
+    @property
+    def hidden(self) -> list[int]:
+        return self.model.hidden
 
     def to_resolved_dict(self) -> dict:
         """Fully materialized config (all defaults and derived seeds filled)."""
-        return {
-            "master_seed": self.master_seed,
-            "dataset": {
-                "kind": self.dataset.kind,
-                "name": self.dataset.name,
-                "n_per_class": self.dataset.n_per_class,
-                "classes": self.dataset.classes,
-                "features": self.dataset.features,
-                "spread": self.dataset.spread,
-                "seed": self.dataset.seed,
-                "test_fraction": self.dataset.test_fraction,
-                "split_seed": self.dataset.split_seed,
-                "images": self.dataset.images,
-                "labels": self.dataset.labels,
-                "test_images": self.dataset.test_images,
-                "test_labels": self.dataset.test_labels,
-            },
-            "partition": {
-                "N": self.partition.N, "C": self.partition.C,
-                "alpha": self.partition.alpha, "seed": self.partition.seed,
-            },
-            "model": {"hidden": list(self.hidden)},
-            "train": {
-                "M": self.train.M, "K": self.train.K, "R": self.train.R,
-                "E": self.train.E, "batch_size": self.train.batch_size,
-                "eta": self.train.eta, "weight_decay": self.train.weight_decay,
-                "mode": self.train.mode,
-                "kd": {
-                    "tau": self.train.kd.tau, "gamma": self.train.kd.gamma,
-                    "beta": self.train.kd.beta, "metric": self.train.kd.metric,
-                    "epsilon": self.train.kd.epsilon, "tau_sq": self.train.kd.tau_sq,
-                    "uniform_g": self.train.kd.uniform_g,
-                    "uniform_h": self.train.kd.uniform_h,
-                },
-            },
-            "eval": {"granularity": self.eval.granularity, "split": self.eval.split},
-            "output": {"dir": self.output.dir, "formats": list(self.output.formats)},
-            "ablate": {"seeds": list(self.ablate.seeds),
-                       "k_values": list(self.ablate.k_values)},
-        }
+        return asdict(self)
+
+
+DEFAULTS: dict = asdict(ExperimentConfig())
 
 
 def load_raw_config(path) -> dict:
@@ -183,174 +263,33 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     return out
 
 
-def _merge_defaults(raw: dict) -> dict:
-    def merge(base, over, path):
-        out = copy.deepcopy(base)
-        for key, value in over.items():
-            if key not in base:
-                raise ConfigError(f"{path}{key}", "unknown field")
-            if isinstance(base[key], dict) and isinstance(value, dict):
-                out[key] = merge(base[key], value, f"{path}{key}.")
-            else:
-                out[key] = value
-        return out
-    return merge(DEFAULTS, raw, "")
-
-
-def _need_int(cfg, path, minimum=None):
-    value = _get(cfg, path)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(path, f"must be >= {minimum}, got {value}")
-    return value
-
-
-def _need_number(cfg, path, minimum=None, strict=False):
-    value = _get(cfg, path)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
-    value = float(value)
-    if minimum is not None and (value <= minimum if strict else value < minimum):
-        op = ">" if strict else ">="
-        raise ConfigError(path, f"must be {op} {minimum}, got {value}")
-    return value
-
-
-def _need_bool(cfg, path):
-    value = _get(cfg, path)
-    if not isinstance(value, bool):
-        raise ConfigError(path, f"expected true/false, got {value!r}")
-    return value
-
-
-def _need_str(cfg, path, choices=None):
-    value = _get(cfg, path)
-    if not isinstance(value, str):
-        raise ConfigError(path, f"expected a string, got {value!r}")
-    if choices is not None and value not in choices:
-        raise ConfigError(path, f"must be one of {list(choices)}, got {value!r}")
-    return value
-
-
-def _get(cfg, path):
-    node = cfg
-    for key in path.split("."):
-        node = node[key]
-    return node
-
-
 def resolve_config(raw: dict) -> ExperimentConfig:
-    """Merge defaults, derive unset seeds, validate every field."""
-    cfg = _merge_defaults(raw)
+    """Fill defaults, check every field, derive unset seeds, then check the
+    rules that span fields."""
+    cfg = _build(ExperimentConfig, raw)
+    ds, part, train = cfg.dataset, cfg.partition, cfg.train
+    if ds.seed is None:
+        ds.seed = derive_seed(cfg.master_seed, SEED_DATA)
+    if ds.split_seed is None:
+        ds.split_seed = derive_seed(cfg.master_seed, SEED_SPLIT)
+    if part.seed is None:
+        part.seed = derive_seed(cfg.master_seed, SEED_PARTITION)
+    if cfg.ablate.seeds is None:
+        cfg.ablate.seeds = [cfg.master_seed]
+    if cfg.ablate.k_values is None:
+        cfg.ablate.k_values = [train.K]
 
-    master_seed = _need_int(cfg, "master_seed", minimum=0)
-
-    kind = _need_str(cfg, "dataset.kind", choices=("synthetic", "idx"))
-    name = _need_str(cfg, "dataset.name")
-    ds_seed = cfg["dataset"]["seed"]
-    if ds_seed is None:
-        ds_seed = derive_seed(master_seed, SEED_DATA)
-        cfg["dataset"]["seed"] = ds_seed
-    split_seed = cfg["dataset"]["split_seed"]
-    if split_seed is None:
-        split_seed = derive_seed(master_seed, SEED_SPLIT)
-        cfg["dataset"]["split_seed"] = split_seed
-    dataset = DatasetConfig(
-        kind=kind,
-        name=name,
-        n_per_class=_need_int(cfg, "dataset.n_per_class", minimum=1),
-        classes=_need_int(cfg, "dataset.classes", minimum=2),
-        features=_need_int(cfg, "dataset.features", minimum=2),
-        spread=_need_number(cfg, "dataset.spread", minimum=0, strict=True),
-        seed=_need_int(cfg, "dataset.seed", minimum=0),
-        test_fraction=_need_number(cfg, "dataset.test_fraction", minimum=0),
-        split_seed=_need_int(cfg, "dataset.split_seed", minimum=0),
-        images=cfg["dataset"]["images"],
-        labels=cfg["dataset"]["labels"],
-        test_images=cfg["dataset"]["test_images"],
-        test_labels=cfg["dataset"]["test_labels"],
-    )
-    if dataset.test_fraction >= 1.0:
-        raise ConfigError("dataset.test_fraction", "must lie in [0, 1)")
-    if kind == "idx":
-        if not dataset.images or not dataset.labels:
-            raise ConfigError("dataset.images", "idx datasets need images and labels paths")
-
-    part_seed = cfg["partition"]["seed"]
-    if part_seed is None:
-        part_seed = derive_seed(master_seed, SEED_PARTITION)
-        cfg["partition"]["seed"] = part_seed
-    n_clients = _need_int(cfg, "partition.N", minimum=1)
-    c_per_client = _need_int(cfg, "partition.C", minimum=1)
-    alpha = _need_number(cfg, "partition.alpha", minimum=0, strict=True)
-    if kind == "synthetic" and c_per_client > dataset.classes:
-        raise ConfigError("partition.C", f"exceeds dataset.classes={dataset.classes}")
-    partition = PartitionSpec(N=n_clients, C=c_per_client, alpha=alpha,
-                              seed=_need_int(cfg, "partition.seed", minimum=0))
-
-    hidden = _get(cfg, "model.hidden")
-    if (not isinstance(hidden, list) or not hidden
-            or any(isinstance(h, bool) or not isinstance(h, int) or h < 1 for h in hidden)):
-        raise ConfigError("model.hidden", "expected a non-empty list of positive integers")
-
-    m = _need_int(cfg, "train.M", minimum=1)
-    k = _need_int(cfg, "train.K", minimum=1)
-    if k > m:
-        raise ConfigError("train.K", f"K={k} exceeds M={m}")
-    if m > n_clients:
-        raise ConfigError("train.M", f"M={m} exceeds partition.N={n_clients}")
-    kd = KDConfig(
-        tau=_need_number(cfg, "train.kd.tau", minimum=0, strict=True),
-        gamma=_need_number(cfg, "train.kd.gamma", minimum=0),
-        beta=_need_number(cfg, "train.kd.beta", minimum=0),
-        metric=_need_str(cfg, "train.kd.metric", choices=METRICS),
-        epsilon=_need_number(cfg, "train.kd.epsilon", minimum=0, strict=True),
-        tau_sq=_need_bool(cfg, "train.kd.tau_sq"),
-        uniform_g=_need_bool(cfg, "train.kd.uniform_g"),
-        uniform_h=_need_bool(cfg, "train.kd.uniform_h"),
-    )
-    train = TrainConfig(
-        M=m, K=k,
-        R=_need_int(cfg, "train.R", minimum=1),
-        E=_need_int(cfg, "train.E", minimum=1),
-        batch_size=_need_int(cfg, "train.batch_size", minimum=1),
-        eta=_need_number(cfg, "train.eta", minimum=0, strict=True),
-        weight_decay=_need_number(cfg, "train.weight_decay", minimum=0),
-        kd=kd,
-        mode=_need_str(cfg, "train.mode", choices=MODES),
-    )
-
-    eval_cfg = EvalConfig(
-        granularity=_need_str(cfg, "eval.granularity", choices=("round", "client")),
-        split=_need_str(cfg, "eval.split", choices=("test", "train")),
-    )
-    if eval_cfg.split == "test" and dataset.test_fraction == 0 and not dataset.test_images:
+    if ds.kind == "idx" and not (ds.images and ds.labels):
+        raise ConfigError("dataset.images", "idx datasets need images and labels paths")
+    if bool(ds.test_images) != bool(ds.test_labels):
+        missing = "test_labels" if ds.test_images else "test_images"
+        raise ConfigError(f"dataset.{missing}", "test images and labels come as a pair")
+    if ds.kind == "synthetic" and part.C > ds.classes:
+        raise ConfigError("partition.C", f"exceeds dataset.classes={ds.classes}")
+    if train.M > part.N:
+        raise ConfigError("train.M", f"M={train.M} exceeds partition.N={part.N}")
+    if cfg.eval.split == "test" and ds.test_fraction == 0 and not ds.test_images:
         raise ConfigError("eval.split", "no test split: set dataset.test_fraction or test files")
-
-    formats = _get(cfg, "output.formats")
-    if (not isinstance(formats, list)
-            or any(f not in ("jsonl", "csv") for f in formats)):
-        raise ConfigError("output.formats", "expected a list drawn from ['jsonl', 'csv']")
-    output = OutputConfig(dir=_need_str(cfg, "output.dir"), formats=list(formats))
-
-    seeds = cfg["ablate"]["seeds"]
-    if seeds is None:
-        seeds = [master_seed]
-    if (not isinstance(seeds, list) or not seeds
-            or any(isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in seeds)):
-        raise ConfigError("ablate.seeds", "expected a non-empty list of non-negative integers")
-    k_values = cfg["ablate"]["k_values"]
-    if k_values is None:
-        k_values = [train.K]
-    if (not isinstance(k_values, list) or not k_values
-            or any(isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= train.M
-                   for v in k_values)):
-        raise ConfigError("ablate.k_values", "expected a list of integers in [1, train.M]")
-    ablate = AblateConfig(seeds=list(seeds), k_values=list(k_values))
-
-    return ExperimentConfig(
-        master_seed=master_seed, dataset=dataset, partition=partition,
-        hidden=list(hidden), train=train, eval=eval_cfg, output=output,
-        ablate=ablate,
-    )
+    if any(k > train.M for k in cfg.ablate.k_values):
+        raise ConfigError("ablate.k_values", f"teacher counts must not exceed train.M={train.M}")
+    return cfg

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import PartitionSpec
+
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
@@ -110,24 +112,6 @@ class ClassDistribution:
 
     def __len__(self) -> int:
         return len(self.proportions)
-
-
-@dataclass
-class PartitionSpec:
-    """Extended-Dirichlet partition parameters: N clients, C classes each."""
-
-    N: int
-    C: int
-    alpha: float
-    seed: int
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be at least 1")
-        if self.C < 1:
-            raise ValueError("C must be at least 1")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
 
 
 def generate_synthetic(n_per_class: int, c_total: int, n_features: int,
@@ -257,6 +241,8 @@ def partition_exdir_indices(labels: np.ndarray, c_total: int,
         raise ValueError(
             f"N*C={spec.N * spec.C} cannot cover all {c_total} classes"
         )
+    if spec.seed is None:
+        raise ValueError("partition seed is unset; resolve_config derives it from master_seed")
 
     rng = np.random.default_rng(spec.seed)
     for _ in range(_MAX_ALLOCATION_ATTEMPTS):

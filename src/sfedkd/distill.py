@@ -21,38 +21,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import METRICS, KDConfig  # METRICS stays importable from here
 from .data import ClassDistribution
 from .model import (ModelParams, backprop, cross_entropy_grad,
                     forward, forward_cached)
 
-METRICS = ("L1", "L2", "KL", "JS")
-
 # additive smoothing applied before KL/JS so exact zeros stay finite
 SMOOTH_EPS = 1e-6
-
-
-@dataclass
-class KDConfig:
-    """Distillation knobs; gamma weights the non-target term, beta the target term."""
-
-    tau: float = 4.0
-    gamma: float = 1.0
-    beta: float = 3.0
-    metric: str = "KL"
-    epsilon: float = 1e-4
-    tau_sq: bool = True        # scale both KD losses by tau**2
-    uniform_g: bool = False    # ablation: replace g with uniform weights
-    uniform_h: bool = False    # ablation: replace h with uniform weights
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.gamma < 0 or self.beta < 0:
-            raise ValueError("gamma and beta must be non-negative")
-        if self.metric not in METRICS:
-            raise ValueError(f"metric must be one of {METRICS}")
 
 
 @dataclass

@@ -18,59 +18,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+# every seed tag and KDConfig stay importable from here
+from .config import (MODES, SEED_DATA, SEED_INIT, SEED_PARTITION,
+                     SEED_RANDOM_TEACHERS, SEED_SEQUENCE, SEED_SHUFFLE, SEED_SPLIT,
+                     TrainConfig, derive_seed)
 from .data import ClassDistribution, Dataset, class_distribution
 from .distill import KDConfig, TeacherEnsemble, kd_targets, total_loss
 from .metrics import EvalTrace, consistency, evaluate, forgetting_measure
 from .model import ModelParams, sgd_step, snapshot
 from .selection import SelectionInstance, greedy_select, random_select
-
-MODES = ("sfedkd", "fedseq", "fedavg", "sfedkd_random_teachers")
-
-# sub-seed purpose tags; see derive_seed
-SEED_INIT = 1
-SEED_DATA = 2
-SEED_PARTITION = 3
-SEED_SPLIT = 4
-SEED_SEQUENCE = 5
-SEED_SHUFFLE = 6
-SEED_RANDOM_TEACHERS = 7
-
-
-def derive_seed(master_seed: int, *tags: int) -> int:
-    """Deterministic sub-seed for one purpose (plus optional round/position)."""
-    ss = np.random.SeedSequence([int(master_seed), *(int(t) for t in tags)])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-@dataclass
-class TrainConfig:
-    M: int = 10               # clients sampled per round
-    K: int = 5                # teachers distilled from
-    R: int = 60               # rounds
-    E: int = 5                # local epochs
-    batch_size: int = 64
-    eta: float = 0.01
-    weight_decay: float = 1e-4
-    kd: KDConfig = field(default_factory=KDConfig)
-    mode: str = "sfedkd"
-
-    def __post_init__(self):
-        if self.M < 1:
-            raise ValueError("M must be at least 1")
-        if not 1 <= self.K <= self.M:
-            raise ValueError("K must lie in [1, M]")
-        if self.R < 1:
-            raise ValueError("R must be at least 1")
-        if self.E < 1:
-            raise ValueError("E must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
 
 
 @dataclass
@@ -226,14 +182,11 @@ def run_round(state: FederationState, cfg: TrainConfig,
     """
     r = state.round
     seq = sample_sequence(state, cfg.M)
-    if cfg.mode == "sfedkd":
-        ensemble = collect_teachers(state, cfg.K, cfg.kd.metric, solver="greedy")
-    elif cfg.mode == "sfedkd_random_teachers":
-        ensemble = collect_teachers(state, cfg.K, cfg.kd.metric, solver="random")
-    elif cfg.mode == "fedseq":
-        ensemble = TeacherEnsemble.empty()
-    else:
-        raise ValueError(f"run_round does not handle mode {cfg.mode!r}")
+    if cfg.mode == "fedavg":
+        raise ValueError("fedavg rounds run in fedavg_round")
+    solver = MODES[cfg.mode]
+    ensemble = (collect_teachers(state, cfg.K, cfg.kd.metric, solver) if solver
+                else TeacherEnsemble.empty())
 
     record = RoundRecord(round=r, mode=cfg.mode, teachers=list(ensemble.client_ids))
     model = state.global_model
