@@ -117,8 +117,7 @@ def cmd_ablate(args) -> int:
     if args.set:
         raw = apply_overrides(raw, args.set)
     base_cfg = resolve_config(raw)
-    seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
-             else base_cfg.ablate.seeds)
+    seeds = args.seeds or base_cfg.ablate.seeds
     cells = _ablation_cells(args.axis, base_cfg)
 
     rows = []
@@ -205,6 +204,13 @@ def cmd_inspect_partition(args) -> int:
     return EXIT_OK
 
 
+def _seed_list(text: str) -> list[int]:
+    if not all(s.strip().isdigit() for s in text.split(",")):
+        raise argparse.ArgumentTypeError(f"expected comma-separated non-negative integers, "
+                                         f"got {text!r}")
+    return [int(s) for s in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sfedkd",
@@ -222,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ab.add_argument("config")
     p_ab.add_argument("--axis", required=True,
                       choices=("weights", "metric", "teachers", "mode"))
-    p_ab.add_argument("--seeds", help="comma-separated master seeds "
-                                      "(default: the config's ablate.seeds)")
+    p_ab.add_argument("--seeds", type=_seed_list, help="comma-separated master seeds "
+                                                       "(default: the config's ablate.seeds)")
     p_ab.add_argument("--set", action="append", metavar="PATH=VALUE")
     p_ab.set_defaults(fn=cmd_ablate)
 

@@ -286,6 +286,9 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"dataset.{missing}", "test images and labels come as a pair")
     if ds.kind == "synthetic" and part.C > ds.classes:
         raise ConfigError("partition.C", f"exceeds dataset.classes={ds.classes}")
+    if ds.kind == "synthetic" and part.N * part.C < ds.classes:
+        raise ConfigError("partition.C", f"partition.N*C={part.N * part.C} cannot cover "
+                                         f"all {ds.classes} classes")
     if train.M > part.N:
         raise ConfigError("train.M", f"M={train.M} exceeds partition.N={part.N}")
     if cfg.eval.split == "test" and ds.test_fraction == 0 and not ds.test_images:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import METRICS, KDConfig  # METRICS stays importable from here
-from .data import ClassDistribution
+from .data import ClassDistribution, Dataset
 from .model import (ModelParams, backprop, cross_entropy_grad,
                     forward, forward_cached)
 
@@ -34,8 +34,8 @@ SMOOTH_EPS = 1e-6
 class TeacherEnsemble:
     """Frozen teacher snapshots, their client class distributions, and weights.
 
-    g/h stay None until the ensemble is specialized for one student client;
-    they depend on the student's class distribution.
+    g/h stay None until the ensemble is specialized for its student clients:
+    a (K,) vector for one client's class distribution, a row per client (M, K).
     """
 
     teachers: list[ModelParams]
@@ -51,9 +51,9 @@ class TeacherEnsemble:
             if w is None:
                 continue
             w = np.asarray(w, dtype=np.float64)
-            if len(w) != len(self.teachers):
+            if w.shape[-1:] != (len(self.teachers),):
                 raise ValueError(f"{name} must have one weight per teacher")
-            if (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
+            if (w < 0).any() or (abs(w.sum(axis=-1) - 1.0) > 1e-9).any():
                 raise ValueError(f"{name} must be non-negative and sum to 1")
 
     @property
@@ -64,51 +64,62 @@ class TeacherEnsemble:
     def empty(cls) -> "TeacherEnsemble":
         return cls([], [], [])
 
-    def with_weights(self, student_dist: ClassDistribution, cfg: KDConfig) -> "TeacherEnsemble":
-        """Ensemble specialized for one student client: g/h filled in."""
+    def with_weights(self, student_dist, cfg: KDConfig) -> "TeacherEnsemble":
+        """Ensemble specialized for one student distribution or a list (a g/h row each)."""
         if self.k == 0:
             return self
         g, h = teacher_weights(self.dists, student_dist, cfg.metric, cfg.epsilon)
         if cfg.uniform_g:
-            g = np.full(self.k, 1.0 / self.k)
+            g = np.full(g.shape, 1.0 / self.k)
         if cfg.uniform_h:
-            h = np.full(self.k, 1.0 / self.k)
+            h = np.full(h.shape, 1.0 / self.k)
         return replace(self, g=g, h=h)
 
 
 def _smoothed(p: np.ndarray) -> np.ndarray:
     q = p + SMOOTH_EPS
-    return q / q.sum()
+    return q / q.sum(axis=-1, keepdims=True)
 
 
-def discrepancy(a: ClassDistribution, b: ClassDistribution, metric: str) -> float:
-    """Distance between two class distributions (L1, L2, KL, or JS).
+def discrepancy_rows(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
+    """Distance (L1, L2, KL, or JS) between the distributions along the last
+    axis of `a` and `b`, which broadcast against each other.
 
     KL and JS operate on smoothed, renormalized copies so zero entries
-    stay finite; KL(a||b) keeps the given argument order.
+    stay finite; KL(a||b) keeps the given argument order. Both are clamped
+    at 0, since for two distributions an ulp apart they can round below it.
     """
-    if a.empty or b.empty:
-        raise ValueError("discrepancy of an empty distribution is undefined")
-    if len(a) != len(b):
-        raise ValueError("distributions must have equal length")
-    pa, pb = a.proportions, b.proportions
     if metric == "L1":
-        return float(np.abs(pa - pb).sum())
+        return np.abs(a - b).sum(axis=-1)
     if metric == "L2":
-        return float(np.sqrt(((pa - pb) ** 2).sum()))
+        return np.sqrt(((a - b) ** 2).sum(axis=-1))
+    sa, sb = _smoothed(a), _smoothed(b)
     if metric == "KL":
-        sa, sb = _smoothed(pa), _smoothed(pb)
-        return float((sa * np.log(sa / sb)).sum())
+        return np.maximum((sa * np.log(sa / sb)).sum(axis=-1), 0.0)
     if metric == "JS":
-        sa, sb = _smoothed(pa), _smoothed(pb)
         m = 0.5 * (sa + sb)
-        return float(0.5 * (sa * np.log(sa / m)).sum() + 0.5 * (sb * np.log(sb / m)).sum())
+        return np.maximum(0.5 * (sa * np.log(sa / m)).sum(axis=-1)
+                          + 0.5 * (sb * np.log(sb / m)).sum(axis=-1), 0.0)
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def teacher_weights(teacher_dists: list[ClassDistribution], student_dist: ClassDistribution,
+def _proportions(dists: list[ClassDistribution]) -> np.ndarray:
+    if any(d.empty for d in dists):
+        raise ValueError("discrepancy of an empty distribution is undefined")
+    if len({len(d) for d in dists}) > 1:
+        raise ValueError("distributions must have equal length")
+    return np.stack([d.proportions for d in dists])
+
+
+def discrepancy(a: ClassDistribution, b: ClassDistribution, metric: str) -> float:
+    """Distance between two class distributions; see `discrepancy_rows`."""
+    return float(discrepancy_rows(*_proportions([a, b]), metric))
+
+
+def teacher_weights(teacher_dists: list[ClassDistribution], student_dist,
                     metric: str, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-teacher (g, h) weight vectors from the distances to the student.
+    """Per-teacher (g, h) weights from the distances to the student: (K,)
+    vectors for one student distribution, (M, K) rows for a list of M.
 
     g_k = d_k / sum_j d_j (uniform when every distance is zero);
     h_k = (1/(d_k + epsilon)) / sum_j (1/(d_j + epsilon)).
@@ -117,12 +128,15 @@ def teacher_weights(teacher_dists: list[ClassDistribution], student_dist: ClassD
         raise ValueError("need at least one teacher")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    d = np.array([discrepancy(t, student_dist, metric) for t in teacher_dists])
-    total = d.sum()
-    g = np.full(len(d), 1.0 / len(d)) if total == 0 else d / total
+    single = isinstance(student_dist, ClassDistribution)
+    k = len(teacher_dists)
+    p = _proportions([*teacher_dists, *([student_dist] if single else student_dist)])
+    d = discrepancy_rows(p[:k], p[k:, None], metric)
+    total = d.sum(axis=-1, keepdims=True)
+    g = np.divide(d, total, out=np.full(d.shape, 1.0 / k), where=total != 0)
     inv = 1.0 / (d + epsilon)
-    return g, inv / inv.sum()
-
+    h = inv / inv.sum(axis=-1, keepdims=True)
+    return (g[0], h[0]) if single else (g, h)
 
 
 def _log_parts(logits: np.ndarray, labels: np.ndarray, tau: float):
@@ -161,13 +175,14 @@ class KDTargets:
 
     @classmethod
     def from_logits(cls, teacher_logits, labels, g, h, tau: float) -> "KDTargets":
-        """Mix K teachers' (n, C) logits with weights g (non-target) and h (target)."""
+        """Mix K teachers' (n, C) logits with weights g (non-target) and h
+        (target), each one (K,) vector or one row per sample (n, K)."""
         nt = np.zeros(np.shape(teacher_logits[0]))
         nt_const, t, rest, t_const = np.zeros((4, len(nt)))
-        for g_k, h_k, logits in zip(g, h, teacher_logits):
+        for g_k, h_k, logits in zip(np.atleast_2d(g).T, np.atleast_2d(h).T, teacher_logits):
             ls, q, lq_t, lq_rest = _log_parts(logits, labels, tau)
             q_t, q_rest = np.exp(lq_t), np.exp(lq_rest)
-            nt += g_k * q
+            nt += g_k[:, None] * q
             nt_const += g_k * (q * ls).sum(axis=1)
             t += h_k * q_t
             rest += h_k * q_rest
@@ -178,16 +193,31 @@ class KDTargets:
         return KDTargets(*(a[idx] for a in vars(self).values()))
 
 
-def kd_targets(ensemble: TeacherEnsemble | None, features: np.ndarray, labels: np.ndarray,
-               cfg: KDConfig) -> KDTargets | None:
-    """Mixed targets from one forward per teacher; None when distillation is
-    off (no teachers, or gamma and beta both zero)."""
-    if ensemble is None or ensemble.k == 0 or (cfg.gamma == 0 and cfg.beta == 0):
-        return None
+def kd_targets(ensemble: TeacherEnsemble | None, clients: list[tuple[np.ndarray, np.ndarray]],
+               cfg: KDConfig) -> list[KDTargets | None]:
+    """Mixed targets of each (features, labels) client, one g/h row each, from
+    one pass per teacher over all their rows (teachers still forward client by
+    client). None per client when distillation is off (no teachers, or gamma
+    and beta both zero)."""
+    if (ensemble is None or ensemble.k == 0 or (cfg.gamma == 0 and cfg.beta == 0)
+            or not clients):
+        return [None] * len(clients)
     if ensemble.g is None or ensemble.h is None:
         raise ValueError("ensemble weights not set; call with_weights() first")
-    return KDTargets.from_logits([forward(t, features) for t in ensemble.teachers],
-                                 labels, ensemble.g, ensemble.h, cfg.tau)
+    sizes = [len(labels) for _, labels in clients]
+    g, h = (np.repeat(np.atleast_2d(w), sizes, axis=0) for w in (ensemble.g, ensemble.h))
+    logits = [np.concatenate([forward(t, x) for x, _ in clients]) for t in ensemble.teachers]
+    mixed = KDTargets.from_logits(logits, np.concatenate([y for _, y in clients]), g, h, cfg.tau)
+    return [mixed.take(slice(end - n, end)) for n, end in zip(sizes, np.cumsum(sizes))]
+
+
+def round_targets(ensemble: TeacherEnsemble, clients: list[Dataset],
+                  dists: list[ClassDistribution], cfg: KDConfig):
+    """The teacher side of a round, once for all its non-empty clients: the ensemble
+    with a g/h row per client (weights already set are kept), and each client's targets."""
+    if ensemble.k and ensemble.g is None:
+        ensemble = ensemble.with_weights(dists, cfg)
+    return ensemble, kd_targets(ensemble, [(c.features, c.labels) for c in clients], cfg)
 
 
 def _kd_terms(logits, labels, targets: KDTargets, tau: float, gamma: float, beta: float):
@@ -256,7 +286,7 @@ def total_loss(params: ModelParams, features: np.ndarray, labels: np.ndarray,
     logits, cache = forward_cached(params, features)
     loss, dlogits = cross_entropy_grad(logits, labels)
     if targets is None:
-        targets = kd_targets(ensemble, features, labels, cfg)
+        targets = kd_targets(ensemble, [(features, labels)], cfg)[0]
     if targets is not None:
         factor = cfg.tau * cfg.tau if cfg.tau_sq else 1.0
         per_sample, dz = _kd_terms(logits, np.asarray(labels, dtype=np.int64), targets,

@@ -23,7 +23,7 @@ from .config import (MODES, SEED_DATA, SEED_INIT, SEED_PARTITION,
                      SEED_RANDOM_TEACHERS, SEED_SEQUENCE, SEED_SHUFFLE, SEED_SPLIT,
                      TrainConfig, derive_seed)
 from .data import ClassDistribution, Dataset, class_distribution
-from .distill import KDConfig, TeacherEnsemble, kd_targets, total_loss
+from .distill import KDConfig, KDTargets, TeacherEnsemble, round_targets, total_loss
 from .metrics import EvalTrace, consistency, evaluate, forgetting_measure
 from .model import ModelParams, sgd_step, snapshot
 from .selection import SelectionInstance, greedy_select, random_select
@@ -133,19 +133,19 @@ def collect_teachers(state: FederationState, k: int, metric: str,
 
 
 def local_train(model: ModelParams, client: Dataset, ensemble: TeacherEnsemble,
-                cfg: TrainConfig, rng: np.random.Generator,
+                cfg: TrainConfig, rng: np.random.Generator, targets: KDTargets | None = None,
                 loss_sink: list | None = None) -> ModelParams:
     """E epochs of mini-batch SGD on one client, KD-guided when teachers exist.
 
     The dataset is reshuffled every epoch and the last partial batch is kept.
-    Teacher weights (from the ensemble's and this client's class distributions)
-    and the frozen teachers' mixed targets are computed once per client.
+    `targets` are this client's share of `round_targets`; without them the
+    teacher side is computed here, as for a round of this one client.
     """
     if len(client) == 0:
         raise ValueError("client dataset must be non-empty")
-    if ensemble.k and ensemble.g is None:
-        ensemble = ensemble.with_weights(class_distribution(client), cfg.kd)
-    targets = kd_targets(ensemble, client.features, client.labels, cfg.kd)
+    if targets is None and ensemble.k:
+        ensemble, (targets,) = round_targets(ensemble, [client], [class_distribution(client)],
+                                             cfg.kd)
     params = model
     n = len(client)
     for _ in range(cfg.E):
@@ -189,30 +189,25 @@ def run_round(state: FederationState, cfg: TrainConfig,
                 else TeacherEnsemble.empty())
 
     record = RoundRecord(round=r, mode=cfg.mode, teachers=list(ensemble.client_ids))
+    trained = [cid for cid in seq if len(state.client_datasets[cid])]
+    ensemble, targets = round_targets(ensemble, [state.client_datasets[c] for c in trained],
+                                      [state.client_dists[c] for c in trained], cfg.kd)
+    if ensemble.k and trained:
+        record.g_mean = (ensemble.g.sum(axis=0) / len(trained)).tolist()
+        record.h_mean = (ensemble.h.sum(axis=0) / len(trained)).tolist()
+    targets = iter(targets)
     model = state.global_model
     snapshots: list[ModelParams] = []
-    g_sum = np.zeros(ensemble.k)
-    h_sum = np.zeros(ensemble.k)
-    n_weighted = 0
     for m, cid in enumerate(seq):
         client = state.client_datasets[cid]
         if len(client) == 0:
             snapshots.append(snapshot(model))
             continue
-        ens_m = ensemble
-        if ensemble.k:
-            ens_m = ensemble.with_weights(state.client_dists[cid], cfg.kd)
-            g_sum += ens_m.g
-            h_sum += ens_m.h
-            n_weighted += 1
         rng = np.random.default_rng(derive_seed(state.master_seed, SEED_SHUFFLE, r, m))
-        model = local_train(model, client, ens_m, cfg, rng)
+        model = local_train(model, client, ensemble, cfg, rng, next(targets))
         snapshots.append(snapshot(model))
         if eval_ctx is not None and eval_ctx.granularity == "client":
             _evaluate_round(model, record, eval_ctx, f"r{r}m{m}")
-    if n_weighted:
-        record.g_mean = (g_sum / n_weighted).tolist()
-        record.h_mean = (h_sum / n_weighted).tolist()
     if eval_ctx is not None and eval_ctx.granularity == "round":
         _evaluate_round(model, record, eval_ctx, f"r{r}")
 

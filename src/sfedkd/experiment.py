@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .data import (Dataset, class_distribution, generate_synthetic, load_idx,
                    partition_exdir, split_train_test)
 from .engine import (SEED_INIT, EvalContext, FederationState, RoundRecord,
@@ -55,11 +55,12 @@ def run_experiment(cfg: ExperimentConfig,
                    keep_round_models: bool = False) -> ExperimentResult:
     """Run the configured mode for R rounds; pure function of the config."""
     train, test = build_dataset(cfg)
-    state = initial_state(cfg, train)
     eval_dataset = test if cfg.eval.split == "test" else train
-    eval_ctx = None
-    if eval_dataset is not None and len(eval_dataset):
-        eval_ctx = EvalContext(eval_dataset, cfg.eval.granularity)
+    if eval_dataset is None or not len(eval_dataset):
+        raise ConfigError("dataset.test_fraction", f"{cfg.dataset.test_fraction} leaves the "
+                          f"{cfg.eval.split} split empty, so no round can be evaluated")
+    state = initial_state(cfg, train)
+    eval_ctx = EvalContext(eval_dataset, cfg.eval.granularity)
     round_fn = fedavg_round if cfg.train.mode == "fedavg" else run_round
     records: list[RoundRecord] = []
     round_models: list[ModelParams] = []
@@ -68,6 +69,5 @@ def run_experiment(cfg: ExperimentConfig,
         records.append(record)
         if keep_round_models:
             round_models.append(state.global_model)
-    trace = eval_ctx.trace if eval_ctx is not None else EvalTrace()
-    return ExperimentResult(records, state.global_model, trace,
+    return ExperimentResult(records, state.global_model, eval_ctx.trace,
                             round_models if keep_round_models else None)

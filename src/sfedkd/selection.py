@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ClassDistribution
-from .distill import METRICS, discrepancy
+from .distill import METRICS, discrepancy, discrepancy_rows
 
 BRUTE_FORCE_MAX_CANDIDATES = 20
 
@@ -48,26 +48,26 @@ def aggregate_objective(dists: list[ClassDistribution], indices, metric: str) ->
 
 def greedy_select(inst: SelectionInstance) -> list[int]:
     """Greedily grow the teacher set, each step adding the candidate whose
-    inclusion leaves the normalized aggregate closest to uniform.
+    inclusion leaves the normalized aggregate closest to uniform; every
+    remaining candidate is scored in one call per step.
 
     Ties break toward the lower candidate index. Returns K distinct indices
     in selection order.
     """
-    uniform = _uniform(len(inst.candidate_dists[0]))
-    agg = np.zeros(len(uniform))
+    props = np.stack([d.proportions for d in inst.candidate_dists])
+    uniform = _uniform(props.shape[1]).proportions
+    agg = np.zeros(props.shape[1])
     chosen: list[int] = []
-    remaining = set(range(len(inst.candidate_dists)))
+    remaining = np.arange(len(props))
     while len(chosen) < inst.K:
-        best_idx = -1
-        best_obj = np.inf
-        for i in sorted(remaining):
-            trial = agg + inst.candidate_dists[i].proportions
-            obj = discrepancy(ClassDistribution(trial / trial.sum()), uniform, inst.metric)
-            if obj < best_obj:
-                best_obj, best_idx = obj, i
-        chosen.append(best_idx)
-        remaining.remove(best_idx)
-        agg = agg + inst.candidate_dists[best_idx].proportions
+        trials = agg + props[remaining]
+        trials /= trials.sum(axis=1, keepdims=True)
+        if (trials < 0).any() or (abs(trials.sum(axis=1) - 1.0) > 1e-9).any():
+            raise ValueError("trial aggregates must be non-negative and sum to 1")
+        best = int(remaining[np.argmin(discrepancy_rows(trials, uniform, inst.metric))])
+        chosen.append(best)
+        remaining = remaining[remaining != best]
+        agg = agg + props[best]
     return chosen
 
 

@@ -199,3 +199,35 @@ def test_teachers_axis_reads_solvers_from_mode_table():
         ({"K": 2, "solver": "greedy"}, ["train.K=2", "train.mode=sfedkd"]),
         ({"K": 2, "solver": "random"}, ["train.K=2", "train.mode=sfedkd_random_teachers"]),
     ]
+
+
+def test_classes_not_covered_by_partition_names_partition_c(tmp_path, capsys):
+    with pytest.raises(ConfigError) as exc:
+        resolve_config({"partition": {"N": 4, "C": 2}, "train": {"M": 3, "K": 2}})
+    assert exc.value.field == "partition.C"
+    assert main(["run", str(ROOT / "configs" / "synthetic_small.json"),
+                 "--set", "partition.N=4", "--set", "train.M=3", "--set", "train.K=2",
+                 "--set", "ablate.k_values=[2]", "--set", f"output.dir={tmp_path}"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: partition.C: partition.N*C=8 cannot cover all 10 classes" in err
+    assert resolve_config({"partition": {"N": 5, "C": 2}, "train": {"M": 3, "K": 2}})
+
+
+def test_empty_evaluation_split_exits_2_naming_test_fraction(tmp_path, capsys):
+    # one sample per class and test_fraction 0.4: every class rounds its
+    # test share to 0, so no round could be evaluated
+    assert main(["run", str(ROOT / "configs" / "synthetic_small.json"),
+                 "--set", "dataset.n_per_class=1", "--set", f"output.dir={tmp_path}"]) == 2
+    assert "config error: dataset.test_fraction: 0.4 leaves the test split empty" in \
+        capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("seeds", ["x", "1,,2", "1,-2", ""])
+def test_ablate_bad_seeds_rejected_by_the_parser(tmp_path, capsys, seeds):
+    with pytest.raises(SystemExit) as exc:
+        main(["ablate", str(ROOT / "configs" / "synthetic_small.json"), "--axis", "mode",
+              "--seeds", seeds, "--set", f"output.dir={tmp_path}"])
+    assert exc.value.code == 2
+    assert "argument --seeds: expected comma-separated non-negative integers" in \
+        capsys.readouterr().err

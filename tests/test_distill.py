@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sfedkd.data import ClassDistribution
-from sfedkd.distill import (KDConfig, TeacherEnsemble, discrepancy,
-                            nckd_loss, tckd_loss, teacher_weights, total_loss)
+from sfedkd.data import ClassDistribution, Dataset, class_distribution
+from sfedkd.distill import (METRICS, KDConfig, KDTargets, TeacherEnsemble, discrepancy,
+                            kd_targets, nckd_loss, round_targets, tckd_loss,
+                            teacher_weights, total_loss)
 from sfedkd.model import (ModelParams, backprop, cross_entropy_grad, forward,
                           forward_cached, init_params)
 
 from kd_oracle import total_loss_oracle
+from selection_oracle import teacher_weights_oracle
 
 
 def dist(*values):
@@ -19,6 +21,14 @@ def dist(*values):
 def prob_vectors(size):
     return st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size).map(
         lambda v: np.asarray(v) / np.sum(v))
+
+
+# Two distributions one ulp apart in their second entry. Unclamped, their
+# JS divergence rounds to -1.08e-18.
+ULP_A = np.array([0.00970873786407767, 0.00970873786407767,
+                  0.009708737864077669, 0.970873786407767])
+ULP_B = np.array([0.00970873786407767, 0.009708737864077669,
+                  0.009708737864077669, 0.970873786407767])
 
 
 # ------------------------------------------------------------ discrepancy
@@ -56,6 +66,7 @@ def test_discrepancy_rejects_bad_inputs():
 
 @settings(max_examples=60, deadline=None)
 @given(prob_vectors(4), prob_vectors(4), st.sampled_from(["L1", "L2", "KL", "JS"]))
+@example(ULP_A, ULP_B, "JS")
 def test_discrepancy_non_negative(a, b, metric):
     assert discrepancy(ClassDistribution(a), ClassDistribution(b), metric) >= 0
 
@@ -116,6 +127,48 @@ def test_weights_normalized_and_monotone(teacher_vecs, student_vec, metric):
                 assert h[i] > h[j]
                 if d.sum() > 0:
                     assert g[i] < g[j]
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_weights_with_a_one_ulp_neighbour(metric):
+    # a teacher one ulp from the student next to a far one: a distance
+    # rounded below 0 would make that teacher's g negative and fail the
+    # ensemble's weight check
+    near, far = ClassDistribution(ULP_B), dist(0.7, 0.1, 0.1, 0.1)
+    student = ClassDistribution(ULP_A)
+    g, h = teacher_weights([near, far], student, metric, 1e-4)
+    assert g[0] <= 1e-12 and g[1] == pytest.approx(1.0, abs=1e-12)
+    assert (h >= 0).all() and h[0] > h[1]
+    ens = TeacherEnsemble([init_params((4, 3, 4), seed=i) for i in range(2)], [near, far],
+                          [0, 1]).with_weights(student, KDConfig(metric=metric))
+    assert ens.g.tobytes() == g.tobytes()
+
+
+@st.composite
+def weight_cases(draw):
+    """Teachers and students drawn with repeats from a small pool, so equal
+    distances, zero distances and students equal to every teacher (g falls
+    back to uniform) are common."""
+    c = draw(st.integers(2, 6))
+    pool = draw(st.lists(prob_vectors(c), min_size=1, max_size=4))
+    pick = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6)
+    return ([ClassDistribution(pool[i]) for i in draw(pick)],
+            [ClassDistribution(pool[i]) for i in draw(pick)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(weight_cases(), st.sampled_from(METRICS), st.sampled_from([1e-4, 0.5]))
+@example(([ClassDistribution(ULP_B), dist(0.7, 0.1, 0.1, 0.1)], [ClassDistribution(ULP_A)]),
+         "JS", 1e-4)
+def test_weights_match_per_pair_oracle_bytes(case, metric, epsilon):
+    teachers, students = case
+    g, h = teacher_weights(teachers, students, metric, epsilon)
+    g_ref, h_ref = teacher_weights_oracle(teachers, students, metric, epsilon)
+    assert g.shape == g_ref.shape == h.shape == (len(students), len(teachers))
+    assert g.tobytes() == g_ref.tobytes() and h.tobytes() == h_ref.tobytes()
+    for m, student in enumerate(students):
+        g_m, h_m = teacher_weights(teachers, student, metric, epsilon)
+        assert g_m.tobytes() == g_ref[m].tobytes() and h_m.tobytes() == h_ref[m].tobytes()
 
 
 # ------------------------------------------------------------ nckd / tckd
@@ -393,3 +446,49 @@ def test_total_loss_matches_per_teacher_oracle(seed, c, k, tau, scale, coeffs, c
     assert abs(loss - ref_loss) <= 1e-12 * max(abs(ref_loss), 1.0)
     a, b = _flat(grads), _flat(ref_grads)
     assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
+
+
+# ----------------------------------------------- the teacher side of a round
+
+@pytest.mark.parametrize("k,cfg", [
+    (3, KDConfig()),
+    (1, KDConfig()),
+    (3, KDConfig(gamma=0.0)),
+    (3, KDConfig(beta=0.0, metric="L2")),
+    (3, KDConfig(uniform_g=True, metric="JS")),
+    (2, KDConfig(uniform_h=True, tau=1.0)),
+])
+def test_round_targets_slices_match_per_client_targets(k, cfg):
+    # one pass over the round's rows must give each client the bytes of its
+    # own teachers' forward mixed with its own weights, whatever the other
+    # clients hold; a one-client call of kd_targets must give them too
+    rng = np.random.default_rng(k)
+    c = 5
+    ens = TeacherEnsemble([init_params((4, 6, c), seed=40 + i) for i in range(k)],
+                          [ClassDistribution(v) for v in rng.dirichlet(np.ones(c), k)],
+                          list(range(k)))
+    clients = [Dataset(2 * rng.standard_normal((n, 4)), rng.integers(0, c, n), c)
+               for n in (7, 1, 12, 64, 3)]
+    dists = [class_distribution(cl) for cl in clients]
+    weighted, targets = round_targets(ens, clients, dists, cfg)
+    assert len(targets) == len(clients)
+    for m, (client, d) in enumerate(zip(clients, dists)):
+        own = ens.with_weights(d, cfg)
+        assert weighted.g[m].tobytes() == own.g.tobytes()
+        assert weighted.h[m].tobytes() == own.h.tobytes()
+        want = KDTargets.from_logits([forward(t, client.features) for t in ens.teachers],
+                                     client.labels, own.g, own.h, cfg.tau)
+        (alone,) = kd_targets(own, [(client.features, client.labels)], cfg)
+        for name, value in vars(want).items():
+            assert getattr(targets[m], name).tobytes() == value.tobytes(), name
+            assert getattr(alone, name).tobytes() == value.tobytes(), name
+
+
+def test_round_targets_off_without_teachers_or_coefficients():
+    clients = [Dataset(np.zeros((2, 4)), np.array([0, 1]), 3)]
+    dists = [class_distribution(cl) for cl in clients]
+    assert round_targets(TeacherEnsemble.empty(), clients, dists, KDConfig())[1] == [None]
+    off = KDConfig(gamma=0.0, beta=0.0)
+    weighted, targets = round_targets(make_ensemble(), clients, dists, off)
+    assert targets == [None] and weighted.g.shape == (1, 2)
+    assert round_targets(make_ensemble(), [], [], KDConfig())[1] == []

@@ -295,6 +295,43 @@ def test_run_round_evaluates_with_context():
     assert len(ctx_client.trace) == 3  # one checkpoint per trained client
 
 
+@pytest.mark.parametrize("K,kd", [
+    (2, KDConfig()),
+    (1, KDConfig()),
+    (2, KDConfig(gamma=0.0)),
+    (2, KDConfig(beta=0.0)),
+    (2, KDConfig(gamma=0.0, beta=0.0)),
+    (2, KDConfig(uniform_g=True, uniform_h=True)),
+])
+def test_run_round_matches_per_client_teacher_pass(K, kd):
+    # Round 2 with an empty client in the sequence: the round computes the
+    # teacher side once for all its clients, yet every position must equal
+    # local_train run with that client's own teacher pass, byte for byte,
+    # and g_mean/h_mean the running mean of the per-client weights.
+    state = small_state()
+    state.client_datasets[2] = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 4)
+    state.client_dists[2] = ClassDistribution(np.zeros(4), empty=True)
+    cfg = small_cfg(M=6, K=K, E=2, batch_size=4, kd=kd)
+    state, _ = run_round(state, cfg)
+    ensemble = collect_teachers(state, K, kd.metric)
+    new_state, record = run_round(state, cfg)
+    assert 2 in new_state.prev_sequence
+    model = state.global_model
+    g_sum, h_sum, n = np.zeros(K), np.zeros(K), 0
+    for m, cid in enumerate(new_state.prev_sequence):
+        client = state.client_datasets[cid]
+        if len(client):
+            own = ensemble.with_weights(state.client_dists[cid], kd)
+            g_sum += own.g
+            h_sum += own.h
+            n += 1
+            rng = np.random.default_rng(derive_seed(state.master_seed, SEED_SHUFFLE, 2, m))
+            model = local_train(model, client, own, cfg, rng)
+        assert model.flat.tobytes() == new_state.prev_models[m].flat.tobytes()
+    assert record.g_mean == (g_sum / n).tolist()
+    assert record.h_mean == (h_sum / n).tolist()
+
+
 # ----------------------------------------------------------- mode reduction
 
 def test_sfedkd_with_zero_coefficients_reduces_to_fedseq():

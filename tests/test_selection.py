@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from selection_oracle import greedy_select_oracle
+from sfedkd.config import METRICS
 from sfedkd.data import ClassDistribution
 from sfedkd.selection import (SelectionInstance, aggregate_objective,
                               brute_force_select, greedy_select, random_select)
@@ -136,3 +140,35 @@ def test_brute_le_greedy_le_random_mean():
             for s in range(100)
         ]
         assert greedy_obj <= np.mean(random_objs) + 1e-12
+
+
+# ---------------------------------------------- greedy vs per-candidate oracle
+
+@st.composite
+def candidate_sets(draw):
+    """Candidates drawn with repeats from a small pool of random and one-hot
+    vectors, so duplicate candidates and tied objectives are common."""
+    c = draw(st.integers(2, 6))
+    vector = st.one_of(
+        st.lists(st.floats(0.01, 1.0), min_size=c, max_size=c).map(
+            lambda v: np.asarray(v) / np.sum(v)),
+        st.integers(0, c - 1).map(lambda i: np.eye(c)[i]))
+    pool = draw(st.lists(vector, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=10))
+    return [ClassDistribution(pool[i]) for i in picks], draw(st.integers(1, len(picks)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(candidate_sets(), st.sampled_from(METRICS))
+def test_greedy_matches_per_candidate_oracle(case, metric):
+    cands, k = case
+    assert greedy_select(SelectionInstance(cands, k, metric)) == \
+        greedy_select_oracle(cands, k, metric)
+
+
+def test_greedy_checks_every_trial_aggregate():
+    cands = dists([0.5, 0.5], [0.5, 0.5])
+    inst = SelectionInstance(cands, K=2)
+    cands[1].proportions = np.array([1.5, -0.5])  # mutated after validation
+    with pytest.raises(ValueError, match="non-negative"):
+        greedy_select(inst)
