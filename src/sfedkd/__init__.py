@@ -13,8 +13,7 @@ from .engine import (FederationState, RoundRecord, TrainConfig,
                      sample_sequence, weighted_average)
 from .metrics import EvalTrace, consistency, evaluate, forgetting_measure
 from .model import (ModelParams, cross_entropy, forward, init_params,
-                    load_params, restore, save_params, sgd_step, snapshot,
-                    softmax_temp)
+                    load_params, save_params, sgd_step, snapshot, softmax_temp)
 from .selection import (SelectionInstance, brute_force_select, greedy_select,
                         random_select)
 

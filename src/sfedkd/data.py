@@ -132,16 +132,14 @@ def generate_synthetic(n_per_class: int, c_total: int, n_features: int,
     if spread <= 0:
         raise ValueError("spread must be positive")
     rng = np.random.default_rng(seed)
-    blocks = []
-    labels = []
-    for c in range(c_total):
-        angle = 2.0 * np.pi * c / c_total
-        mean = np.zeros(n_features)
-        mean[0] = 5.0 * np.cos(angle)
-        mean[1] = 5.0 * np.sin(angle)
-        blocks.append(mean + spread * rng.standard_normal((n_per_class, n_features)))
-        labels.append(np.full(n_per_class, c, dtype=np.int64))
-    return Dataset(np.vstack(blocks), np.concatenate(labels), c_total, name)
+    features = spread * rng.standard_normal((c_total, n_per_class, n_features))
+    angles = 2.0 * np.pi * np.arange(c_total) / c_total
+    means = np.zeros((c_total, n_features))
+    means[:, 0] = 5.0 * np.cos(angles)
+    means[:, 1] = 5.0 * np.sin(angles)
+    features += means[:, None, :]
+    labels = np.repeat(np.arange(c_total), n_per_class)
+    return Dataset(features.reshape(-1, n_features), labels, c_total, name)
 
 
 def _read_be_u32(buf: bytes, offset: int, path) -> int:
@@ -169,8 +167,9 @@ def load_idx(images_path, labels_path, n_classes: int | None = None,
     n_images = _read_be_u32(img_buf, 4, images_path)
     rows = _read_be_u32(img_buf, 8, images_path)
     cols = _read_be_u32(img_buf, 12, images_path)
-    if rows * cols == 0:
-        raise IdxFormatError(f"{images_path}: {rows}x{cols} images have no pixels")
+    if n_images * rows * cols == 0:
+        raise IdxFormatError(f"{images_path}: {rows}x{cols} images, {n_images} of them, "
+                             "hold no pixels")
     if len(img_buf) < 16 + n_images * rows * cols:
         raise IdxTruncatedError(f"{images_path}: expected {n_images * rows * cols} pixel bytes")
 
@@ -253,17 +252,13 @@ def partition_exdir_indices(labels: np.ndarray, c_total: int,
     else:
         raise RuntimeError("could not cover every class after 1000 allocation attempts")
 
-    client_indices: list[list[int]] = [[] for _ in range(spec.N)]
+    owner = np.full(len(labels), -1)
     for c in range(c_total):
         share = rng.dirichlet(np.full(len(holders[c]), spec.alpha))
         class_idx = np.flatnonzero(labels == c)
         rng.shuffle(class_idx)
-        counts = largest_remainder_counts(share, len(class_idx))
-        start = 0
-        for n, count in zip(holders[c], counts):
-            client_indices[n].extend(class_idx[start:start + count].tolist())
-            start += count
-    return [np.sort(np.array(idx, dtype=np.int64)) for idx in client_indices]
+        owner[class_idx] = np.repeat(holders[c], largest_remainder_counts(share, len(class_idx)))
+    return [np.flatnonzero(owner == n) for n in range(spec.N)]
 
 
 def partition_exdir(dataset: Dataset, spec: PartitionSpec) -> list[Dataset]:
@@ -275,12 +270,11 @@ def partition_exdir(dataset: Dataset, spec: PartitionSpec) -> list[Dataset]:
     ]
 
 
-def class_distribution(dataset: Dataset, c_total: int | None = None) -> ClassDistribution:
+def class_distribution(dataset: Dataset) -> ClassDistribution:
     """Per-class sample proportions; all-zero with the empty flag if no samples."""
-    c = dataset.c_total if c_total is None else c_total
     if len(dataset) == 0:
-        return ClassDistribution(np.zeros(c), empty=True)
-    counts = np.bincount(dataset.labels, minlength=c).astype(np.float64)
+        return ClassDistribution(np.zeros(dataset.c_total), empty=True)
+    counts = np.bincount(dataset.labels, minlength=dataset.c_total).astype(np.float64)
     return ClassDistribution(counts / counts.sum())
 
 

@@ -14,7 +14,7 @@ so toggling distillation or switching modes never perturbs data order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class FederationState:
 
 @dataclass
 class RoundRecord:
-    """One emitted log line per round."""
+    """One emitted log line per round; its keys follow the field order."""
 
     round: int
     mode: str
@@ -63,21 +63,10 @@ class RoundRecord:
 
     def to_dict(self) -> dict:
         def clean(x):
-            if isinstance(x, float) and not np.isfinite(x):
-                return None
-            return x
-        return {
-            "round": self.round,
-            "mode": self.mode,
-            "top1": clean(self.top1),
-            "classwise": None if self.classwise is None else [clean(v) for v in self.classwise],
-            "consistency": clean(self.consistency),
-            "forgetting": clean(self.forgetting),
-            "teachers": list(self.teachers),
-            "g_mean": [clean(v) for v in self.g_mean],
-            "h_mean": [clean(v) for v in self.h_mean],
-            "note": self.note,
-        }
+            if isinstance(x, list):
+                return [clean(v) for v in x]
+            return None if isinstance(x, float) and not np.isfinite(x) else x
+        return {k: clean(v) for k, v in asdict(self).items()}
 
 
 @dataclass
@@ -127,7 +116,7 @@ def collect_teachers(state: FederationState, k: int, metric: str,
     chosen = [positions[i] for i in picked]
     return TeacherEnsemble(
         teachers=[state.prev_models[m] for m in chosen],
-        dists=[state.client_dists[state.prev_sequence[m]] for m in chosen],
+        dists=[dists[i] for i in picked],
         client_ids=[state.prev_sequence[m] for m in chosen],
     )
 
@@ -235,23 +224,20 @@ def fedavg_round(state: FederationState, cfg: TrainConfig,
     """Parallel baseline: every sampled client trains from the same start
     model with plain cross-entropy; the results are averaged weighted by
     local dataset size. A round with only empty clients is skipped with a
-    warning note."""
+    warning note. No teacher candidates are kept for the next round."""
     r = state.round
     seq = sample_sequence(state, cfg.M)
     record = RoundRecord(round=r, mode=cfg.mode)
     locals_: list[ModelParams] = []
     sizes: list[int] = []
-    snapshots: list[ModelParams] = []
     for m, cid in enumerate(seq):
         client = state.client_datasets[cid]
         if len(client) == 0:
-            snapshots.append(snapshot(state.global_model))
             continue
         rng = np.random.default_rng(derive_seed(state.master_seed, SEED_SHUFFLE, r, m))
         trained = local_train(state.global_model, client, TeacherEnsemble.empty(), cfg, rng)
         locals_.append(trained)
         sizes.append(len(client))
-        snapshots.append(snapshot(trained))
     if locals_:
         model = weighted_average(locals_, sizes)
     else:
@@ -260,5 +246,5 @@ def fedavg_round(state: FederationState, cfg: TrainConfig,
     if eval_ctx is not None:
         _evaluate_round(model, record, eval_ctx, f"r{r}")
     new_state = replace(state, round=r + 1, global_model=model,
-                        prev_sequence=seq, prev_models=snapshots)
+                        prev_sequence=seq, prev_models=[])
     return new_state, record

@@ -25,16 +25,17 @@ def build_dataset(cfg: ExperimentConfig) -> tuple[Dataset, Dataset | None]:
     """Materialize the (train, test) pair described by the dataset block."""
     ds = cfg.dataset
     if ds.kind == "synthetic":
-        full = generate_synthetic(ds.n_per_class, ds.classes, ds.features,
-                                  ds.spread, ds.seed, name=ds.name)
-        if ds.test_fraction > 0:
-            return split_train_test(full, ds.test_fraction, ds.split_seed)
-        return full, None
-    full = load_idx(ds.images, ds.labels, name=ds.name)
-    if ds.test_images and ds.test_labels:
-        test = load_idx(ds.test_images, ds.test_labels,
-                        n_classes=full.c_total, name=f"{ds.name}/test")
-        return full, test
+        try:
+            full = generate_synthetic(ds.n_per_class, ds.classes, ds.features,
+                                      ds.spread, ds.seed, name=ds.name)
+        except MemoryError:
+            raise ConfigError("dataset.n_per_class", f"{ds.classes} classes x {ds.n_per_class} x "
+                              f"{ds.features} float64 values are too many to allocate") from None
+    else:
+        full = load_idx(ds.images, ds.labels, name=ds.name)
+        if ds.test_images and ds.test_labels:
+            return full, load_idx(ds.test_images, ds.test_labels,
+                                  n_classes=full.c_total, name=f"{ds.name}/test")
     if ds.test_fraction > 0:
         return split_train_test(full, ds.test_fraction, ds.split_seed)
     return full, None

@@ -152,14 +152,7 @@ def softmax_temp(logits: np.ndarray, tau: float) -> np.ndarray:
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-likelihood of the labels under softmax(logits)."""
-    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(labels) == 0:
-        raise ValueError("batch must be non-empty")
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
-        raise ValueError("label out of range")
-    logp = log_softmax(logits, 1.0)
-    return float(-logp[np.arange(len(labels)), labels].mean())
+    return cross_entropy_grad(logits, labels)[0]
 
 
 def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -205,11 +198,6 @@ def _decay_mask(dims: tuple[int, ...], weight_decay: float, sign: float) -> np.n
 def snapshot(params: ModelParams) -> ModelParams:
     """Deep, independent copy; safe to keep while the source keeps training."""
     return ModelParams.from_flat(params.flat.copy(), params.dims)
-
-
-def restore(saved: ModelParams) -> ModelParams:
-    """Independent working copy of a snapshot (the snapshot stays frozen)."""
-    return snapshot(saved)
 
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:

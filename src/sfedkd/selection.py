@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ClassDistribution
-from .distill import METRICS, discrepancy, discrepancy_rows
+from .distill import METRICS, discrepancy_rows
 
 BRUTE_FORCE_MAX_CANDIDATES = 20
 
@@ -35,15 +35,17 @@ class SelectionInstance:
             raise ValueError("candidates must have non-empty class distributions")
 
 
-def _uniform(c: int) -> ClassDistribution:
-    return ClassDistribution(np.full(c, 1.0 / c))
+def _objective_rows(totals: np.ndarray, metric: str) -> np.ndarray:
+    """Distance to uniform of each row of summed proportions, once normalized."""
+    rows = totals / totals.sum(axis=-1, keepdims=True)
+    if (rows < 0).any() or (abs(rows.sum(axis=-1) - 1.0) > 1e-9).any():
+        raise ValueError("aggregates must be non-negative and sum to 1")
+    return discrepancy_rows(rows, np.full(rows.shape[-1], 1.0 / rows.shape[-1]), metric)
 
 
 def aggregate_objective(dists: list[ClassDistribution], indices, metric: str) -> float:
     """Distance of the normalized summed distribution of `indices` to uniform."""
-    total = sum(dists[i].proportions for i in indices)
-    agg = ClassDistribution(total / total.sum())
-    return discrepancy(agg, _uniform(len(agg)), metric)
+    return float(_objective_rows(sum(dists[i].proportions for i in indices), metric))
 
 
 def greedy_select(inst: SelectionInstance) -> list[int]:
@@ -55,16 +57,11 @@ def greedy_select(inst: SelectionInstance) -> list[int]:
     in selection order.
     """
     props = np.stack([d.proportions for d in inst.candidate_dists])
-    uniform = _uniform(props.shape[1]).proportions
     agg = np.zeros(props.shape[1])
     chosen: list[int] = []
     remaining = np.arange(len(props))
     while len(chosen) < inst.K:
-        trials = agg + props[remaining]
-        trials /= trials.sum(axis=1, keepdims=True)
-        if (trials < 0).any() or (abs(trials.sum(axis=1) - 1.0) > 1e-9).any():
-            raise ValueError("trial aggregates must be non-negative and sum to 1")
-        best = int(remaining[np.argmin(discrepancy_rows(trials, uniform, inst.metric))])
+        best = int(remaining[np.argmin(_objective_rows(agg + props[remaining], inst.metric))])
         chosen.append(best)
         remaining = remaining[remaining != best]
         agg = agg + props[best]

@@ -1,5 +1,5 @@
-"""Per-pair reference forms of the discrepancy, the teacher weights and
-greedy selection.
+"""Per-pair reference forms of the discrepancy, the teacher weights,
+greedy selection and the selection objective.
 
 These are the straightforward loops: one scalar discrepancy per
 (teacher, student) pair, one student at a time, and one candidate at a
@@ -10,7 +10,8 @@ require equal bytes from both.
 
 import numpy as np
 
-from sfedkd.distill import SMOOTH_EPS
+from sfedkd.data import ClassDistribution
+from sfedkd.distill import SMOOTH_EPS, discrepancy
 
 
 def _smoothed(p):
@@ -64,3 +65,11 @@ def greedy_select_oracle(candidate_dists, k, metric):
         remaining.remove(best_idx)
         agg = agg + candidate_dists[best_idx].proportions
     return chosen
+
+
+def aggregate_objective_oracle(dists, indices, metric):
+    """Distance to uniform of the normalized sum of `indices`, taken between
+    two ClassDistribution objects."""
+    total = sum(dists[i].proportions for i in indices)
+    agg = ClassDistribution(total / total.sum())
+    return discrepancy(agg, ClassDistribution(np.full(len(agg), 1.0 / len(agg))), metric)

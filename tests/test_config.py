@@ -223,6 +223,17 @@ def test_empty_evaluation_split_exits_2_naming_test_fraction(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_oversized_synthetic_data_exits_2_naming_n_per_class(tmp_path, capsys):
+    # 10 x 10**12 x 8 float64 values exceed any address space, so numpy
+    # refuses the draw before it allocates anything
+    assert main(["run", str(ROOT / "configs" / "synthetic_small.json"),
+                 "--set", "dataset.n_per_class=1000000000000",
+                 "--set", f"output.dir={tmp_path}"]) == 2
+    assert "config error: dataset.n_per_class: 10 classes x 1000000000000 x 8 float64 " \
+        "values are too many to allocate" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("seeds", ["x", "1,,2", "1,-2", ""])
 def test_ablate_bad_seeds_rejected_by_the_parser(tmp_path, capsys, seeds):
     with pytest.raises(SystemExit) as exc:

@@ -3,9 +3,10 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from data_oracle import generate_synthetic_oracle, partition_exdir_indices_oracle
 from sfedkd.data import (ClassDistribution, Dataset, IdxCountMismatchError,
                          IdxFormatError, IdxTruncatedError, PartitionSpec,
                          class_distribution, generate_synthetic,
@@ -64,6 +65,19 @@ def test_synthetic_rejects_bad_args(bad):
     kwargs.update(bad)
     with pytest.raises(ValueError):
         generate_synthetic(**kwargs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 20), c=st.integers(2, 12), f=st.integers(2, 10),
+       spread=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+@example(n=1, c=2, f=2, spread=1.0, seed=0)
+@example(n=20, c=10, f=784, spread=2.5, seed=7)
+def test_synthetic_matches_per_class_oracle(n, c, f, spread, seed):
+    ds = generate_synthetic(n, c, f, spread, seed)
+    features, labels = generate_synthetic_oracle(n, c, f, spread, seed)
+    assert ds.features.shape == features.shape
+    assert ds.features.tobytes() == features.tobytes()
+    assert ds.labels.tobytes() == labels.tobytes()
 
 
 def test_synthetic_linear_probe_separable():
@@ -169,6 +183,64 @@ def test_load_idx_rejects_single_class_labels(tmp_path):
     with pytest.raises(IdxFormatError, match=re.escape(f"{lab_path}: every label is 0")):
         load_idx(img_path, lab_path)
     assert load_idx(img_path, lab_path, n_classes=2).c_total == 2
+
+
+@pytest.mark.parametrize("side", [2, 2**32 - 1])
+def test_load_idx_rejects_zero_images(tmp_path, side):
+    # with 2**32-1 sided images the reshape itself would fail in numpy
+    img_path, lab_path = tmp_path / "img", tmp_path / "lab"
+    img_path.write_bytes(struct.pack(">IIII", 0x00000803, 0, side, side))
+    lab_path.write_bytes(idx_label_bytes([]))
+    with pytest.raises(IdxFormatError,
+                       match=re.escape(f"{img_path}: {side}x{side} images, 0 of them")):
+        load_idx(img_path, lab_path)
+
+
+IDX_PAIR = (idx_image_bytes(np.arange(12, dtype=np.uint8).reshape(3, 2, 2)),
+            idx_label_bytes([0, 1, 2]))
+IDX_ERRORS = (IdxFormatError, IdxCountMismatchError, IdxTruncatedError)
+
+
+def load_idx_bytes(tmp_dir, pair, n_classes):
+    img_path, lab_path = tmp_dir / "img", tmp_dir / "lab"
+    img_path.write_bytes(pair[0])
+    lab_path.write_bytes(pair[1])
+    return load_idx(img_path, lab_path, n_classes=n_classes)
+
+
+@pytest.mark.parametrize("n_classes", [None, 3, 10])
+def test_load_idx_truncated_at_every_offset(tmp_path, n_classes):
+    assert len(load_idx_bytes(tmp_path, IDX_PAIR, n_classes)) == 3
+    for which in (0, 1):
+        for cut in range(len(IDX_PAIR[which])):
+            pair = list(IDX_PAIR)
+            pair[which] = pair[which][:cut]
+            with pytest.raises(IDX_ERRORS):
+                load_idx_bytes(tmp_path, pair, n_classes)
+
+
+@st.composite
+def flipped_idx_pairs(draw):
+    """The valid pair with 1-3 bytes of one file XOR-ed."""
+    pair = list(IDX_PAIR)
+    which = draw(st.integers(0, 1))
+    buf = bytearray(pair[which])
+    for pos in draw(st.lists(st.integers(0, len(buf) - 1), min_size=1, max_size=3,
+                             unique=True)):
+        buf[pos] ^= draw(st.integers(1, 255))
+    pair[which] = bytes(buf)
+    return tuple(pair)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=flipped_idx_pairs(), n_classes=st.sampled_from([None, 3, 10]))
+@example(pair=(struct.pack(">IIII", 0x00000803, 0, 2**32 - 1, 2**32 - 1),
+               idx_label_bytes([])), n_classes=None)
+def test_load_idx_fuzz_raises_only_idx_errors(tmp_path_factory, pair, n_classes):
+    try:
+        load_idx_bytes(tmp_path_factory.mktemp("idx"), pair, n_classes)
+    except IDX_ERRORS:
+        pass
 
 
 # ----------------------------------------------------- largest remainder
@@ -286,6 +358,35 @@ def test_partition_properties(n_per_class, c_total, n_clients, c_per_client, alp
     assert np.array_equal(merged, np.arange(len(labels)))
     for idx in parts:
         assert len(set(labels[idx].tolist())) <= c_per_client
+
+
+@st.composite
+def partition_cases(draw):
+    """Shuffled labels covering every class, and a spec whose N*C covers them."""
+    c_total = draw(st.integers(2, 8))
+    extra = draw(st.lists(st.integers(0, c_total - 1), max_size=60))
+    labels = np.array(draw(st.permutations(list(range(c_total)) + extra)), dtype=np.int64)
+    c = draw(st.integers(1, c_total))
+    n = draw(st.integers(-(-c_total // c), 12))
+    spec = PartitionSpec(N=n, C=c, alpha=draw(st.floats(0.05, 10.0)),
+                         seed=draw(st.integers(0, 2**32 - 1)))
+    return labels, c_total, spec
+
+
+@settings(max_examples=100, deadline=None)
+@given(partition_cases())
+def test_partition_matches_list_assembly_oracle(case):
+    labels, c_total, spec = case
+    try:
+        expected = partition_exdir_indices_oracle(labels, c_total, spec)
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            partition_exdir_indices(labels, c_total, spec)
+        return
+    got = partition_exdir_indices(labels, c_total, spec)
+    assert len(got) == spec.N
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
 
 
 # ------------------------------------------------------ class_distribution

@@ -273,6 +273,21 @@ def test_record_to_dict_cleans_non_finite():
     json.dumps(d, allow_nan=False)  # must be valid strict JSON
 
 
+def test_record_to_dict_keys_follow_field_order():
+    # rounds.jsonl is written in this key order, so its bytes depend on it
+    from sfedkd.engine import RoundRecord
+    assert list(RoundRecord(round=1, mode="fedseq").to_dict()) == [
+        "round", "mode", "top1", "classwise", "consistency", "forgetting",
+        "teachers", "g_mean", "h_mean", "note"]
+
+
+def test_fedavg_round_keeps_no_teacher_candidates():
+    state, _ = fedavg_round(small_state(), small_cfg(mode="fedavg"))
+    assert state.round == 2 and len(state.prev_sequence) == 3
+    assert state.prev_models == []
+    assert collect_teachers(state, 2, "KL").k == 0
+
+
 def test_run_round_determinism():
     cfg = small_cfg()
     a, b = small_state(), small_state()

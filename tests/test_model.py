@@ -12,7 +12,7 @@ from param_oracle import param_sets, sgd_step_oracle
 from sfedkd.model import (ModelParams, backprop, cross_entropy,
                           cross_entropy_grad, forward, forward_cached,
                           init_params, load_params, log_softmax, params_equal,
-                          restore, save_params, sgd_step, snapshot, softmax_temp)
+                          save_params, sgd_step, snapshot, softmax_temp)
 
 
 # ------------------------------------------------------------------ init
@@ -331,7 +331,7 @@ def test_sgd_rejects_mismatched_shapes():
         sgd_step(p, p, -0.1)
 
 
-# --------------------------------------------------- snapshot / restore
+# -------------------------------------------------------------- snapshot
 
 def train_some(p, steps=10):
     rng = np.random.default_rng(0)
@@ -353,13 +353,14 @@ def test_snapshot_isolated_from_training():
     assert not params_equal(trained, frozen)
 
 
-def test_restore_reproduces_logits():
+def test_snapshot_reproduces_logits():
     p = init_params((3, 4, 2), seed=1)
     X = np.random.default_rng(4).standard_normal((5, 3))
     before = forward(p, X)
     frozen = snapshot(p)
+    p.weights[0] += 1.0  # an in-place edit of the source must not reach the copy
     train_some(p)
-    assert np.array_equal(forward(restore(frozen), X), before)
+    assert np.array_equal(forward(snapshot(frozen), X), before)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selection_oracle import greedy_select_oracle
+from selection_oracle import aggregate_objective_oracle, greedy_select_oracle
 from sfedkd.config import METRICS
 from sfedkd.data import ClassDistribution
 from sfedkd.selection import (SelectionInstance, aggregate_objective,
@@ -164,6 +164,17 @@ def test_greedy_matches_per_candidate_oracle(case, metric):
     cands, k = case
     assert greedy_select(SelectionInstance(cands, k, metric)) == \
         greedy_select_oracle(cands, k, metric)
+
+
+@settings(max_examples=200, deadline=None)
+@given(candidate_sets(), st.sampled_from(METRICS), st.data())
+def test_objective_matches_class_distribution_oracle(case, metric, data):
+    cands, _ = case
+    indices = data.draw(st.lists(st.integers(0, len(cands) - 1), min_size=1,
+                                 max_size=len(cands), unique=True))
+    got = aggregate_objective(cands, indices, metric)
+    assert np.float64(got).tobytes() == \
+        np.float64(aggregate_objective_oracle(cands, indices, metric)).tobytes()
 
 
 def test_greedy_checks_every_trial_aggregate():
