@@ -24,8 +24,8 @@ import numpy as np
 
 from .config import (METRICS, MODES, ConfigError, ExperimentConfig, apply_overrides,
                      load_raw_config, resolve_config)
-from .data import ClassDistribution, class_distribution, partition_exdir
-from .experiment import build_dataset, run_experiment
+from .data import ClassDistribution
+from .experiment import build_dataset, initial_state, run_experiment
 from .model import save_params
 from .selection import (SelectionInstance, aggregate_objective,
                         brute_force_select, greedy_select, random_select)
@@ -195,10 +195,9 @@ def cmd_select(args) -> int:
 def cmd_inspect_partition(args) -> int:
     cfg = _load_config(args.config, args.set or [])
     train, _ = build_dataset(cfg)
-    parts = partition_exdir(train, cfg.partition)
-    for n, part in enumerate(parts):
+    state = initial_state(cfg, train)
+    for n, (part, dist) in enumerate(zip(state.client_datasets, state.client_dists)):
         counts = np.bincount(part.labels, minlength=train.c_total)
-        dist = class_distribution(part)
         flag = " (empty)" if dist.empty else ""
         print(f"client {n:3d}  n={len(part):5d}  counts={counts.tolist()}{flag}")
     return EXIT_OK

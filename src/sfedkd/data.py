@@ -5,6 +5,11 @@ Clients receive disjoint shards produced by the extended Dirichlet
 partitioner: each client is first allocated a fixed number of distinct
 classes, then each class's samples are split across its holders by a
 Dirichlet draw.
+
+The train/test split and the partition work on labels alone. A `Layout`
+built from their indices says where each source row goes, and a source
+(the synthetic generator or an IDX file) writes each row straight to that
+place: train rows grouped by client in one buffer, test rows in another.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 _MAX_ALLOCATION_ATTEMPTS = 1000
+_BLOCK_BYTES = 1 << 21  # feature bytes a source produces per block
 
 
 class IdxFormatError(ValueError):
@@ -34,18 +40,27 @@ class IdxTruncatedError(IOError):
     """IDX file ended before the declared payload."""
 
 
+def _check_labels(labels: np.ndarray, c_total: int) -> None:
+    if len(labels) and (labels.min() < 0 or labels.max() >= c_total):
+        bad = labels[(labels < 0) | (labels >= c_total)][0]
+        raise ValueError(f"label {bad} outside [0, {c_total})")
+
+
 @dataclass
 class Dataset:
     """Labeled feature vectors with a fixed class count.
 
     features: (n, F) float64 array.
     labels: (n,) integer array, values in [0, c_total).
+    client_bounds: for a set whose rows are grouped by client, the N+1
+    offsets such that client n holds rows client_bounds[n]:client_bounds[n+1].
     """
 
     features: np.ndarray
     labels: np.ndarray
     c_total: int
     name: str = "dataset"
+    client_bounds: np.ndarray | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -62,8 +77,11 @@ class Dataset:
             raise ValueError("feature dimension must be positive")
         if self.c_total < 2:
             raise ValueError("c_total must be at least 2")
-        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.c_total):
-            raise ValueError("labels must lie in [0, c_total)")
+        _check_labels(self.labels, self.c_total)
+        if self.client_bounds is not None:
+            b = self.client_bounds = np.asarray(self.client_bounds, dtype=np.int64)
+            if b[0] != 0 or b[-1] != len(self.labels) or (np.diff(b) < 0).any():
+                raise ValueError(f"client bounds must rise from 0 to {len(self.labels)}")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -71,6 +89,15 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
+
+    def clients(self) -> list["Dataset"]:
+        """One dataset per client, each a view of this dataset's rows."""
+        if self.client_bounds is None:
+            raise ValueError(f"{self.name}: rows are not grouped by client")
+        b = self.client_bounds
+        return [Dataset(self.features[b[n]:b[n + 1]], self.labels[b[n]:b[n + 1]],
+                        self.c_total, f"{self.name}/client{n:02d}")
+                for n in range(len(b) - 1)]
 
     def subset(self, indices: np.ndarray, name: str | None = None) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
@@ -114,14 +141,74 @@ class ClassDistribution:
         return len(self.proportions)
 
 
+@dataclass(frozen=True)
+class Layout:
+    """Where each row of a source goes.
+
+    train_rows: the source row of each train row, grouped by client.
+    client_bounds: client n holds train rows client_bounds[n]:client_bounds[n+1];
+    None when the train rows are not grouped by client.
+    test_rows: the source row of each test row; None when the source
+    yields no test set.
+    """
+
+    train_rows: np.ndarray
+    client_bounds: np.ndarray | None = None
+    test_rows: np.ndarray | None = None
+
+    def fill(self, blocks, labels: np.ndarray, c_total: int, n_features: int,
+             name: str) -> tuple[Dataset, Dataset | None]:
+        """(train, test) with each row of `blocks`, which yields the source's
+        feature rows in order, written once to its place. Both buffers are
+        allocated before the first block is read."""
+        n_train = len(self.train_rows)
+        n_test = 0 if self.test_rows is None else len(self.test_rows)
+        dest = np.empty(len(labels), dtype=np.int64)
+        dest[self.train_rows] = np.arange(n_train)
+        train = np.empty((n_train, n_features))
+        test = np.empty((n_test, n_features))
+        if n_test:
+            dest[self.test_rows] = np.arange(n_train, n_train + n_test)
+        start = 0
+        for block in blocks:
+            to = dest[start:start + len(block)]
+            start += len(block)
+            if n_test:
+                keep = to < n_train
+                test[to[~keep] - n_train] = block[~keep]
+                block, to = block[keep], to[keep]
+            train[to] = block
+        if self.test_rows is None:
+            return Dataset(train, labels[self.train_rows], c_total, name, self.client_bounds), None
+        return (Dataset(train, labels[self.train_rows], c_total, f"{name}/train",
+                        self.client_bounds),
+                Dataset(test, labels[self.test_rows], c_total, f"{name}/test"))
+
+
+def _block_rows(n_features: int) -> int:
+    return max(1, _BLOCK_BYTES // (8 * n_features))
+
+
+def synthetic_labels(n_per_class: int, c_total: int) -> np.ndarray:
+    """The labels of `generate_synthetic`, in source order."""
+    return np.repeat(np.arange(c_total), n_per_class)
+
+
 def generate_synthetic(n_per_class: int, c_total: int, n_features: int,
-                       spread: float, seed: int, name: str = "synthetic") -> Dataset:
+                       spread: float, seed: int, name: str = "synthetic",
+                       layout: Layout | None = None
+                       ) -> Dataset | tuple[Dataset, Dataset | None]:
     """Gaussian-blob classification data with one blob per class.
 
     Class means sit evenly spaced on a circle of radius 5 in the first two
     coordinates (remaining coordinates zero-mean); every coordinate gets
-    isotropic noise with standard deviation `spread`. Samples are generated
-    class by class, so the output is class-ordered. Deterministic per seed.
+    isotropic noise with standard deviation `spread`. Samples are drawn
+    class by class, in row blocks, so the source order is class-ordered.
+    Deterministic per seed.
+
+    Without a layout, returns the whole set in source order as one Dataset.
+    With one, each drawn row goes straight to its place, and the (train,
+    test) pair of `Layout.fill` is returned.
     """
     if n_per_class < 1:
         raise ValueError("n_per_class must be at least 1")
@@ -131,15 +218,23 @@ def generate_synthetic(n_per_class: int, c_total: int, n_features: int,
         raise ValueError("n_features must be at least 2")
     if spread <= 0:
         raise ValueError("spread must be positive")
-    rng = np.random.default_rng(seed)
-    features = spread * rng.standard_normal((c_total, n_per_class, n_features))
-    angles = 2.0 * np.pi * np.arange(c_total) / c_total
-    means = np.zeros((c_total, n_features))
-    means[:, 0] = 5.0 * np.cos(angles)
-    means[:, 1] = 5.0 * np.sin(angles)
-    features += means[:, None, :]
-    labels = np.repeat(np.arange(c_total), n_per_class)
-    return Dataset(features.reshape(-1, n_features), labels, c_total, name)
+    labels = synthetic_labels(n_per_class, c_total)
+
+    def blocks():
+        rng = np.random.default_rng(seed)
+        angles = 2.0 * np.pi * np.arange(c_total) / c_total
+        means = np.zeros((c_total, n_features))
+        means[:, 0] = 5.0 * np.cos(angles)
+        means[:, 1] = 5.0 * np.sin(angles)
+        step = _block_rows(n_features)
+        for start in range(0, len(labels), step):
+            block = spread * rng.standard_normal((min(step, len(labels) - start), n_features))
+            block += means[labels[start:start + step]]
+            yield block
+
+    if layout is None:
+        return Layout(np.arange(len(labels))).fill(blocks(), labels, c_total, n_features, name)[0]
+    return layout.fill(blocks(), labels, c_total, n_features, name)
 
 
 def _read_be_u32(buf: bytes, offset: int, path) -> int:
@@ -148,13 +243,14 @@ def _read_be_u32(buf: bytes, offset: int, path) -> int:
     return struct.unpack_from(">I", buf, offset)[0]
 
 
-def load_idx(images_path, labels_path, n_classes: int | None = None,
-             name: str = "idx") -> Dataset:
-    """Load an IDX image/label file pair into a flat [0,1]-scaled Dataset.
+def read_idx(images_path, labels_path,
+             n_classes: int | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+    """(pixels, labels, c_total) of an IDX image/label file pair, checked.
 
     Big-endian format: image file is magic 0x00000803, count, rows, cols,
     then unsigned pixel bytes; label file is magic 0x00000801, count, then
-    unsigned label bytes.
+    unsigned label bytes. `pixels` is the (n, rows*cols) uint8 view of the
+    image bytes.
     """
     with open(images_path, "rb") as fh:
         img_buf = fh.read()
@@ -183,7 +279,6 @@ def load_idx(images_path, labels_path, n_classes: int | None = None,
         raise IdxTruncatedError(f"{labels_path}: expected {n_labels} label bytes")
 
     pixels = np.frombuffer(img_buf, dtype=np.uint8, count=n_images * rows * cols, offset=16)
-    features = pixels.reshape(n_images, rows * cols).astype(np.float64) / 255.0
     labels = np.frombuffer(lab_buf, dtype=np.uint8, count=n_labels, offset=8).astype(np.int64)
     if n_classes is not None and n_labels and labels.max() >= n_classes:
         raise IdxFormatError(f"{labels_path}: label {labels.max()} outside [0, {n_classes})")
@@ -191,7 +286,25 @@ def load_idx(images_path, labels_path, n_classes: int | None = None,
     if c_total < 2 and n_classes is None:
         raise IdxFormatError(f"{labels_path}: every label is 0, so the file holds one class; "
                              "at least 2 are needed")
-    return Dataset(features, labels, c_total, name)
+    return pixels.reshape(n_images, rows * cols), labels, c_total
+
+
+def idx_blocks(pixels: np.ndarray):
+    """The [0,1]-scaled float64 rows of `pixels`, in row blocks."""
+    step = _block_rows(pixels.shape[1])
+    for start in range(0, len(pixels), step):
+        block = pixels[start:start + step].astype(np.float64)
+        block /= 255.0
+        yield block
+
+
+def load_idx(images_path, labels_path, n_classes: int | None = None,
+             name: str = "idx") -> Dataset:
+    """Load an IDX image/label file pair (see `read_idx`) into a flat
+    [0,1]-scaled Dataset in file order."""
+    pixels, labels, c_total = read_idx(images_path, labels_path, n_classes)
+    return Layout(np.arange(len(labels))).fill(idx_blocks(pixels), labels, c_total,
+                                               pixels.shape[1], name)[0]
 
 
 def largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray:
@@ -211,9 +324,13 @@ def largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
-def partition_exdir_indices(labels: np.ndarray, c_total: int,
-                            spec: PartitionSpec) -> list[np.ndarray]:
+def partition_exdir(labels: np.ndarray, c_total: int,
+                    spec: PartitionSpec) -> tuple[np.ndarray, np.ndarray]:
     """Split sample indices across N clients with the extended Dirichlet draw.
+
+    Returns (order, bounds): the sample indices grouped by client, ascending
+    within each client, and the N+1 offsets such that client n holds
+    order[bounds[n]:bounds[n+1]].
 
     The RNG stream (np.random.default_rng(spec.seed)) is consumed in a fixed
     order so partitions are reproducible from the recipe alone:
@@ -231,8 +348,8 @@ def partition_exdir_indices(labels: np.ndarray, c_total: int,
     labels = np.asarray(labels, dtype=np.int64)
     if len(labels) == 0:
         raise ValueError("cannot partition an empty dataset")
-    present = np.unique(labels)
-    if len(present) != c_total:
+    _check_labels(labels, c_total)
+    if len(np.unique(labels)) != c_total:
         raise ValueError("every class must appear in the dataset")
     if spec.C > c_total:
         raise ValueError(f"C={spec.C} exceeds the class count {c_total}")
@@ -258,16 +375,16 @@ def partition_exdir_indices(labels: np.ndarray, c_total: int,
         class_idx = np.flatnonzero(labels == c)
         rng.shuffle(class_idx)
         owner[class_idx] = np.repeat(holders[c], largest_remainder_counts(share, len(class_idx)))
-    return [np.flatnonzero(owner == n) for n in range(spec.N)]
+    bounds = np.zeros(spec.N + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=spec.N), out=bounds[1:])
+    return np.argsort(owner, kind="stable"), bounds
 
 
-def partition_exdir(dataset: Dataset, spec: PartitionSpec) -> list[Dataset]:
-    """Partition a dataset into N disjoint client shards covering it exactly."""
-    parts = partition_exdir_indices(dataset.labels, dataset.c_total, spec)
-    return [
-        dataset.subset(idx, name=f"{dataset.name}/client{n:02d}")
-        for n, idx in enumerate(parts)
-    ]
+def partition_exdir_indices(labels: np.ndarray, c_total: int,
+                            spec: PartitionSpec) -> list[np.ndarray]:
+    """The index array of each client of `partition_exdir`."""
+    order, bounds = partition_exdir(labels, c_total, spec)
+    return np.split(order, bounds[1:-1])
 
 
 def class_distribution(dataset: Dataset) -> ClassDistribution:
@@ -278,19 +395,18 @@ def class_distribution(dataset: Dataset) -> ClassDistribution:
     return ClassDistribution(counts / counts.sum())
 
 
-def split_train_test(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Stratified train/test split: each class contributes its proportional share."""
+def split_train_test(labels: np.ndarray, c_total: int, test_fraction: float,
+                     seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stratified split of sample indices: each class gives its proportional
+    share to test. Returns (train, test) indices, each ascending."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must lie in (0, 1)")
+    labels = np.asarray(labels, dtype=np.int64)
+    _check_labels(labels, c_total)
     rng = np.random.default_rng(seed)
-    test_idx: list[int] = []
-    for c in range(dataset.c_total):
-        class_idx = np.flatnonzero(dataset.labels == c)
+    is_test = np.zeros(len(labels), dtype=bool)
+    for c in range(c_total):
+        class_idx = np.flatnonzero(labels == c)
         rng.shuffle(class_idx)
-        n_test = int(round(test_fraction * len(class_idx)))
-        test_idx.extend(class_idx[:n_test].tolist())
-    mask = np.zeros(len(dataset), dtype=bool)
-    mask[test_idx] = True
-    train = dataset.subset(np.flatnonzero(~mask), name=f"{dataset.name}/train")
-    test = dataset.subset(np.flatnonzero(mask), name=f"{dataset.name}/test")
-    return train, test
+        is_test[class_idx[:int(round(test_fraction * len(class_idx)))]] = True
+    return np.flatnonzero(~is_test), np.flatnonzero(is_test)

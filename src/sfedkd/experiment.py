@@ -4,9 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import ConfigError, ExperimentConfig
-from .data import (Dataset, class_distribution, generate_synthetic, load_idx,
-                   partition_exdir, split_train_test)
+from .data import (Dataset, Layout, class_distribution, generate_synthetic, idx_blocks,
+                   load_idx, partition_exdir, read_idx, split_train_test,
+                   synthetic_labels)
 from .engine import (SEED_INIT, EvalContext, FederationState, RoundRecord,
                      derive_seed, fedavg_round, run_round)
 from .metrics import EvalTrace
@@ -21,28 +24,48 @@ class ExperimentResult:
     round_models: list[ModelParams] | None = None
 
 
+def _layout(cfg: ExperimentConfig, labels: np.ndarray, c_total: int) -> Layout:
+    """Where each source row goes: the label-level split (unless test files
+    are given), then the partition of the train labels, grouped by client."""
+    ds = cfg.dataset
+    train_rows, test_rows = np.arange(len(labels)), None
+    if ds.test_fraction > 0 and not (ds.kind == "idx" and ds.test_images):
+        train_rows, test_rows = split_train_test(labels, c_total, ds.test_fraction,
+                                                 ds.split_seed)
+    order, bounds = partition_exdir(labels[train_rows], c_total, cfg.partition)
+    return Layout(train_rows[order], bounds, test_rows)
+
+
 def build_dataset(cfg: ExperimentConfig) -> tuple[Dataset, Dataset | None]:
-    """Materialize the (train, test) pair described by the dataset block."""
+    """Materialize the (train, test) pair described by the dataset block.
+
+    The train rows are grouped by client; `Dataset.clients` gives the
+    partition, and `initial_state` takes its clients from there."""
     ds = cfg.dataset
     if ds.kind == "synthetic":
+        too_big = ConfigError("dataset.n_per_class", f"{ds.classes} classes x {ds.n_per_class} "
+                              f"x {ds.features} float64 values are too many to allocate")
         try:
-            full = generate_synthetic(ds.n_per_class, ds.classes, ds.features,
-                                      ds.spread, ds.seed, name=ds.name)
-        except MemoryError:
-            raise ConfigError("dataset.n_per_class", f"{ds.classes} classes x {ds.n_per_class} x "
-                              f"{ds.features} float64 values are too many to allocate") from None
-    else:
-        full = load_idx(ds.images, ds.labels, name=ds.name)
-        if ds.test_images and ds.test_labels:
-            return full, load_idx(ds.test_images, ds.test_labels,
-                                  n_classes=full.c_total, name=f"{ds.name}/test")
-    if ds.test_fraction > 0:
-        return split_train_test(full, ds.test_fraction, ds.split_seed)
-    return full, None
+            labels = synthetic_labels(ds.n_per_class, ds.classes)
+        except (MemoryError, ValueError):
+            raise too_big from None
+        layout = _layout(cfg, labels, ds.classes)
+        try:
+            return generate_synthetic(ds.n_per_class, ds.classes, ds.features, ds.spread,
+                                      ds.seed, name=ds.name, layout=layout)
+        except (MemoryError, ValueError):
+            raise too_big from None
+    pixels, labels, c_total = read_idx(ds.images, ds.labels)
+    train, test = _layout(cfg, labels, c_total).fill(
+        idx_blocks(pixels), labels, c_total, pixels.shape[1], ds.name)
+    if ds.test_images:
+        test = load_idx(ds.test_images, ds.test_labels, n_classes=c_total, name=f"{ds.name}/test")
+    return train, test
 
 
 def initial_state(cfg: ExperimentConfig, train: Dataset) -> FederationState:
-    parts = partition_exdir(train, cfg.partition)
+    """Round 1 of a federation whose clients are the views `train.clients()`."""
+    parts = train.clients()
     dists = [class_distribution(p) for p in parts]
     dims = (train.n_features, *cfg.hidden, train.c_total)
     model = init_params(dims, derive_seed(cfg.master_seed, SEED_INIT))

@@ -49,3 +49,51 @@ def partition_exdir_indices_oracle(labels, c_total, spec):
             client_indices[n].extend(class_idx[start:start + count].tolist())
             start += count
     return [np.sort(np.array(idx, dtype=np.int64)) for idx in client_indices]
+
+
+def load_idx_oracle(images_path, labels_path):
+    """(features, labels) of a valid IDX pair, converted in one piece."""
+    img = open(images_path, "rb").read()
+    lab = open(labels_path, "rb").read()
+    n, rows, cols = (int.from_bytes(img[i:i + 4], "big") for i in (4, 8, 12))
+    pixels = np.frombuffer(img, dtype=np.uint8, count=n * rows * cols, offset=16)
+    features = pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
+    return features, np.frombuffer(lab, dtype=np.uint8, count=n, offset=8).astype(np.int64)
+
+
+def split_train_test_oracle(features, labels, c_total, test_fraction, seed):
+    """((train features, labels), (test features, labels)): the stratified
+    split as row copies of the whole set, rows in source order."""
+    rng = np.random.default_rng(seed)
+    test_idx = []
+    for c in range(c_total):
+        class_idx = np.flatnonzero(labels == c)
+        rng.shuffle(class_idx)
+        n_test = int(round(test_fraction * len(class_idx)))
+        test_idx.extend(class_idx[:n_test].tolist())
+    mask = np.zeros(len(labels), dtype=bool)
+    mask[test_idx] = True
+    return ((features[~mask], labels[~mask]), (features[mask], labels[mask]))
+
+
+def build_clients_oracle(cfg):
+    """(clients, test) of a resolved config as the chain of whole-set copies
+    computes them: the whole source, then the split into train and test,
+    then one subset per client of the train copy. clients is a list of
+    (features, labels); test is (features, labels) or None."""
+    ds = cfg.dataset
+    if ds.kind == "synthetic":
+        c_total = ds.classes
+        features, labels = generate_synthetic_oracle(ds.n_per_class, c_total, ds.features,
+                                                     ds.spread, ds.seed)
+    else:
+        features, labels = load_idx_oracle(ds.images, ds.labels)
+        c_total = int(labels.max()) + 1
+    test = None
+    if ds.test_images:
+        test = load_idx_oracle(ds.test_images, ds.test_labels)
+    elif ds.test_fraction > 0:
+        (features, labels), test = split_train_test_oracle(features, labels, c_total,
+                                                           ds.test_fraction, ds.split_seed)
+    parts = partition_exdir_indices_oracle(labels, c_total, cfg.partition)
+    return [(features[idx], labels[idx]) for idx in parts], test

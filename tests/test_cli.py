@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from data_oracle import build_clients_oracle
 from sfedkd.cli import main
 from sfedkd.config import (DEFAULTS, ConfigError, ExperimentConfig,
                            apply_overrides, load_raw_config, resolve_config)
@@ -253,6 +254,21 @@ def test_inspect_partition_prints_histograms(tmp_path, capsys):
     assert len(lines) == 6
     assert all(line.startswith("client") for line in lines)
     assert "counts=" in lines[0]
+
+
+def test_inspect_partition_prints_the_clients_of_a_run(capsys):
+    # the histograms are those of the clients a run trains, as the chain of
+    # whole-set copies (generate, split, subset per client) computes them
+    path = ROOT / "configs" / "synthetic_small.json"
+    cfg = resolve_config(load_raw_config(path))
+    clients, _ = build_clients_oracle(cfg)
+    expected = "".join(
+        f"client {n:3d}  n={len(labels):5d}  "
+        f"counts={np.bincount(labels, minlength=cfg.dataset.classes).tolist()}"
+        f"{' (empty)' if not len(labels) else ''}\n"
+        for n, (_, labels) in enumerate(clients))
+    assert main(["inspect-partition", str(path)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 # ----------------------------------------------------------------- config

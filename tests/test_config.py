@@ -224,14 +224,16 @@ def test_empty_evaluation_split_exits_2_naming_test_fraction(tmp_path, capsys):
 
 
 def test_oversized_synthetic_data_exits_2_naming_n_per_class(tmp_path, capsys):
-    # 10 x 10**12 x 8 float64 values exceed any address space, so numpy
-    # refuses the draw before it allocates anything
-    assert main(["run", str(ROOT / "configs" / "synthetic_small.json"),
-                 "--set", "dataset.n_per_class=1000000000000",
-                 "--set", f"output.dir={tmp_path}"]) == 2
-    assert "config error: dataset.n_per_class: 10 classes x 1000000000000 x 8 float64 " \
-        "values are too many to allocate" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+    # 10 x 10**12 labels exceed any address space, so numpy refuses them
+    # with MemoryError before it allocates anything; 10 x 10**18 overflows
+    # numpy's dimension arithmetic, which raises ValueError instead
+    for n_per_class in (10**12, 10**18):
+        assert main(["run", str(ROOT / "configs" / "synthetic_small.json"),
+                     "--set", f"dataset.n_per_class={n_per_class}",
+                     "--set", f"output.dir={tmp_path}"]) == 2
+        assert f"config error: dataset.n_per_class: 10 classes x {n_per_class} x 8 float64 " \
+            "values are too many to allocate" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("seeds", ["x", "1,,2", "1,-2", ""])

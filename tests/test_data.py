@@ -1,17 +1,30 @@
+import json
 import re
 import struct
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from data_oracle import generate_synthetic_oracle, partition_exdir_indices_oracle
+from data_oracle import (build_clients_oracle, generate_synthetic_oracle,
+                         partition_exdir_indices_oracle, split_train_test_oracle)
+from sfedkd import data, experiment
+from sfedkd.config import resolve_config
 from sfedkd.data import (ClassDistribution, Dataset, IdxCountMismatchError,
                          IdxFormatError, IdxTruncatedError, PartitionSpec,
                          class_distribution, generate_synthetic,
                          largest_remainder_counts, load_idx, partition_exdir,
                          partition_exdir_indices, split_train_test)
+from sfedkd.experiment import build_dataset, initial_state, run_experiment
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# block sizes that cut sources into one-row, few-row and whole-set blocks
+BLOCK_BYTES = st.sampled_from([8, 200, data._BLOCK_BYTES])
 
 
 def make_dataset(labels, c_total, n_features=3, seed=0):
@@ -29,6 +42,18 @@ def test_dataset_invariants():
         Dataset(np.zeros((2, 2)), np.array([0, 2]), 2)  # label out of range
     with pytest.raises(ValueError):
         Dataset(np.zeros((2, 2)), np.array([0, 1]), 1)  # c_total too small
+
+
+def test_dataset_clients_are_views():
+    ds = Dataset(np.arange(12.0).reshape(6, 2), [0, 1, 1, 0, 1, 0], 2, "d",
+                 client_bounds=np.array([0, 2, 2, 6]))
+    clients = ds.clients()
+    assert [len(c) for c in clients] == [2, 0, 4]
+    assert [c.name for c in clients] == ["d/client00", "d/client01", "d/client02"]
+    assert all(np.shares_memory(c.features, ds.features) for c in clients if len(c))
+    assert clients[2].labels.tolist() == [1, 0, 1, 0]
+    with pytest.raises(ValueError, match="not grouped by client"):
+        Dataset(np.zeros((2, 2)), [0, 1], 2).clients()
 
 
 def test_dataset_subset_and_len():
@@ -69,11 +94,13 @@ def test_synthetic_rejects_bad_args(bad):
 
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(1, 20), c=st.integers(2, 12), f=st.integers(2, 10),
-       spread=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
-@example(n=1, c=2, f=2, spread=1.0, seed=0)
-@example(n=20, c=10, f=784, spread=2.5, seed=7)
-def test_synthetic_matches_per_class_oracle(n, c, f, spread, seed):
-    ds = generate_synthetic(n, c, f, spread, seed)
+       spread=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1), block=BLOCK_BYTES)
+@example(n=1, c=2, f=2, spread=1.0, seed=0, block=8)
+@example(n=20, c=10, f=784, spread=2.5, seed=7, block=data._BLOCK_BYTES)
+@example(n=20, c=10, f=784, spread=2.5, seed=7, block=3 * 784 * 8)
+def test_synthetic_matches_per_class_oracle(n, c, f, spread, seed, block):
+    with mock.patch.object(data, "_BLOCK_BYTES", block):
+        ds = generate_synthetic(n, c, f, spread, seed)
     features, labels = generate_synthetic_oracle(n, c, f, spread, seed)
     assert ds.features.shape == features.shape
     assert ds.features.tobytes() == features.tobytes()
@@ -258,9 +285,9 @@ def test_largest_remainder_exact_and_ties():
 def test_partition_one_class_per_client_degenerate():
     # with C=1 and both classes covered, q_c is one-hot, so each client
     # must end up holding every sample of exactly one class
-    ds = make_dataset([0] * 6 + [1] * 4, 2)
-    parts = partition_exdir(ds, PartitionSpec(N=2, C=1, alpha=0.5, seed=11))
-    label_sets = [set(p.labels.tolist()) for p in parts]
+    labels = np.array([0] * 6 + [1] * 4)
+    parts = partition_exdir_indices(labels, 2, PartitionSpec(N=2, C=1, alpha=0.5, seed=11))
+    label_sets = [set(labels[p].tolist()) for p in parts]
     assert sorted(map(tuple, map(sorted, label_sets))) == [(0,), (1,)]
     sizes = sorted(len(p) for p in parts)
     assert sizes == [4, 6]
@@ -272,19 +299,22 @@ def sorted_rows(ds):
 
 
 def test_partition_disjoint_cover():
-    ds = generate_synthetic(20, 5, 3, 1.0, seed=3)
-    parts = partition_exdir(ds, PartitionSpec(N=7, C=2, alpha=0.5, seed=5))
-    merged = []
-    for p in parts:
-        merged.extend(sorted_rows(p))
-    assert sorted(merged) == sorted_rows(ds)
+    # order is a permutation grouped by client, ascending within a client,
+    # and its client slices are the index arrays of partition_exdir_indices
+    labels = generate_synthetic(20, 5, 3, 1.0, seed=3).labels
+    spec = PartitionSpec(N=7, C=2, alpha=0.5, seed=5)
+    order, bounds = partition_exdir(labels, 5, spec)
+    assert np.array_equal(np.sort(order), np.arange(len(labels)))
+    assert bounds[0] == 0 and bounds[-1] == len(labels) and len(bounds) == 8
+    for n, idx in enumerate(partition_exdir_indices(labels, 5, spec)):
+        assert np.array_equal(order[bounds[n]:bounds[n + 1]], idx)
+        assert np.all(np.diff(idx) > 0)
 
 
 def test_partition_class_budget():
-    ds = generate_synthetic(30, 6, 3, 1.0, seed=4)
-    parts = partition_exdir(ds, PartitionSpec(N=9, C=2, alpha=0.3, seed=6))
-    for p in parts:
-        assert len(set(p.labels.tolist())) <= 2
+    labels = generate_synthetic(30, 6, 3, 1.0, seed=4).labels
+    for p in partition_exdir_indices(labels, 6, PartitionSpec(N=9, C=2, alpha=0.3, seed=6)):
+        assert len(set(labels[p].tolist())) <= 2
 
 
 def test_partition_determinism():
@@ -327,15 +357,23 @@ def test_partition_reference_oracle():
 
 
 def test_partition_rejects_impossible_coverage():
-    ds = make_dataset([0, 1, 2, 3], 4)
     with pytest.raises(ValueError):
-        partition_exdir(ds, PartitionSpec(N=2, C=1, alpha=1.0, seed=0))
+        partition_exdir(np.array([0, 1, 2, 3]), 4, PartitionSpec(N=2, C=1, alpha=1.0, seed=0))
 
 
 def test_partition_requires_all_classes_present():
-    ds = make_dataset([0, 0, 2], 3)  # class 1 missing
+    # class 1 missing
     with pytest.raises(ValueError):
-        partition_exdir(ds, PartitionSpec(N=3, C=2, alpha=1.0, seed=0))
+        partition_exdir(np.array([0, 0, 2]), 3, PartitionSpec(N=3, C=2, alpha=1.0, seed=0))
+
+
+@pytest.mark.parametrize("labels,bad", [([0, 5, 0, 5, 0, 5], 5), ([0, 1, -1, 1], -1)])
+def test_partition_rejects_labels_outside_class_count(labels, bad):
+    # two distinct labels with c_total=2, so the count check alone passes
+    spec = PartitionSpec(N=2, C=2, alpha=1.0, seed=0)
+    for fn in (partition_exdir, partition_exdir_indices):
+        with pytest.raises(ValueError, match=re.escape(f"label {bad} outside [0, 2)")):
+            fn(np.array(labels), 2, spec)
 
 
 @settings(max_examples=30, deadline=None)
@@ -425,9 +463,139 @@ def test_class_distribution_validation():
 # ------------------------------------------------------- train/test split
 
 def test_split_train_test_stratified():
-    ds = generate_synthetic(20, 4, 3, 1.0, seed=13)
-    train, test = split_train_test(ds, 0.25, seed=1)
-    assert len(train) + len(test) == len(ds)
-    assert list(np.bincount(test.labels, minlength=4)) == [5, 5, 5, 5]
-    merged = sorted(sorted_rows(train) + sorted_rows(test))
-    assert merged == sorted_rows(ds)
+    labels = generate_synthetic(20, 4, 3, 1.0, seed=13).labels
+    train, test = split_train_test(labels, 4, 0.25, seed=1)
+    assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(len(labels)))
+    assert np.all(np.diff(train) > 0) and np.all(np.diff(test) > 0)
+    assert list(np.bincount(labels[test], minlength=4)) == [5, 5, 5, 5]
+
+
+def test_split_train_test_rejects_labels_outside_class_count():
+    with pytest.raises(ValueError, match=re.escape("label 4 outside [0, 4)")):
+        split_train_test(np.array([0, 1, 2, 3, 4]), 4, 0.5, seed=0)
+
+
+# ------------------------------------------- build_dataset: label-first layout
+
+def assert_matches_oracle(cfg):
+    """build_dataset + initial_state give the oracle chain's clients and
+    test set, byte for byte, or raise what it raises."""
+    try:
+        expected_clients, expected_test = build_clients_oracle(cfg)
+    except (ValueError, RuntimeError) as exc:
+        with pytest.raises(type(exc)):
+            initial_state(cfg, build_dataset(cfg)[0])
+        return
+    train, test = build_dataset(cfg)
+    clients = initial_state(cfg, train).client_datasets
+    assert len(clients) == len(expected_clients)
+    for got, (features, labels) in zip(clients, expected_clients):
+        assert got.features.shape == features.shape
+        assert got.features.tobytes() == features.tobytes()
+        assert got.labels.tobytes() == labels.tobytes()
+    bounds = np.cumsum([0] + [len(c) for c in clients])
+    assert np.array_equal(train.client_bounds, bounds)
+    if expected_test is None:
+        assert test is None
+    else:
+        assert test.features.shape == expected_test[0].shape
+        assert test.features.tobytes() == expected_test[0].tobytes()
+        assert test.labels.tobytes() == expected_test[1].tobytes()
+
+
+@st.composite
+def synthetic_configs(draw):
+    classes = draw(st.integers(2, 6))
+    c = draw(st.integers(1, classes))
+    test_fraction = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]))
+    return resolve_config({
+        "master_seed": draw(st.integers(0, 2**31 - 1)),
+        "dataset": {"n_per_class": draw(st.integers(1, 30)), "classes": classes,
+                    "features": draw(st.integers(2, 6)), "test_fraction": test_fraction},
+        "partition": {"N": draw(st.integers(-(-classes // c), 12)), "C": c,
+                      "alpha": draw(st.sampled_from([0.01, 0.1, 1.0, 10.0]))},
+        "train": {"M": 1, "K": 1},
+        "eval": {"split": "test" if test_fraction else "train"},
+    })
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=synthetic_configs(), block=BLOCK_BYTES)
+def test_build_dataset_matches_oracle_chain(cfg, block):
+    with mock.patch.object(data, "_BLOCK_BYTES", block):
+        assert_matches_oracle(cfg)
+
+
+def test_build_dataset_oracle_chain_at_wide_shape():
+    cfg = resolve_config({"master_seed": 3,
+                          "dataset": {"n_per_class": 60, "classes": 10, "features": 784},
+                          "partition": {"N": 30, "alpha": 0.05}, "train": {"M": 1, "K": 1}})
+    assert_matches_oracle(cfg)
+    clients = initial_state(cfg, build_dataset(cfg)[0]).client_datasets
+    assert any(len(c) == 0 for c in clients)  # alpha small enough to leave clients empty
+
+
+@pytest.mark.parametrize("test_files", [False, True])
+@pytest.mark.parametrize("test_fraction", [0.0, 0.3])
+@pytest.mark.parametrize("block", [8, 50 * 8, data._BLOCK_BYTES])
+def test_build_dataset_idx_matches_oracle_chain(tmp_path, test_files, test_fraction, block):
+    rng = np.random.default_rng(5)
+    paths = {}
+    for part, n in (("", 90), ("test_", 25)):
+        (tmp_path / f"{part}img").write_bytes(
+            idx_image_bytes(rng.integers(0, 256, (n, 4, 3), dtype=np.uint8)))
+        (tmp_path / f"{part}lab").write_bytes(
+            idx_label_bytes(np.concatenate([np.arange(5), rng.integers(0, 5, n - 5)])))
+        paths[f"{part}images"] = str(tmp_path / f"{part}img")
+        paths[f"{part}labels"] = str(tmp_path / f"{part}lab")
+    if not test_files:
+        paths = {k: v for k, v in paths.items() if not k.startswith("test_")}
+    cfg = resolve_config({
+        "master_seed": 4, "dataset": dict(kind="idx", test_fraction=test_fraction, **paths),
+        "partition": {"N": 7, "C": 2, "alpha": 0.3}, "train": {"M": 1, "K": 1},
+        "eval": {"split": "test" if test_files or test_fraction else "train"},
+    })
+    with mock.patch.object(data, "_BLOCK_BYTES", block):
+        assert_matches_oracle(cfg)
+
+
+@pytest.mark.parametrize("granularity", ["round", "client"])
+def test_eval_on_train_does_not_depend_on_row_order(monkeypatch, granularity):
+    # with eval.split=train the rounds evaluate the client-major train set;
+    # evaluating the source-ordered train copy instead gives the same records
+    raw = json.loads((ROOT / "configs" / "synthetic_small.json").read_text())
+    raw["train"]["R"] = 6
+    raw["eval"] = {"split": "train", "granularity": granularity}
+    cfg = resolve_config(raw)
+    ds = cfg.dataset
+    features, labels = generate_synthetic_oracle(ds.n_per_class, ds.classes, ds.features,
+                                                 ds.spread, ds.seed)
+    (features, labels), _ = split_train_test_oracle(features, labels, ds.classes,
+                                                     ds.test_fraction, ds.split_seed)
+    source_order = Dataset(features, labels, ds.classes)
+    client_major = run_experiment(cfg)
+    assert not np.array_equal(build_dataset(cfg)[0].labels, labels)
+    context = experiment.EvalContext
+    monkeypatch.setattr(experiment, "EvalContext",
+                        lambda dataset, gran: context(source_order, gran))
+    again = run_experiment(cfg)
+    assert [r.to_dict() for r in client_major.records] == [r.to_dict() for r in again.records]
+
+
+def test_build_dataset_peak_memory_at_fashion_shape():
+    # each feature row is written once into its final buffer, so the set-up
+    # peak stays close to the bytes kept (it was 2x with whole-set copies)
+    cfg = resolve_config({"master_seed": 0,
+                          "dataset": {"n_per_class": 1000, "classes": 10, "features": 784,
+                                      "test_fraction": 0.2},
+                          "partition": {"N": 100}, "train": {"M": 10, "K": 5}})
+    tracemalloc.start()
+    try:
+        train, test = build_dataset(cfg)
+        initial_state(cfg, train)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = train.features.nbytes + test.features.nbytes
+    assert kept == 10 * 1000 * 784 * 8
+    assert peak <= 1.25 * kept, f"peak {peak / 1e6:.1f} MB for {kept / 1e6:.1f} MB kept"

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from param_oracle import param_sets, weighted_average_oracle
 from sfedkd.data import (ClassDistribution, Dataset, PartitionSpec,
-                         class_distribution, generate_synthetic, partition_exdir)
+                         class_distribution, generate_synthetic,
+                         partition_exdir_indices)
 from sfedkd.distill import KDConfig, TeacherEnsemble, total_loss
 from sfedkd.engine import (SEED_SHUFFLE, EvalContext, FederationState,
                            TrainConfig, collect_teachers, derive_seed,
@@ -19,7 +20,8 @@ from sfedkd.model import (ModelParams, cross_entropy_grad, forward_cached,
 
 def small_state(n_clients=6, c_total=4, seed=0, n_per_class=12):
     data = generate_synthetic(n_per_class, c_total, 3, 1.0, seed=seed)
-    parts = partition_exdir(data, PartitionSpec(N=n_clients, C=2, alpha=0.5, seed=seed))
+    parts = [data.subset(idx) for idx in partition_exdir_indices(
+        data.labels, c_total, PartitionSpec(N=n_clients, C=2, alpha=0.5, seed=seed))]
     dists = [class_distribution(p) for p in parts]
     model = init_params((3, 5, c_total), seed=seed)
     return FederationState(round=1, global_model=model, client_datasets=parts,
