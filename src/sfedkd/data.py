@@ -363,11 +363,13 @@ def partition_exdir(labels: np.ndarray, c_total: int,
     rng = np.random.default_rng(spec.seed)
     for _ in range(_MAX_ALLOCATION_ATTEMPTS):
         allocation = [rng.choice(c_total, size=spec.C, replace=False) for _ in range(spec.N)]
-        holders = [ [n for n in range(spec.N) if c in allocation[n]] for c in range(c_total) ]
-        if all(holders):
+        holds = np.zeros((spec.N, c_total), dtype=bool)  # holds[n, c]: client n draws class c
+        holds[np.arange(spec.N)[:, None], allocation] = True
+        if holds.any(axis=0).all():
             break
     else:
         raise RuntimeError("could not cover every class after 1000 allocation attempts")
+    holders = [np.flatnonzero(holds[:, c]) for c in range(c_total)]
 
     owner = np.full(len(labels), -1)
     for c in range(c_total):

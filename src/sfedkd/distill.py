@@ -24,7 +24,7 @@ import numpy as np
 from .config import METRICS, KDConfig  # METRICS stays importable from here
 from .data import ClassDistribution, Dataset
 from .model import (ModelParams, backprop, cross_entropy_grad,
-                    forward, forward_cached)
+                    forward, forward_cached, label_index)
 
 # additive smoothing applied before KL/JS so exact zeros stay finite
 SMOOTH_EPS = 1e-6
@@ -139,21 +139,21 @@ def teacher_weights(teacher_dists: list[ClassDistribution], student_dist,
     return (g[0], h[0]) if single else (g, h)
 
 
-def _log_parts(logits: np.ndarray, labels: np.ndarray, tau: float):
-    """One pass over logits/tau: ls, the log softmax over the non-target
-    classes (0 at the label), r = exp(ls) (0 at the label), and log p_target,
-    log p_rest of the full softmax. The full log-sum-exp is the logaddexp of
-    the target logit and the rest one, so saturated rows stay finite."""
-    rows = np.arange(len(labels))
-    z = logits / tau  # fresh array; safe to mutate
-    z_t = z[rows, labels]
-    z[rows, labels] = -np.inf
+def _log_parts(logits: np.ndarray, lin: np.ndarray, tau: float):
+    """One pass over logits/tau, with `lin` the labels' `label_index`: ls,
+    the log softmax over the non-target classes (0 at the label), r = exp(ls)
+    (0 at the label), and log p_target, log p_rest of the full softmax. The
+    full log-sum-exp is the logaddexp of the target logit and the rest one,
+    so saturated rows stay finite."""
+    z = np.divide(logits, tau, order="C")  # fresh and C-ordered, so `lin` indexes it
+    z_t = z.reshape(-1)[lin]
+    z.reshape(-1)[lin] = -np.inf
     zmax = z.max(axis=1, keepdims=True)
     e = np.exp(z - zmax)
     s = e.sum(axis=1, keepdims=True)
     lse_rest = zmax + np.log(s)
     ls = z - lse_rest
-    ls[rows, labels] = 0.0
+    ls.reshape(-1)[lin] = 0.0
     lse_all = np.logaddexp(z_t, lse_rest[:, 0])
     return ls, e / s, z_t - lse_all, lse_rest[:, 0] - lse_all
 
@@ -168,6 +168,7 @@ class KDTargets:
     """
 
     nt: np.ndarray        # (n, C) g-mixture of non-target distributions, 0 at the label
+    nt_sum: np.ndarray    # (n,) row sums of nt
     nt_const: np.ndarray  # (n,) sum_k g_k sum_j q_kj log q_kj
     t: np.ndarray         # (n,) h-mixture of the teachers' target probability
     rest: np.ndarray      # (n,) h-mixture of the teachers' rest probability
@@ -179,15 +180,16 @@ class KDTargets:
         (target), each one (K,) vector or one row per sample (n, K)."""
         nt = np.zeros(np.shape(teacher_logits[0]))
         nt_const, t, rest, t_const = np.zeros((4, len(nt)))
+        lin = label_index(labels, nt.shape[1])
         for g_k, h_k, logits in zip(np.atleast_2d(g).T, np.atleast_2d(h).T, teacher_logits):
-            ls, q, lq_t, lq_rest = _log_parts(logits, labels, tau)
+            ls, q, lq_t, lq_rest = _log_parts(logits, lin, tau)
             q_t, q_rest = np.exp(lq_t), np.exp(lq_rest)
             nt += g_k[:, None] * q
             nt_const += g_k * (q * ls).sum(axis=1)
             t += h_k * q_t
             rest += h_k * q_rest
             t_const += h_k * (q_t * lq_t + q_rest * lq_rest)
-        return cls(nt, nt_const, t, rest, t_const)
+        return cls(nt, nt.sum(axis=1), nt_const, t, rest, t_const)
 
     def take(self, idx) -> "KDTargets":
         return KDTargets(*(a[idx] for a in vars(self).values()))
@@ -220,19 +222,20 @@ def round_targets(ensemble: TeacherEnsemble, clients: list[Dataset],
     return ensemble, kd_targets(ensemble, [(c.features, c.labels) for c in clients], cfg)
 
 
-def _kd_terms(logits, labels, targets: KDTargets, tau: float, gamma: float, beta: float):
+def _kd_terms(logits, lin, targets: KDTargets, tau: float, gamma: float, beta: float):
     """Per-sample gamma * NCKD + beta * TCKD and its student-logit gradient,
-    without the tau**2 factor or batch mean. The NCKD gradient is
+    without the tau**2 factor or batch mean; `lin` is the labels'
+    `label_index`. The NCKD gradient is
     sum(nt) * r - nt. The TCKD gradient is c * (r - onehot(label)) with
     c = t * p_rest - rest * p_t, probability products only, so it stays
     bounded when the student saturates."""
-    ls, r, lp_t, lp_rest = _log_parts(logits, labels, tau)
+    ls, r, lp_t, lp_rest = _log_parts(logits, lin, tau)
     p_t, p_rest = np.exp(lp_t), np.exp(lp_rest)
     nckd = targets.nt_const - (targets.nt * ls).sum(axis=1)
     tckd = targets.t_const - targets.t * lp_t - targets.rest * lp_rest
     c = targets.t * p_rest - targets.rest * p_t
-    dz = (gamma * targets.nt.sum(axis=1) + beta * c)[:, None] * r - gamma * targets.nt
-    dz[np.arange(len(labels)), labels] -= beta * c
+    dz = (gamma * targets.nt_sum + beta * c)[:, None] * r - gamma * targets.nt
+    dz.reshape(-1)[lin] -= beta * c
     return gamma * nckd + beta * tckd, dz / tau
 
 
@@ -256,7 +259,8 @@ def _kd_loss(student_logits, teacher_logits, targets, weights, tau, gamma, beta)
     if not teachers:
         return 0.0
     mixed = KDTargets.from_logits(teachers, t, w, w, tau)
-    return float(tau * tau * _kd_terms(s, t, mixed, tau, gamma, beta)[0].mean())
+    per_sample = _kd_terms(s, label_index(t, s.shape[1], check=False), mixed, tau, gamma, beta)[0]
+    return float(tau * tau * (per_sample.sum() / len(per_sample)))
 
 
 def nckd_loss(student_logits, teacher_logits, targets, g, tau: float) -> float:
@@ -275,22 +279,27 @@ def tckd_loss(student_logits, teacher_logits, targets, h, tau: float) -> float:
 
 def total_loss(params: ModelParams, features: np.ndarray, labels: np.ndarray,
                ensemble: TeacherEnsemble | None, cfg: KDConfig,
-               targets: KDTargets | None = None) -> tuple[float, ModelParams]:
+               targets: KDTargets | None = None,
+               out: ModelParams | None = None) -> tuple[float, ModelParams]:
     """Cross-entropy plus gamma * non-target KD plus beta * target KD.
 
     Returns the scalar loss and analytic gradients for every parameter.
     `targets` are this batch's rows of `kd_targets`; without them they are
     built here from the ensemble's frozen teachers. With no teachers, or
     gamma and beta both zero, the result is exactly the cross-entropy path.
+    With `out`, a gradient buffer shaped like `params`, the gradients go
+    there unchecked and the labels are taken as checked against the class
+    count (`local_train` checks a client's once per visit).
     """
     logits, cache = forward_cached(params, features)
-    loss, dlogits = cross_entropy_grad(logits, labels)
+    lin = label_index(labels, logits.shape[1], check=out is None)
+    loss, dlogits = cross_entropy_grad(logits, labels, lin)
     if targets is None:
         targets = kd_targets(ensemble, [(features, labels)], cfg)[0]
     if targets is not None:
         factor = cfg.tau * cfg.tau if cfg.tau_sq else 1.0
-        per_sample, dz = _kd_terms(logits, np.asarray(labels, dtype=np.int64), targets,
-                                   cfg.tau, cfg.gamma * factor, cfg.beta * factor)
-        loss += float(per_sample.mean())
+        per_sample, dz = _kd_terms(logits, lin, targets, cfg.tau,
+                                   cfg.gamma * factor, cfg.beta * factor)
+        loss += float(per_sample.sum() / len(per_sample))
         dlogits = dlogits + dz / len(per_sample)
-    return loss, backprop(params, cache, dlogits)
+    return loss, backprop(params, cache, dlogits, out)

@@ -25,7 +25,7 @@ from .config import (MODES, SEED_DATA, SEED_INIT, SEED_PARTITION,
 from .data import ClassDistribution, Dataset, class_distribution
 from .distill import KDConfig, KDTargets, TeacherEnsemble, round_targets, total_loss
 from .metrics import EvalTrace, consistency, evaluate, forgetting_measure
-from .model import ModelParams, sgd_step, snapshot
+from .model import ModelParams, label_index, sgd_step, snapshot
 from .selection import SelectionInstance, greedy_select, random_select
 
 
@@ -129,23 +129,33 @@ def local_train(model: ModelParams, client: Dataset, ensemble: TeacherEnsemble,
     The dataset is reshuffled every epoch and the last partial batch is kept.
     `targets` are this client's share of `round_targets`; without them the
     teacher side is computed here, as for a round of this one client.
+    Training runs on a private copy of `model`, updated in place step by
+    step, with one gradient buffer for the visit; each epoch gathers the
+    client's rows (and targets) in shuffled order once, so every batch is a
+    slice. `loss_sink` gets the loss of each step whose gradient is finite.
     """
     if len(client) == 0:
         raise ValueError("client dataset must be non-empty")
+    label_index(client.labels, model.dims[-1])  # the check total_loss skips with out=
     if targets is None and ensemble.k:
         ensemble, (targets,) = round_targets(ensemble, [client], [class_distribution(client)],
                                              cfg.kd)
-    params = model
+    params = ModelParams.from_flat(model.flat.copy(), model.dims)
+    grads = ModelParams.from_flat(np.zeros_like(model.flat), model.dims)
     n = len(client)
     for _ in range(cfg.E):
         order = rng.permutation(n)
+        features, labels = client.features[order], client.labels[order]
+        epoch_targets = targets and targets.take(order)
         for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            loss, grads = total_loss(params, client.features[idx], client.labels[idx],
-                                     ensemble, cfg.kd, targets and targets.take(idx))
-            if loss_sink is not None:
+            batch = slice(start, start + cfg.batch_size)
+            loss, _ = total_loss(params, features[batch], labels[batch], ensemble, cfg.kd,
+                                 epoch_targets and epoch_targets.take(batch), out=grads)
+            # a step whose gradient is not finite fails in sgd_step below,
+            # before its loss counts
+            if loss_sink is not None and np.isfinite(grads.flat).all():
                 loss_sink.append(loss)
-            params = sgd_step(params, grads, cfg.eta, cfg.weight_decay)
+            sgd_step(params, grads, cfg.eta, cfg.weight_decay, out=params)
     return params
 
 

@@ -43,18 +43,19 @@ def build_dataset(cfg: ExperimentConfig) -> tuple[Dataset, Dataset | None]:
     partition, and `initial_state` takes its clients from there."""
     ds = cfg.dataset
     if ds.kind == "synthetic":
-        too_big = ConfigError("dataset.n_per_class", f"{ds.classes} classes x {ds.n_per_class} "
-                              f"x {ds.features} float64 values are too many to allocate")
+        def too_big(field):  # the labels fit once n_per_class does; then features overflow
+            return ConfigError(field, f"{ds.classes} classes x {ds.n_per_class} x "
+                               f"{ds.features} float64 values are too many to allocate")
         try:
             labels = synthetic_labels(ds.n_per_class, ds.classes)
         except (MemoryError, ValueError):
-            raise too_big from None
+            raise too_big("dataset.n_per_class") from None
         layout = _layout(cfg, labels, ds.classes)
         try:
             return generate_synthetic(ds.n_per_class, ds.classes, ds.features, ds.spread,
                                       ds.seed, name=ds.name, layout=layout)
         except (MemoryError, ValueError):
-            raise too_big from None
+            raise too_big("dataset.features") from None
     pixels, labels, c_total = read_idx(ds.images, ds.labels)
     train, test = _layout(cfg, labels, c_total).fill(
         idx_blocks(pixels), labels, c_total, pixels.shape[1], ds.name)

@@ -2,9 +2,10 @@
 
 Hidden layers use ReLU, the output layer is linear, and everything is
 float64. Parameters live in one float64 buffer laid out as the checkpoint
-body; operations return new parameter sets and never mutate their inputs.
-The kernels (forward, backprop, softmax, cross-entropy) work in place only
-on temporaries they allocate themselves, never on an array passed in.
+body. No function mutates an input except through an explicit `out=`:
+`backprop` and `sgd_step` return new parameter sets unless given one to
+write into. Otherwise the kernels (forward, backprop, softmax,
+cross-entropy) work in place only on temporaries they allocate themselves.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ def _views(flat: np.ndarray, dims) -> tuple[list[np.ndarray], list[np.ndarray]]:
             [flat[b] for _, b, _ in _layout(dims)])
 
 
+def _check_finite(flat: np.ndarray) -> None:
+    if not np.isfinite(flat).all():
+        raise ValueError("parameters must be finite")
+
+
 @dataclass(eq=False)
 class ModelParams:
     """Ordered (weight, bias) pairs; weights[i] is (out_i, in_i). Both are
@@ -59,8 +65,7 @@ class ModelParams:
             self.flat = np.concatenate([a.ravel() for pair in zip(self.weights, self.biases)
                                         for a in pair], dtype=np.float64)
             self.weights, self.biases = _views(self.flat, self.dims)
-        if not np.isfinite(self.flat).all():
-            raise ValueError("parameters must be finite")
+        _check_finite(self.flat)
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, dims: tuple[int, ...]) -> ModelParams:
@@ -118,11 +123,15 @@ def forward_cached(params: ModelParams, features: np.ndarray):
     return a, (inputs, relu_masks)
 
 
-def backprop(params: ModelParams, cache, dlogits: np.ndarray) -> ModelParams:
-    """Parameter gradients from a (B, C) loss gradient w.r.t. the logits."""
+def backprop(params: ModelParams, cache, dlogits: np.ndarray,
+             out: ModelParams | None = None) -> ModelParams:
+    """Parameter gradients from a (B, C) loss gradient w.r.t. the logits.
+
+    With `out` (shaped like `params`) they are written there, unchecked, and
+    `out` is returned; otherwise a new, finite-checked set is."""
     inputs, relu_masks = cache
-    flat = np.empty_like(params.flat)
-    grads_w, grads_b = _views(flat, params.dims)
+    flat = np.empty_like(params.flat) if out is None else out.flat
+    grads_w, grads_b = _views(flat, params.dims) if out is None else (out.weights, out.biases)
     delta = np.asarray(dlogits, dtype=np.float64)
     for i in range(params.n_layers - 1, -1, -1):
         np.matmul(delta.T, inputs[i], out=grads_w[i])
@@ -130,7 +139,7 @@ def backprop(params: ModelParams, cache, dlogits: np.ndarray) -> ModelParams:
         if i:
             delta = delta @ params.weights[i]
             delta *= relu_masks[i - 1]
-    return ModelParams(grads_w, grads_b, flat, params.dims)
+    return out if out is not None else ModelParams(grads_w, grads_b, flat, params.dims)
 
 
 def log_softmax(logits: np.ndarray, tau: float = 1.0) -> np.ndarray:
@@ -155,26 +164,43 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return cross_entropy_grad(logits, labels)[0]
 
 
-def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Cross-entropy and its gradient w.r.t. the logits (batch-mean reduction)."""
-    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+def label_index(labels: np.ndarray, n_classes: int, check: bool = True) -> np.ndarray:
+    """Flat positions arange(n) * n_classes + labels of each row's label in a
+    C-contiguous (n, n_classes) array. `check` rejects an empty batch and
+    labels outside [0, n_classes), which would index another row's entry."""
     labels = np.asarray(labels, dtype=np.int64)
-    if len(labels) == 0:
-        raise ValueError("batch must be non-empty")
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
-        raise ValueError("label out of range")
+    if check:
+        if len(labels) == 0:
+            raise ValueError("batch must be non-empty")
+        if labels.min() < 0 or labels.max() >= n_classes:
+            raise ValueError("label out of range")
+    return np.arange(len(labels)) * n_classes + labels
+
+
+def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray,
+                       lin: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Cross-entropy and its gradient w.r.t. the logits (batch-mean reduction).
+
+    `lin`, the labels' `label_index`, is taken as given; without it the labels
+    are checked and indexed here."""
+    logits = np.atleast_2d(np.ascontiguousarray(logits, dtype=np.float64))  # `lin` is C-order
+    if lin is None:
+        lin = label_index(labels, logits.shape[1])
     logp = log_softmax(logits, 1.0)
-    rows = np.arange(len(labels))
-    loss = float(-logp[rows, labels].mean())
+    flat = logp.reshape(-1)
+    loss = float(-flat[lin].sum() / len(lin))
     dlogits = np.exp(logp, out=logp)
-    dlogits[rows, labels] -= 1.0
-    dlogits /= len(labels)
+    flat[lin] -= 1.0
+    dlogits /= len(lin)
     return loss, dlogits
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, eta: float,
-             weight_decay: float = 0.0) -> ModelParams:
-    """w <- w - eta * (grad + weight_decay * w); biases skip the decay."""
+             weight_decay: float = 0.0, out: ModelParams | None = None) -> ModelParams:
+    """w <- w - eta * (grad + weight_decay * w); biases skip the decay.
+
+    With `out` (shaped like `params`, which it may be) the result is written
+    there and `out` is returned; either way it is checked to be finite."""
     if eta <= 0:
         raise ValueError("eta must be positive")
     if weight_decay < 0:
@@ -184,7 +210,10 @@ def sgd_step(params: ModelParams, grads: ModelParams, eta: float,
     t = _decay_mask(params.dims, weight_decay, math.copysign(1.0, weight_decay)) * params.flat
     t += grads.flat
     t *= eta
-    return ModelParams.from_flat(np.subtract(params.flat, t, out=t), params.dims)
+    if out is None:
+        return ModelParams.from_flat(np.subtract(params.flat, t, out=t), params.dims)
+    _check_finite(np.subtract(params.flat, t, out=out.flat))
+    return out
 
 
 @functools.cache

@@ -1,15 +1,19 @@
-"""Reference forms of the student-step and evaluation kernels.
+"""Reference forms of the student-step, local-training and evaluation kernels.
 
-`sfedkd.model` (forward_cached, backprop, log_softmax, cross_entropy_grad)
+`sfedkd.model` (forward_cached, backprop, log_softmax, cross_entropy_grad),
+`sfedkd.distill` (the KD parts of total_loss), `sfedkd.engine.local_train`
 and `sfedkd.metrics` (evaluate, forgetting_measure) compute the same
-arithmetic with fewer numpy calls, in place on their own temporaries and
-without per-class loops. These are the straightforward bodies they
-replaced; the tests compare the two byte for byte.
+arithmetic with fewer numpy calls: in place on their own temporaries or on
+one workspace per client visit, with flat label indices and without
+per-class loops. These are the straightforward bodies they replaced; the
+tests compare the two byte for byte.
 """
 
 import numpy as np
 
-from sfedkd.model import ModelParams
+from sfedkd.data import class_distribution
+from sfedkd.distill import kd_targets, round_targets
+from sfedkd.model import ModelParams, backprop, forward_cached, sgd_step
 
 
 def forward_cached_oracle(params: ModelParams, features: np.ndarray):
@@ -56,6 +60,84 @@ def cross_entropy_grad_oracle(logits: np.ndarray, labels: np.ndarray):
     dlogits = np.exp(logp)
     dlogits[rows, labels] -= 1.0
     return loss, dlogits / len(labels)
+
+
+def log_parts_oracle(logits, labels, tau):
+    """`distill._log_parts` with [rows, labels] indexing."""
+    rows = np.arange(len(labels))
+    z = logits / tau
+    z_t = z[rows, labels]
+    z[rows, labels] = -np.inf
+    zmax = z.max(axis=1, keepdims=True)
+    e = np.exp(z - zmax)
+    s = e.sum(axis=1, keepdims=True)
+    lse_rest = zmax + np.log(s)
+    ls = z - lse_rest
+    ls[rows, labels] = 0.0
+    lse_all = np.logaddexp(z_t, lse_rest[:, 0])
+    return ls, e / s, z_t - lse_all, lse_rest[:, 0] - lse_all
+
+
+def kd_targets_from_logits_oracle(teacher_logits, labels, g, h, tau):
+    """(nt, nt_const, t, rest, t_const) of `KDTargets.from_logits`."""
+    nt = np.zeros(np.shape(teacher_logits[0]))
+    nt_const, t, rest, t_const = np.zeros((4, len(nt)))
+    for g_k, h_k, logits in zip(np.atleast_2d(g).T, np.atleast_2d(h).T, teacher_logits):
+        ls, q, lq_t, lq_rest = log_parts_oracle(logits, labels, tau)
+        q_t, q_rest = np.exp(lq_t), np.exp(lq_rest)
+        nt += g_k[:, None] * q
+        nt_const += g_k * (q * ls).sum(axis=1)
+        t += h_k * q_t
+        rest += h_k * q_rest
+        t_const += h_k * (q_t * lq_t + q_rest * lq_rest)
+    return nt, nt_const, t, rest, t_const
+
+
+def kd_terms_oracle(logits, labels, targets, tau, gamma, beta):
+    """`distill._kd_terms`, summing `targets.nt` per call."""
+    ls, r, lp_t, lp_rest = log_parts_oracle(logits, labels, tau)
+    p_t, p_rest = np.exp(lp_t), np.exp(lp_rest)
+    nckd = targets.nt_const - (targets.nt * ls).sum(axis=1)
+    tckd = targets.t_const - targets.t * lp_t - targets.rest * lp_rest
+    c = targets.t * p_rest - targets.rest * p_t
+    dz = (gamma * targets.nt.sum(axis=1) + beta * c)[:, None] * r - gamma * targets.nt
+    dz[np.arange(len(labels)), labels] -= beta * c
+    return gamma * nckd + beta * tckd, dz / tau
+
+
+def step_loss_oracle(params, features, labels, ensemble, cfg, targets=None):
+    """`distill.total_loss` returning a new, finite-checked gradient set."""
+    logits, cache = forward_cached(params, features)
+    loss, dlogits = cross_entropy_grad_oracle(logits, labels)
+    if targets is None:
+        targets = kd_targets(ensemble, [(features, labels)], cfg)[0]
+    if targets is not None:
+        factor = cfg.tau * cfg.tau if cfg.tau_sq else 1.0
+        per_sample, dz = kd_terms_oracle(logits, np.asarray(labels, dtype=np.int64), targets,
+                                         cfg.tau, cfg.gamma * factor, cfg.beta * factor)
+        loss += float(per_sample.mean())
+        dlogits = dlogits + dz / len(per_sample)
+    return loss, backprop(params, cache, dlogits)
+
+
+def local_train_oracle(model, client, ensemble, cfg, rng, targets=None, loss_sink=None):
+    """`engine.local_train` gathering every batch and building two parameter
+    sets (gradients, then the update) per step."""
+    if targets is None and ensemble.k:
+        ensemble, (targets,) = round_targets(ensemble, [client], [class_distribution(client)],
+                                             cfg.kd)
+    params = model
+    n = len(client)
+    for _ in range(cfg.E):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            loss, grads = step_loss_oracle(params, client.features[idx], client.labels[idx],
+                                           ensemble, cfg.kd, targets and targets.take(idx))
+            if loss_sink is not None:
+                loss_sink.append(loss)
+            params = sgd_step(params, grads, cfg.eta, cfg.weight_decay)
+    return params
 
 
 def evaluate_oracle(params: ModelParams, dataset) -> tuple[float, np.ndarray]:

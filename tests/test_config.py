@@ -236,6 +236,16 @@ def test_oversized_synthetic_data_exits_2_naming_n_per_class(tmp_path, capsys):
         assert not any(tmp_path.iterdir())
 
 
+def test_oversized_synthetic_features_exit_2_naming_features(tmp_path, capsys):
+    # the 2000 labels allocate; the 1600 x 10**18 train buffer cannot
+    assert main(["run", str(ROOT / "configs" / "synthetic_small.json"),
+                 "--set", "dataset.features=1000000000000000000",
+                 "--set", f"output.dir={tmp_path}"]) == 2
+    assert "config error: dataset.features: 10 classes x 200 x 1000000000000000000 float64 " \
+        "values are too many to allocate" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("seeds", ["x", "1,,2", "1,-2", ""])
 def test_ablate_bad_seeds_rejected_by_the_parser(tmp_path, capsys, seeds):
     with pytest.raises(SystemExit) as exc:

@@ -413,6 +413,8 @@ def partition_cases(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(partition_cases())
+@example((np.random.default_rng(5).permutation(np.repeat(np.arange(10), 30)), 10,
+          PartitionSpec(N=100, C=2, alpha=0.3, seed=11)))
 def test_partition_matches_list_assembly_oracle(case):
     labels, c_total, spec = case
     try:

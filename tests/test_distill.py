@@ -11,6 +11,7 @@ from sfedkd.model import (ModelParams, backprop, cross_entropy_grad, forward,
                           forward_cached, init_params)
 
 from kd_oracle import total_loss_oracle
+from kernel_oracle import kd_targets_from_logits_oracle
 from selection_oracle import teacher_weights_oracle
 
 
@@ -482,6 +483,29 @@ def test_round_targets_slices_match_per_client_targets(k, cfg):
         for name, value in vars(want).items():
             assert getattr(targets[m], name).tobytes() == value.tobytes(), name
             assert getattr(alone, name).tobytes() == value.tobytes(), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9), st.integers(2, 6), st.integers(1, 4), st.sampled_from([1.0, 4.0]),
+       st.sampled_from([1.0, 1e3]), st.booleans(), st.booleans(), st.integers(0, 2**16))
+def test_kd_targets_from_logits_match_row_index_oracle_bytes(n, c, k, tau, scale, per_row,
+                                                             fortran, seed):
+    # the flat label index and the stored row sums give the bytes of the
+    # [rows, labels] form, saturated logits (scale 1e3), C=2 and
+    # column-major logits included
+    rng = np.random.default_rng(seed)
+    logits = [scale * rng.standard_normal((n, c)) for _ in range(k)]
+    if fortran:
+        logits = [np.asfortranarray(z) for z in logits]
+    labels = rng.integers(0, c, n)
+    g, h = (rng.dirichlet(np.ones(k), n if per_row else None) for _ in range(2))
+    got = KDTargets.from_logits(logits, labels, g, h, tau)
+    nt, nt_const, t, rest, t_const = kd_targets_from_logits_oracle(logits, labels, g, h, tau)
+    want = {"nt": nt, "nt_sum": nt.sum(axis=1), "nt_const": nt_const, "t": t, "rest": rest,
+            "t_const": t_const}
+    assert vars(got).keys() == want.keys()
+    for name, value in want.items():
+        assert getattr(got, name).tobytes() == value.tobytes(), name
 
 
 def test_round_targets_off_without_teachers_or_coefficients():

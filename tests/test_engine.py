@@ -3,11 +3,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kernel_oracle import local_train_oracle
 from param_oracle import param_sets, weighted_average_oracle
 from sfedkd.data import (ClassDistribution, Dataset, PartitionSpec,
                          class_distribution, generate_synthetic,
                          partition_exdir_indices)
-from sfedkd.distill import KDConfig, TeacherEnsemble, total_loss
+from sfedkd.distill import KDConfig, TeacherEnsemble, round_targets, total_loss
 from sfedkd.engine import (SEED_SHUFFLE, EvalContext, FederationState,
                            TrainConfig, collect_teachers, derive_seed,
                            fedavg_round, local_train, run_round,
@@ -199,6 +200,87 @@ def test_local_train_first_step_loss_matches_total_loss_with_teachers():
     assert sink[0] > total_loss(state.global_model, client.features[idx],
                                 client.labels[idx], None, cfg.kd)[0]
     assert abs(sink[0] - expected) <= 1e-12 * abs(expected)
+
+
+@st.composite
+def local_train_cases(draw):
+    """A client, a model, K in {0, 1, 3} teachers and a train config drawn over
+    the shapes local_train treats differently: one or several epochs, a batch
+    covering the client or leaving a partial last batch, C=2, weight decay
+    on or off, KD on or off (gamma = beta = 0) and tau 1 or 4."""
+    c = draw(st.sampled_from([2, 3, 5]))
+    n, f = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    client = Dataset(rng.standard_normal((n, f)) * 2.0, rng.integers(0, c, n), c)
+    dims = (f, *draw(st.sampled_from([(), (5,), (4, 3)])), c)
+    k = draw(st.sampled_from([0, 1, 3]))
+    ensemble = TeacherEnsemble([init_params(dims, seed + 1 + i) for i in range(k)],
+                               [ClassDistribution(rng.dirichlet(np.ones(c))) for _ in range(k)],
+                               list(range(k)))
+    gamma, beta = draw(st.sampled_from([(0.0, 0.0), (1.0, 3.0), (0.5, 0.0), (0.0, 2.0)]))
+    kd = KDConfig(tau=draw(st.sampled_from([1.0, 4.0])), gamma=gamma, beta=beta,
+                  tau_sq=draw(st.booleans()))
+    cfg = small_cfg(E=draw(st.sampled_from([1, 3])),
+                    batch_size=draw(st.one_of(st.integers(1, 16), st.integers(n, n + 8))),
+                    eta=draw(st.sampled_from([0.05, 0.5])),
+                    weight_decay=draw(st.sampled_from([0.0, 1e-3, 0.3])), kd=kd)
+    return init_params(dims, seed), client, ensemble, cfg, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(local_train_cases(), st.booleans())
+def test_local_train_matches_per_step_oracle_bytes(case, precomputed):
+    model, client, ensemble, cfg, seed = case
+    targets = None
+    if precomputed and ensemble.k:
+        ensemble, (targets,) = round_targets(ensemble, [client], [class_distribution(client)],
+                                             cfg.kd)
+    sink, want_sink = [], []
+    got = local_train(model, client, ensemble, cfg, np.random.default_rng(seed), targets, sink)
+    want = local_train_oracle(model, client, ensemble, cfg, np.random.default_rng(seed),
+                              targets, want_sink)
+    assert got.flat.tobytes() == want.flat.tobytes()
+    assert np.array(sink).tobytes() == np.array(want_sink).tobytes()
+
+
+def test_local_train_trains_a_private_copy():
+    state = small_state()
+    client = max(state.client_datasets, key=len)
+    model = state.global_model
+    before, features = model.flat.copy(), client.features.copy()
+    cfg = small_cfg(E=2, batch_size=4)
+    ens = TeacherEnsemble([init_params((3, 5, 4), seed=20 + i) for i in range(2)],
+                          state.client_dists[:2], [0, 1])
+    got = local_train(model, client, ens, cfg, np.random.default_rng(3))
+    assert model.flat.tobytes() == before.tobytes()
+    assert client.features.tobytes() == features.tobytes()
+    assert not params_equal(got, model)
+    for arr in (model.flat, client.features, client.labels):
+        assert not np.shares_memory(got.flat, arr)
+    assert all(np.shares_memory(got.flat, w) for w in got.weights + got.biases)
+
+
+@pytest.mark.parametrize("case", ["eta=1e300", "nan feature", "eta=1e308"])
+@pytest.mark.parametrize("k", [0, 2])
+def test_local_train_fails_at_the_oracle_step(case, k):
+    # the per-step oracle fails in backprop on a non-finite gradient (eta=1e300
+    # from step 2, a NaN feature in its first batch), before the step's loss
+    # counts, and in sgd_step on an overflowing update (eta=1e308), after it
+    state = small_state(n_per_class=40)
+    client = max(state.client_datasets, key=len)
+    cfg = small_cfg(E=2, batch_size=4, eta=float(case[4:]) if case[:4] == "eta=" else 0.1)
+    if case == "nan feature":
+        features = client.features.copy()
+        features[len(client) // 2, 0] = np.nan
+        client = Dataset(features, client.labels, client.c_total)
+    ens = TeacherEnsemble([init_params((3, 5, 4), seed=20 + i) for i in range(k)],
+                          state.client_dists[:k], list(range(k)))
+    sinks = [], []
+    for train, sink in zip((local_train, local_train_oracle), sinks):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="parameters must be finite"):
+            train(state.global_model, client, ens, cfg, np.random.default_rng(5), loss_sink=sink)
+    assert sinks[1] and np.array(sinks[0]).tobytes() == np.array(sinks[1]).tobytes()
 
 
 def test_local_train_rejects_empty_client():

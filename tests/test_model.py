@@ -11,8 +11,9 @@ from kernel_oracle import (backprop_oracle, cross_entropy_grad_oracle,
 from param_oracle import param_sets, sgd_step_oracle
 from sfedkd.model import (ModelParams, backprop, cross_entropy,
                           cross_entropy_grad, forward, forward_cached,
-                          init_params, load_params, log_softmax, params_equal,
-                          save_params, sgd_step, snapshot, softmax_temp)
+                          init_params, label_index, load_params, log_softmax,
+                          params_equal, save_params, sgd_step, snapshot,
+                          softmax_temp)
 
 
 # ------------------------------------------------------------------ init
@@ -249,6 +250,9 @@ def test_backprop_matches_oracle_bytes(case, data):
     got = backprop(params, cache, dlogits)
     assert dlogits.tobytes() == before
     assert got.flat.tobytes() == backprop_oracle(params, cache, dlogits).flat.tobytes()
+    out = ModelParams.from_flat(np.full_like(params.flat, 7.0), params.dims)
+    assert backprop(params, cache, dlogits, out) is out
+    assert out.flat.tobytes() == got.flat.tobytes()
 
 
 LOGITS = st.one_of(SPECIAL, st.floats(-1e3, 1e3))
@@ -271,18 +275,36 @@ def test_log_softmax_matches_oracle_bytes(z, tau, one_row):
     assert got.tobytes() == want.tobytes()
 
 
+LAYOUTS = {"C": np.ascontiguousarray, "F": np.asfortranarray,
+           "strided": lambda z: np.repeat(z, 2, axis=1)[:, ::2]}
+
+
 @settings(max_examples=200, deadline=None)
-@given(logit_batches(), st.data())
-def test_cross_entropy_grad_matches_oracle_bytes(z, data):
+@given(logit_batches(), st.data(), st.sampled_from(sorted(LAYOUTS)))
+def test_cross_entropy_grad_matches_oracle_bytes(z, data, layout):
+    # with the labels checked here or a caller's flat label index, whatever
+    # the memory layout of the logits
     y = np.array(data.draw(st.lists(st.integers(0, z.shape[1] - 1),
                                     min_size=len(z), max_size=len(z))))
+    z = LAYOUTS[layout](z)
     before = z.tobytes()
     with np.errstate(all="ignore"):
-        loss, dlogits = cross_entropy_grad(z, y)
         want_loss, want = cross_entropy_grad_oracle(z, y)
+        for loss, dlogits in (cross_entropy_grad(z, y),
+                              cross_entropy_grad(z, y, label_index(y, z.shape[1]))):
+            assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+            assert dlogits.tobytes() == want.tobytes()
     assert z.tobytes() == before
-    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
-    assert dlogits.tobytes() == want.tobytes()
+
+
+def test_label_index_checks_unless_told_not_to():
+    assert label_index([2, 0, 1], 3).tolist() == [2, 3, 7]
+    for bad in ([0, 3], [-1, 0]):
+        with pytest.raises(ValueError, match="label out of range"):
+            label_index(bad, 3)
+        label_index(bad, 3, check=False)
+    with pytest.raises(ValueError, match="batch must be non-empty"):
+        label_index([], 3)
 
 
 # -------------------------------------------------------------- sgd_step
@@ -314,12 +336,19 @@ def test_sgd_bias_skips_weight_decay():
        st.sampled_from([0.0, -0.0, 1e-4, 0.3]))
 def test_sgd_step_matches_per_layer_oracle_bytes(pair, eta, weight_decay):
     # the fused flat update must equal the per-layer formula bit for bit,
-    # signed zeros included
+    # signed zeros included, into a new set, another buffer or in place
     params, grads = pair
     got = sgd_step(params, grads, eta, weight_decay)
     want = sgd_step_oracle(params, grads, eta, weight_decay)
     assert got.dims == want.dims
     assert got.flat.tobytes() == want.flat.tobytes()
+    before = params.flat.tobytes(), grads.flat.tobytes()
+    other = ModelParams.from_flat(np.zeros_like(params.flat), params.dims)
+    own = ModelParams.from_flat(params.flat.copy(), params.dims)
+    assert sgd_step(params, grads, eta, weight_decay, out=other) is other
+    assert sgd_step(own, grads, eta, weight_decay, out=own) is own
+    assert other.flat.tobytes() == own.flat.tobytes() == want.flat.tobytes()
+    assert (params.flat.tobytes(), grads.flat.tobytes()) == before
 
 
 def test_sgd_rejects_mismatched_shapes():
