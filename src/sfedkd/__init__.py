@@ -9,8 +9,8 @@ from .data import (ClassDistribution, Dataset, PartitionSpec,
 from .distill import (KDConfig, TeacherEnsemble, discrepancy, nckd_loss,
                       tckd_loss, teacher_weights, total_loss)
 from .engine import (FederationState, RoundRecord, TrainConfig,
-                     collect_teachers, fedavg_round, local_train, run_round,
-                     sample_sequence, weighted_average)
+                     collect_teachers, local_train, run_round, sample_sequence,
+                     weighted_average)
 from .metrics import EvalTrace, consistency, evaluate, forgetting_measure
 from .model import (ModelParams, cross_entropy, forward, init_params,
                     load_params, save_params, sgd_step, snapshot, softmax_temp)

@@ -173,9 +173,10 @@ def _read_distributions_csv(path) -> list[ClassDistribution]:
     dists = []
     for i, row in enumerate(rows):
         vec = np.asarray(row, dtype=np.float64)
-        if (vec < 0).any() or vec.sum() <= 0:
+        total = vec.sum()  # not finite when a cell is nan or inf, or the sum overflows
+        if (vec < 0).any() or not np.isfinite(total) or total <= 0:
             raise ConfigError("csv", f"row {i} is not a valid distribution")
-        dists.append(ClassDistribution(vec / vec.sum()))
+        dists.append(ClassDistribution(vec / total))
     return dists
 
 

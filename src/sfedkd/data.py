@@ -129,8 +129,8 @@ class ClassDistribution:
         self.proportions = np.asarray(self.proportions, dtype=np.float64)
         if self.proportions.ndim != 1:
             raise ValueError("proportions must be a 1-D vector")
-        if (self.proportions < 0).any():
-            raise ValueError("proportions must be non-negative")
+        if not (self.proportions >= 0).all():  # NaN fails too; inf fails a sum check below
+            raise ValueError("proportions must be finite and non-negative")
         if self.empty:
             if self.proportions.any():
                 raise ValueError("empty distribution must be all-zero")

@@ -5,7 +5,7 @@ those clients in sequence, each client starting from the previous client's
 result. From round 2 on, teacher snapshots from the previous round's
 sequence guide every client's local steps via distillation. Baselines:
 plain sequential training (no teachers) and parallel training with
-dataset-size-weighted parameter averaging.
+dataset-size-weighted parameter averaging; one `run_round` runs them all.
 
 All randomness flows from one master seed through per-purpose sub-seeds
 (sequence sampling, per-client batch shuffling, random teacher picks, ...),
@@ -172,17 +172,19 @@ def _evaluate_round(model, record, eval_ctx, tag):
 
 def run_round(state: FederationState, cfg: TrainConfig,
               eval_ctx: EvalContext | None = None) -> tuple[FederationState, RoundRecord]:
-    """One sequential round: sample, collect teachers, train client-to-client.
+    """One round of any mode: sample M clients in order, train each non-empty
+    one, evaluate.
 
-    Client m starts from client m-1's final model; the round's last model
-    becomes the next round's starting global model. Every position's
-    end-of-training snapshot is stored as a teacher candidate for round r+1
-    (empty clients are skipped but still snapshot the passing model).
+    Sequential modes chain: client m starts from client m-1's final model, and
+    every position's end-of-training snapshot (an empty client's is the model
+    passing through) is a teacher candidate for round r+1. fedavg trains each
+    client from the global model without teachers and averages the results by
+    client size, in sequence order; it keeps no candidates, evaluates once per
+    round at any granularity, and skips a round whose sampled clients are all empty.
     """
     r = state.round
+    average = cfg.mode == "fedavg"
     seq = sample_sequence(state, cfg.M)
-    if cfg.mode == "fedavg":
-        raise ValueError("fedavg rounds run in fedavg_round")
     solver = MODES[cfg.mode]
     ensemble = (collect_teachers(state, cfg.K, cfg.kd.metric, solver) if solver
                 else TeacherEnsemble.empty())
@@ -195,23 +197,32 @@ def run_round(state: FederationState, cfg: TrainConfig,
         record.g_mean = (ensemble.g.sum(axis=0) / len(trained)).tolist()
         record.h_mean = (ensemble.h.sum(axis=0) / len(trained)).tolist()
     targets = iter(targets)
+    per_visit = eval_ctx is not None and eval_ctx.granularity == "client" and not average
     model = state.global_model
-    snapshots: list[ModelParams] = []
+    kept: list[ModelParams] = []  # fedavg: the local models; else each position's snapshot
     for m, cid in enumerate(seq):
         client = state.client_datasets[cid]
-        if len(client) == 0:
-            snapshots.append(snapshot(model))
-            continue
-        rng = np.random.default_rng(derive_seed(state.master_seed, SEED_SHUFFLE, r, m))
-        model = local_train(model, client, ensemble, cfg, rng, next(targets))
-        snapshots.append(snapshot(model))
-        if eval_ctx is not None and eval_ctx.granularity == "client":
-            _evaluate_round(model, record, eval_ctx, f"r{r}m{m}")
-    if eval_ctx is not None and eval_ctx.granularity == "round":
+        if len(client):
+            rng = np.random.default_rng(derive_seed(state.master_seed, SEED_SHUFFLE, r, m))
+            model = local_train(state.global_model if average else model, client, ensemble,
+                                cfg, rng, next(targets))
+            if per_visit:
+                _evaluate_round(model, record, eval_ctx, f"r{r}m{m}")
+        if not average:
+            kept.append(snapshot(model))
+        elif len(client):
+            kept.append(model)
+    if average:
+        if kept:
+            model = weighted_average(kept, [len(state.client_datasets[c]) for c in trained])
+        else:
+            record.note = "all sampled clients empty; round skipped"
+        kept = []
+    if eval_ctx is not None and not per_visit:
         _evaluate_round(model, record, eval_ctx, f"r{r}")
 
     new_state = replace(state, round=r + 1, global_model=model,
-                        prev_sequence=seq, prev_models=snapshots)
+                        prev_sequence=seq, prev_models=kept)
     return new_state, record
 
 
@@ -227,34 +238,3 @@ def weighted_average(params_list: list[ModelParams], weights) -> ModelParams:
     for coeff, params in zip(w, params_list):
         avg += coeff * params.flat
     return ModelParams.from_flat(avg, params_list[0].dims)
-
-
-def fedavg_round(state: FederationState, cfg: TrainConfig,
-                 eval_ctx: EvalContext | None = None) -> tuple[FederationState, RoundRecord]:
-    """Parallel baseline: every sampled client trains from the same start
-    model with plain cross-entropy; the results are averaged weighted by
-    local dataset size. A round with only empty clients is skipped with a
-    warning note. No teacher candidates are kept for the next round."""
-    r = state.round
-    seq = sample_sequence(state, cfg.M)
-    record = RoundRecord(round=r, mode=cfg.mode)
-    locals_: list[ModelParams] = []
-    sizes: list[int] = []
-    for m, cid in enumerate(seq):
-        client = state.client_datasets[cid]
-        if len(client) == 0:
-            continue
-        rng = np.random.default_rng(derive_seed(state.master_seed, SEED_SHUFFLE, r, m))
-        trained = local_train(state.global_model, client, TeacherEnsemble.empty(), cfg, rng)
-        locals_.append(trained)
-        sizes.append(len(client))
-    if locals_:
-        model = weighted_average(locals_, sizes)
-    else:
-        model = state.global_model
-        record.note = "all sampled clients empty; round skipped"
-    if eval_ctx is not None:
-        _evaluate_round(model, record, eval_ctx, f"r{r}")
-    new_state = replace(state, round=r + 1, global_model=model,
-                        prev_sequence=seq, prev_models=[])
-    return new_state, record

@@ -11,7 +11,7 @@ from .data import (Dataset, Layout, class_distribution, generate_synthetic, idx_
                    load_idx, partition_exdir, read_idx, split_train_test,
                    synthetic_labels)
 from .engine import (SEED_INIT, EvalContext, FederationState, RoundRecord,
-                     derive_seed, fedavg_round, run_round)
+                     derive_seed, run_round)
 from .metrics import EvalTrace
 from .model import ModelParams, init_params
 
@@ -86,11 +86,10 @@ def run_experiment(cfg: ExperimentConfig,
                           f"{cfg.eval.split} split empty, so no round can be evaluated")
     state = initial_state(cfg, train)
     eval_ctx = EvalContext(eval_dataset, cfg.eval.granularity)
-    round_fn = fedavg_round if cfg.train.mode == "fedavg" else run_round
     records: list[RoundRecord] = []
     round_models: list[ModelParams] = []
     for _ in range(cfg.train.R):
-        state, record = round_fn(state, cfg.train, eval_ctx)
+        state, record = run_round(state, cfg.train, eval_ctx)
         records.append(record)
         if keep_round_models:
             round_models.append(state.global_model)

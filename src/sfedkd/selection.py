@@ -90,7 +90,7 @@ def brute_force_select(inst: SelectionInstance) -> list[int]:
 
 def random_select(m: int, k: int, seed: int) -> list[int]:
     """Uniform K-subset without replacement; sorted, deterministic per seed."""
-    if k > m:
-        raise ValueError(f"K={k} exceeds candidate count {m}")
+    if not 1 <= k <= m:
+        raise ValueError(f"K={k} must lie in [1, {m}]")
     rng = np.random.default_rng(seed)
     return sorted(int(i) for i in rng.choice(m, size=k, replace=False))

@@ -164,10 +164,24 @@ def test_select_tolerates_header_and_counts(tmp_path, capsys):
     assert "selected:" in capsys.readouterr().out
 
 
-def test_select_rejects_bad_csv(tmp_path):
+def test_select_rejects_bad_csv(tmp_path, capsys):
     path = tmp_path / "dists.csv"
     path.write_text("1,0\n0\n")
     assert main(["select", str(path), "--k", "1"]) == 2
+    # greedy would pick a NaN row first; an inf or overflowing row would divide to NaN
+    for row in ("nan,0.2,0.3", "inf,0.2,0.3", "1e308,1e308,0"):
+        path.write_text(f"0.5,0.5,0\n{row}\n")
+        assert main(["select", str(path), "--k", "1"]) == 2
+        assert "config error: csv: row 1 is not a valid distribution" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver", ["greedy", "exact", "random"])
+@pytest.mark.parametrize("k", [0, -1])
+def test_select_rejects_k_outside_candidate_range(tmp_path, capsys, solver, k):
+    path = tmp_path / "dists.csv"
+    path.write_text(DOC_CSV)
+    assert main(["select", str(path), "--k", str(k), "--solver", solver]) == 2
+    assert f"error: K={k} must lie in [1, 4]" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ ablate

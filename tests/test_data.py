@@ -459,6 +459,10 @@ def test_class_distribution_validation():
         ClassDistribution(np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
         ClassDistribution(np.array([-0.1, 1.1]))
+    with pytest.raises(ValueError, match="finite"):  # NaN fails every comparison
+        ClassDistribution(np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError):
+        ClassDistribution(np.array([np.inf, 0.0]))
     ClassDistribution(np.zeros(3), empty=True)  # fine
 
 

@@ -11,8 +11,8 @@ from sfedkd.data import (ClassDistribution, Dataset, PartitionSpec,
 from sfedkd.distill import KDConfig, TeacherEnsemble, round_targets, total_loss
 from sfedkd.engine import (SEED_SHUFFLE, EvalContext, FederationState,
                            TrainConfig, collect_teachers, derive_seed,
-                           fedavg_round, local_train, run_round,
-                           sample_sequence, weighted_average)
+                           local_train, run_round, sample_sequence,
+                           weighted_average)
 from sfedkd.metrics import EvalTrace
 from sfedkd.model import (ModelParams, cross_entropy_grad, forward_cached,
                           backprop, init_params, params_equal, sgd_step,
@@ -366,7 +366,7 @@ def test_record_to_dict_keys_follow_field_order():
 
 
 def test_fedavg_round_keeps_no_teacher_candidates():
-    state, _ = fedavg_round(small_state(), small_cfg(mode="fedavg"))
+    state, _ = run_round(small_state(), small_cfg(mode="fedavg"))
     assert state.round == 2 and len(state.prev_sequence) == 3
     assert state.prev_models == []
     assert collect_teachers(state, 2, "KL").k == 0
@@ -392,6 +392,10 @@ def test_run_round_evaluates_with_context():
     ctx_client = EvalContext(data, "client", EvalTrace())
     run_round(small_state(), small_cfg(), ctx_client)
     assert len(ctx_client.trace) == 3  # one checkpoint per trained client
+    ctx_fedavg = EvalContext(data, "client", EvalTrace())
+    _, record = run_round(small_state(), small_cfg(mode="fedavg"), ctx_fedavg)
+    assert [tag for tag, *_ in ctx_fedavg.trace.checkpoints] == ["r1"]  # fedavg: once per round
+    assert record.top1 == ctx_fedavg.trace.checkpoints[0][2]
 
 
 @pytest.mark.parametrize("K,kd", [
@@ -481,11 +485,26 @@ def test_weighted_average_validation():
 
 
 def test_fedavg_round_runs_and_averages():
-    cfg = small_cfg(mode="fedavg")
-    state, record = fedavg_round(small_state(), cfg)
+    # replay: every trained client starts from the global model with the
+    # shuffle seed of its position; the local models average by client size
+    cfg = small_cfg(mode="fedavg", E=2, batch_size=4)
+    start = small_state()
+    state, record = run_round(start, cfg)
+    locals_, sizes = [], []
+    for m, cid in enumerate(state.prev_sequence):
+        client = start.client_datasets[cid]
+        if len(client):
+            rng = np.random.default_rng(derive_seed(start.master_seed, SEED_SHUFFLE, 1, m))
+            locals_.append(local_train(start.global_model, client, TeacherEnsemble.empty(),
+                                       cfg, rng))
+            sizes.append(len(client))
+    assert len(locals_) >= 2
+    want = weighted_average(locals_, sizes)
+    assert state.global_model.flat.tobytes() == want.flat.tobytes()
+    assert state.prev_models == []
     assert state.round == 2
     assert record.mode == "fedavg"
-    assert record.note == ""
+    assert record.note == "" and record.teachers == [] and record.g_mean == []
 
 
 def test_fedavg_round_skips_when_all_sampled_clients_empty():
@@ -498,6 +517,7 @@ def test_fedavg_round_skips_when_all_sampled_clients_empty():
         client_dists=[ClassDistribution(np.zeros(c), empty=True)] * 3,
         master_seed=3,
     )
-    new_state, record = fedavg_round(state, small_cfg(mode="fedavg", M=2, K=1))
-    assert "skipped" in record.note
+    new_state, record = run_round(state, small_cfg(mode="fedavg", M=2, K=1))
+    assert record.note == "all sampled clients empty; round skipped"
     assert params_equal(new_state.global_model, model)
+    assert new_state.prev_models == []
