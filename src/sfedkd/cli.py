@@ -62,11 +62,11 @@ def _summary_row(cfg: ExperimentConfig, records) -> dict:
     }
 
 
-def _write_summary_csv(path: Path, row: dict) -> None:
+def _write_csv(path: Path, rows: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(row))
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        writer.writerow(row)
+        writer.writerows(rows)
 
 
 def cmd_run(args) -> int:
@@ -81,7 +81,7 @@ def cmd_run(args) -> int:
         _write_rounds_jsonl(out_dir / "rounds.jsonl", result.records)
     summary = _summary_row(cfg, result.records)
     if "csv" in cfg.output.formats:
-        _write_summary_csv(out_dir / "summary.csv", summary)
+        _write_csv(out_dir / "summary.csv", [summary])
     save_params(result.final_model, out_dir / "model_final.bin")
     final = summary["final_top1"]
     print(f"{cfg.train.mode}: {len(result.records)} rounds done"
@@ -124,10 +124,8 @@ def cmd_ablate(args) -> int:
     for label, overrides in cells:
         finals = []
         for seed in seeds:
-            cell_raw = apply_overrides(raw, overrides + [f"master_seed={seed}"])
-            result = run_experiment(resolve_config(cell_raw))
-            top1 = [r.top1 for r in result.records if r.top1 is not None]
-            finals.append(top1[-1] if top1 else float("nan"))
+            cfg = resolve_config(apply_overrides(raw, overrides + [f"master_seed={seed}"]))
+            finals.append(_summary_row(cfg, run_experiment(cfg).records)["final_top1"])
         finals = np.asarray(finals)
         rows.append({**label,
                      "mean_top1": float(finals.mean()),
@@ -137,10 +135,7 @@ def cmd_ablate(args) -> int:
     out_dir = Path(base_cfg.output.dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"ablate_{args.axis}.csv"
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(out_path, rows)
     for row in rows:
         label = " ".join(f"{k}={v}" for k, v in row.items()
                          if k not in ("mean_top1", "std_top1", "n_seeds"))
@@ -173,7 +168,8 @@ def _read_distributions_csv(path) -> list[ClassDistribution]:
     dists = []
     for i, row in enumerate(rows):
         vec = np.asarray(row, dtype=np.float64)
-        total = vec.sum()  # not finite when a cell is nan or inf, or the sum overflows
+        with np.errstate(over="ignore"):
+            total = vec.sum()  # not finite when a cell is nan or inf, or the sum overflows
         if (vec < 0).any() or not np.isfinite(total) or total <= 0:
             raise ConfigError("csv", f"row {i} is not a valid distribution")
         dists.append(ClassDistribution(vec / total))

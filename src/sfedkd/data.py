@@ -15,7 +15,7 @@ place: train rows grouped by client in one buffer, test rows in another.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,20 +99,9 @@ class Dataset:
                         self.c_total, f"{self.name}/client{n:02d}")
                 for n in range(len(b) - 1)]
 
-    def subset(self, indices: np.ndarray, name: str | None = None) -> "Dataset":
+    def subset(self, indices: np.ndarray) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            self.features[indices], self.labels[indices], self.c_total,
-            name if name is not None else self.name,
-        )
-
-    def to_csv(self, path) -> None:
-        """Write `f0,...,f{F-1},label` rows."""
-        header = ",".join(f"f{j}" for j in range(self.n_features)) + ",label"
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row, lab in zip(self.features, self.labels):
-                fh.write(",".join("%.17g" % v for v in row) + f",{int(lab)}\n")
+        return Dataset(self.features[indices], self.labels[indices], self.c_total, self.name)
 
 
 @dataclass

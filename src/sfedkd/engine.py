@@ -2,8 +2,8 @@
 
 Each round samples an ordered client subset, then trains one model across
 those clients in sequence, each client starting from the previous client's
-result. From round 2 on, teacher snapshots from the previous round's
-sequence guide every client's local steps via distillation. Baselines:
+result. From round 2 on, the models the previous round's clients ended
+with guide every client's local steps via distillation. Baselines:
 plain sequential training (no teachers) and parallel training with
 dataset-size-weighted parameter averaging; one `run_round` runs them all.
 
@@ -18,12 +18,10 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-# every seed tag and KDConfig stay importable from here
-from .config import (MODES, SEED_DATA, SEED_INIT, SEED_PARTITION,
-                     SEED_RANDOM_TEACHERS, SEED_SEQUENCE, SEED_SHUFFLE, SEED_SPLIT,
-                     TrainConfig, derive_seed)
+from .config import (MODES, SEED_RANDOM_TEACHERS, SEED_SEQUENCE, SEED_SHUFFLE, TrainConfig,
+                     derive_seed)
 from .data import ClassDistribution, Dataset, class_distribution
-from .distill import KDConfig, KDTargets, TeacherEnsemble, round_targets, total_loss
+from .distill import KDTargets, TeacherEnsemble, round_targets, total_loss
 from .metrics import EvalTrace, consistency, evaluate, forgetting_measure
 from .model import ModelParams, label_index, sgd_step, snapshot
 from .selection import SelectionInstance, greedy_select, random_select
@@ -77,10 +75,6 @@ class EvalContext:
     granularity: str = "round"  # "round" or "client"
     trace: EvalTrace = field(default_factory=EvalTrace)
 
-    def __post_init__(self):
-        if self.granularity not in ("round", "client"):
-            raise ValueError("granularity must be 'round' or 'client'")
-
 
 def sample_sequence(state: FederationState, m: int) -> list[int]:
     """Uniform ordered M-subset of clients for the current round."""
@@ -92,11 +86,12 @@ def sample_sequence(state: FederationState, m: int) -> list[int]:
 
 def collect_teachers(state: FederationState, k: int, metric: str,
                      solver: str = "greedy") -> TeacherEnsemble:
-    """Teacher ensemble drawn from the previous round's trained snapshots.
+    """Teacher ensemble drawn from the models the previous round ended with.
 
     Candidates are the previous sequence's positions whose clients hold data.
     Round 1 (or an all-empty previous round) yields an empty ensemble and the
-    round degenerates to plain sequential training.
+    round degenerates to plain sequential training. `solver` is a solver of
+    `config.MODES`: "greedy", or any other for a seeded random pick.
     """
     if state.round == 1 or not state.prev_models:
         return TeacherEnsemble.empty()
@@ -108,11 +103,9 @@ def collect_teachers(state: FederationState, k: int, metric: str,
     dists = [state.client_dists[state.prev_sequence[m]] for m in positions]
     if solver == "greedy":
         picked = greedy_select(SelectionInstance(dists, k_eff, metric))
-    elif solver == "random":
+    else:
         seed = derive_seed(state.master_seed, SEED_RANDOM_TEACHERS, state.round)
         picked = random_select(len(positions), k_eff, seed)
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
     chosen = [positions[i] for i in picked]
     return TeacherEnsemble(
         teachers=[state.prev_models[m] for m in chosen],
@@ -129,10 +122,12 @@ def local_train(model: ModelParams, client: Dataset, ensemble: TeacherEnsemble,
     The dataset is reshuffled every epoch and the last partial batch is kept.
     `targets` are this client's share of `round_targets`; without them the
     teacher side is computed here, as for a round of this one client.
-    Training runs on a private copy of `model`, updated in place step by
-    step, with one gradient buffer for the visit; each epoch gathers the
-    client's rows (and targets) in shuffled order once, so every batch is a
-    slice. `loss_sink` gets the loss of each step whose gradient is finite.
+    Training runs on `snapshot(model)`, the visit's one parameter copy,
+    updated in place step by step with one gradient buffer; the returned
+    model is that copy, and nothing writes to it afterwards. Each epoch
+    gathers the client's rows (and targets) in shuffled order once, so every
+    batch is a slice. `loss_sink` gets the loss of each step whose gradient
+    is finite.
     """
     if len(client) == 0:
         raise ValueError("client dataset must be non-empty")
@@ -140,7 +135,7 @@ def local_train(model: ModelParams, client: Dataset, ensemble: TeacherEnsemble,
     if targets is None and ensemble.k:
         ensemble, (targets,) = round_targets(ensemble, [client], [class_distribution(client)],
                                              cfg.kd)
-    params = ModelParams.from_flat(model.flat.copy(), model.dims)
+    params = snapshot(model)
     grads = ModelParams.from_flat(np.zeros_like(model.flat), model.dims)
     n = len(client)
     for _ in range(cfg.E):
@@ -176,11 +171,13 @@ def run_round(state: FederationState, cfg: TrainConfig,
     one, evaluate.
 
     Sequential modes chain: client m starts from client m-1's final model, and
-    every position's end-of-training snapshot (an empty client's is the model
-    passing through) is a teacher candidate for round r+1. fedavg trains each
-    client from the global model without teachers and averages the results by
-    client size, in sequence order; it keeps no candidates, evaluates once per
-    round at any granularity, and skips a round whose sampled clients are all empty.
+    the model each position ends with, as `local_train` returned it (an empty
+    client's is the model passing through), is a teacher candidate for round
+    r+1; positions may share one object, since no model is written after its
+    visit. fedavg trains each client from the global model without teachers
+    and averages the results by client size, in sequence order; it keeps no
+    candidates, evaluates once per round at any granularity, and skips a
+    round whose sampled clients are all empty.
     """
     r = state.round
     average = cfg.mode == "fedavg"
@@ -199,7 +196,7 @@ def run_round(state: FederationState, cfg: TrainConfig,
     targets = iter(targets)
     per_visit = eval_ctx is not None and eval_ctx.granularity == "client" and not average
     model = state.global_model
-    kept: list[ModelParams] = []  # fedavg: the local models; else each position's snapshot
+    kept: list[ModelParams] = []  # fedavg: the local models; else each position's model
     for m, cid in enumerate(seq):
         client = state.client_datasets[cid]
         if len(client):
@@ -208,9 +205,7 @@ def run_round(state: FederationState, cfg: TrainConfig,
                                 cfg, rng, next(targets))
             if per_visit:
                 _evaluate_round(model, record, eval_ctx, f"r{r}m{m}")
-        if not average:
-            kept.append(snapshot(model))
-        elif len(client):
+        if len(client) or not average:
             kept.append(model)
     if average:
         if kept:

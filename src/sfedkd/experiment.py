@@ -6,12 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import SEED_INIT, ConfigError, ExperimentConfig, derive_seed
 from .data import (Dataset, Layout, class_distribution, generate_synthetic, idx_blocks,
                    load_idx, partition_exdir, read_idx, split_train_test,
                    synthetic_labels)
-from .engine import (SEED_INIT, EvalContext, FederationState, RoundRecord,
-                     derive_seed, run_round)
+from .engine import EvalContext, FederationState, RoundRecord, run_round
 from .metrics import EvalTrace
 from .model import ModelParams, init_params
 

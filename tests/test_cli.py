@@ -17,6 +17,9 @@ from sfedkd.model import load_params
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# a numpy warning beside a CLI error message is a defect of its own
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def tiny_raw(out_dir, mode="fedseq", rounds=3):
     return {

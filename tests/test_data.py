@@ -117,18 +117,6 @@ def test_synthetic_linear_probe_separable():
     assert probe.score(ds.features, ds.labels) > 0.9
 
 
-def test_synthetic_csv_export(tmp_path):
-    ds = generate_synthetic(3, 2, 3, 1.0, seed=2)
-    path = tmp_path / "blob.csv"
-    ds.to_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "f0,f1,f2,label"
-    assert len(lines) == 1 + len(ds)
-    first = lines[1].split(",")
-    assert float(first[0]) == pytest.approx(ds.features[0, 0])
-    assert int(first[-1]) == ds.labels[0]
-
-
 # ------------------------------------------------------------------- IDX
 
 def idx_image_bytes(images, magic=0x00000803):

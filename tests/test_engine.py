@@ -325,6 +325,28 @@ def test_run_round_sequential_causality_replay():
     assert params_equal(model, state.global_model)
 
 
+def test_run_round_keeps_the_models_local_train_returns():
+    # local_train returns a copy that nobody else holds, so the round keeps
+    # it as is: positions, teachers and the global model share objects, and
+    # no later round may write to them
+    state = small_state()
+    empty = state.client_datasets[0].subset(np.array([], dtype=np.int64))
+    state.client_datasets[0], state.client_dists[0] = empty, class_distribution(empty)
+    cfg = small_cfg(M=6)
+    empty_positions = []
+    for _ in range(3):
+        held = state.prev_models + [state.global_model]
+        held_bytes = [p.flat.tobytes() for p in held]
+        start = state.global_model
+        state, _ = run_round(state, cfg)
+        assert [p.flat.tobytes() for p in held] == held_bytes
+        m = state.prev_sequence.index(0)
+        assert state.prev_models[m] is (state.prev_models[m - 1] if m else start)
+        assert state.global_model is state.prev_models[-1]
+        empty_positions.append(m)
+    assert any(empty_positions)  # the empty client passed a trained model on
+
+
 def test_run_round_teacher_provenance():
     cfg = small_cfg()
     state = small_state()
