@@ -104,6 +104,9 @@ def _ablation_cells(axis: str, cfg: ExperimentConfig):
         return [({"metric": m}, [f"train.kd.metric={m}", "train.mode=sfedkd"])
                 for m in METRICS]
     if axis == "teachers":
+        if max(cfg.ablate.k_values) > cfg.train.M:
+            raise ConfigError("ablate.k_values",
+                              f"teacher counts must not exceed train.M={cfg.train.M}")
         return [({"K": k, "solver": solver}, [f"train.K={k}", f"train.mode={mode}"])
                 for k in cfg.ablate.k_values for mode, solver in MODES.items() if solver]
     if axis == "mode":

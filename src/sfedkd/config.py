@@ -293,6 +293,4 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("train.M", f"M={train.M} exceeds partition.N={part.N}")
     if cfg.eval.split == "test" and ds.test_fraction == 0 and not ds.test_images:
         raise ConfigError("eval.split", "no test split: set dataset.test_fraction or test files")
-    if any(k > train.M for k in cfg.ablate.k_values):
-        raise ConfigError("ablate.k_values", f"teacher counts must not exceed train.M={train.M}")
     return cfg

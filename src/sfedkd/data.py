@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PartitionSpec
+from .model import _check_labels
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -38,12 +39,6 @@ class IdxCountMismatchError(ValueError):
 
 class IdxTruncatedError(IOError):
     """IDX file ended before the declared payload."""
-
-
-def _check_labels(labels: np.ndarray, c_total: int) -> None:
-    if len(labels) and (labels.min() < 0 or labels.max() >= c_total):
-        bad = labels[(labels < 0) | (labels >= c_total)][0]
-        raise ValueError(f"label {bad} outside [0, {c_total})")
 
 
 @dataclass
@@ -118,16 +113,29 @@ class ClassDistribution:
         self.proportions = np.asarray(self.proportions, dtype=np.float64)
         if self.proportions.ndim != 1:
             raise ValueError("proportions must be a 1-D vector")
-        if not (self.proportions >= 0).all():  # NaN fails too; inf fails a sum check below
-            raise ValueError("proportions must be finite and non-negative")
-        if self.empty:
-            if self.proportions.any():
-                raise ValueError("empty distribution must be all-zero")
-        elif abs(self.proportions.sum() - 1.0) > 1e-9:
-            raise ValueError("proportions must sum to 1")
+        if not self.empty:
+            _check_distributions(self.proportions, "proportions")
+        elif self.proportions.any():  # NaN and inf count as non-zero
+            raise ValueError("empty distribution must be all-zero")
 
     def __len__(self) -> int:
         return len(self.proportions)
+
+
+def _check_distributions(rows: np.ndarray, name: str) -> None:
+    """Each vector along the last axis must be non-negative, finite and sum to 1."""
+    ok = (rows >= 0).all(axis=-1) & (abs(rows.sum(axis=-1) - 1.0) <= 1e-9)  # NaN fails both
+    if not ok.all():
+        raise ValueError(f"{name} must be non-negative, finite and sum to 1, got {rows[~ok][0]}")
+
+
+def _proportions(dists: list[ClassDistribution]) -> np.ndarray:
+    """The (n, C) stack of class distributions of one length, none empty."""
+    if any(d.empty for d in dists):
+        raise ValueError(f"distribution {[d.empty for d in dists].index(True)} is empty")
+    if len({len(d) for d in dists}) > 1:
+        raise ValueError(f"distributions must have equal length, got {[len(d) for d in dists]}")
+    return np.stack([d.proportions for d in dists])
 
 
 @dataclass(frozen=True)
@@ -269,9 +277,11 @@ def read_idx(images_path, labels_path,
 
     pixels = np.frombuffer(img_buf, dtype=np.uint8, count=n_images * rows * cols, offset=16)
     labels = np.frombuffer(lab_buf, dtype=np.uint8, count=n_labels, offset=8).astype(np.int64)
-    if n_classes is not None and n_labels and labels.max() >= n_classes:
-        raise IdxFormatError(f"{labels_path}: label {labels.max()} outside [0, {n_classes})")
-    c_total = n_classes if n_classes is not None else int(labels.max()) + 1 if n_labels else 2
+    c_total = n_classes if n_classes is not None else int(labels.max()) + 1
+    try:
+        _check_labels(labels, c_total)
+    except ValueError as exc:
+        raise IdxFormatError(f"{labels_path}: {exc}") from None
     if c_total < 2 and n_classes is None:
         raise IdxFormatError(f"{labels_path}: every label is 0, so the file holds one class; "
                              "at least 2 are needed")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import METRICS, KDConfig  # METRICS stays importable from here
-from .data import ClassDistribution, Dataset
+from .data import ClassDistribution, Dataset, _check_distributions, _proportions
 from .model import (ModelParams, backprop, cross_entropy_grad,
                     forward, forward_cached, label_index)
 
@@ -48,13 +48,10 @@ class TeacherEnsemble:
         if len(self.teachers) != len(self.dists) or len(self.teachers) != len(self.client_ids):
             raise ValueError("teachers, dists, and client_ids must align")
         for w, name in ((self.g, "g"), (self.h, "h")):
-            if w is None:
-                continue
-            w = np.asarray(w, dtype=np.float64)
-            if w.shape[-1:] != (len(self.teachers),):
-                raise ValueError(f"{name} must have one weight per teacher")
-            if (w < 0).any() or (abs(w.sum(axis=-1) - 1.0) > 1e-9).any():
-                raise ValueError(f"{name} must be non-negative and sum to 1")
+            if w is not None:
+                if np.shape(w)[-1:] != (len(self.teachers),):
+                    raise ValueError(f"{name} must have one weight per teacher")
+                _check_distributions(np.asarray(w, dtype=np.float64), name)
 
     @property
     def k(self) -> int:
@@ -101,14 +98,6 @@ def discrepancy_rows(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
         return np.maximum(0.5 * (sa * np.log(sa / m)).sum(axis=-1)
                           + 0.5 * (sb * np.log(sb / m)).sum(axis=-1), 0.0)
     raise ValueError(f"unknown metric {metric!r}")
-
-
-def _proportions(dists: list[ClassDistribution]) -> np.ndarray:
-    if any(d.empty for d in dists):
-        raise ValueError("discrepancy of an empty distribution is undefined")
-    if len({len(d) for d in dists}) > 1:
-        raise ValueError("distributions must have equal length")
-    return np.stack([d.proportions for d in dists])
 
 
 def discrepancy(a: ClassDistribution, b: ClassDistribution, metric: str) -> float:
@@ -243,13 +232,9 @@ def _kd_loss(student_logits, teacher_logits, targets, weights, tau, gamma, beta)
     if tau <= 0:
         raise ValueError("tau must be positive")
     s = np.atleast_2d(np.asarray(student_logits, dtype=np.float64))
-    t = np.asarray(targets, dtype=np.int64)
-    if len(t) == 0:
-        raise ValueError("batch must be non-empty")
-    if len(t) != len(s):
+    lin = label_index(targets, s.shape[1])
+    if len(lin) != len(s):
         raise ValueError("targets must match the batch size")
-    if t.min() < 0 or t.max() >= s.shape[1]:
-        raise ValueError("target out of range")
     teachers = [np.atleast_2d(np.asarray(tl, dtype=np.float64)) for tl in teacher_logits]
     if any(tl.shape != s.shape for tl in teachers):
         raise ValueError("teacher logits must match student logits shape")
@@ -258,8 +243,8 @@ def _kd_loss(student_logits, teacher_logits, targets, weights, tau, gamma, beta)
         raise ValueError("need one weight per teacher")
     if not teachers:
         return 0.0
-    mixed = KDTargets.from_logits(teachers, t, w, w, tau)
-    per_sample = _kd_terms(s, label_index(t, s.shape[1], check=False), mixed, tau, gamma, beta)[0]
+    mixed = KDTargets.from_logits(teachers, targets, w, w, tau)
+    per_sample = _kd_terms(s, lin, mixed, tau, gamma, beta)[0]
     return float(tau * tau * (per_sample.sum() / len(per_sample)))
 
 

@@ -129,9 +129,7 @@ def local_train(model: ModelParams, client: Dataset, ensemble: TeacherEnsemble,
     batch is a slice. `loss_sink` gets the loss of each step whose gradient
     is finite.
     """
-    if len(client) == 0:
-        raise ValueError("client dataset must be non-empty")
-    label_index(client.labels, model.dims[-1])  # the check total_loss skips with out=
+    label_index(client.labels, model.dims[-1])  # an empty client or a bad label fails here
     if targets is None and ensemble.k:
         ensemble, (targets,) = round_targets(ensemble, [client], [class_distribution(client)],
                                              cfg.kd)

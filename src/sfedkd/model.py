@@ -164,6 +164,13 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return cross_entropy_grad(logits, labels)[0]
 
 
+def _check_labels(labels: np.ndarray, n_classes: int) -> None:
+    """Reject a label outside [0, n_classes), naming the first one."""
+    if len(labels) and (labels.min() < 0 or labels.max() >= n_classes):
+        bad = labels[(labels < 0) | (labels >= n_classes)][0]
+        raise ValueError(f"label {bad} outside [0, {n_classes})")
+
+
 def label_index(labels: np.ndarray, n_classes: int, check: bool = True) -> np.ndarray:
     """Flat positions arange(n) * n_classes + labels of each row's label in a
     C-contiguous (n, n_classes) array. `check` rejects an empty batch and
@@ -172,8 +179,7 @@ def label_index(labels: np.ndarray, n_classes: int, check: bool = True) -> np.nd
     if check:
         if len(labels) == 0:
             raise ValueError("batch must be non-empty")
-        if labels.min() < 0 or labels.max() >= n_classes:
-            raise ValueError("label out of range")
+        _check_labels(labels, n_classes)
     return np.arange(len(labels)) * n_classes + labels
 
 

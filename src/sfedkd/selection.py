@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClassDistribution
-from .distill import METRICS, discrepancy_rows
+from .data import ClassDistribution, _check_distributions, _proportions
+from .distill import discrepancy_rows
 
 BRUTE_FORCE_MAX_CANDIDATES = 20
 
@@ -27,19 +27,19 @@ class SelectionInstance:
     metric: str = "L1"
 
     def __post_init__(self):
-        if not 1 <= self.K <= len(self.candidate_dists):
-            raise ValueError(f"K={self.K} must lie in [1, {len(self.candidate_dists)}]")
-        if self.metric not in METRICS:
-            raise ValueError(f"metric must be one of {METRICS}")
-        if any(d.empty for d in self.candidate_dists):
-            raise ValueError("candidates must have non-empty class distributions")
+        _check_k(self.K, len(self.candidate_dists))
+        _proportions(self.candidate_dists)  # one length, none empty
+
+
+def _check_k(k: int, m: int) -> None:
+    if not 1 <= k <= m:
+        raise ValueError(f"K={k} must lie in [1, {m}]")
 
 
 def _objective_rows(totals: np.ndarray, metric: str) -> np.ndarray:
     """Distance to uniform of each row of summed proportions, once normalized."""
     rows = totals / totals.sum(axis=-1, keepdims=True)
-    if (rows < 0).any() or (abs(rows.sum(axis=-1) - 1.0) > 1e-9).any():
-        raise ValueError("aggregates must be non-negative and sum to 1")
+    _check_distributions(rows, "aggregates")
     return discrepancy_rows(rows, np.full(rows.shape[-1], 1.0 / rows.shape[-1]), metric)
 
 
@@ -56,7 +56,7 @@ def greedy_select(inst: SelectionInstance) -> list[int]:
     Ties break toward the lower candidate index. Returns K distinct indices
     in selection order.
     """
-    props = np.stack([d.proportions for d in inst.candidate_dists])
+    props = _proportions(inst.candidate_dists)
     agg = np.zeros(props.shape[1])
     chosen: list[int] = []
     remaining = np.arange(len(props))
@@ -90,7 +90,6 @@ def brute_force_select(inst: SelectionInstance) -> list[int]:
 
 def random_select(m: int, k: int, seed: int) -> list[int]:
     """Uniform K-subset without replacement; sorted, deterministic per seed."""
-    if not 1 <= k <= m:
-        raise ValueError(f"K={k} must lie in [1, {m}]")
+    _check_k(k, m)
     rng = np.random.default_rng(seed)
     return sorted(int(i) for i in rng.choice(m, size=k, replace=False))

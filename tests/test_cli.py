@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from data_oracle import build_clients_oracle
+from sfedkd import cli
 from sfedkd.cli import main
 from sfedkd.config import (DEFAULTS, ConfigError, ExperimentConfig,
                            apply_overrides, load_raw_config, resolve_config)
@@ -228,6 +229,23 @@ def test_ablate_teachers_axis(tmp_path):
     rows = (out / "ablate_teachers.csv").read_text().strip().split("\n")
     assert rows[0] == "K,solver,mean_top1,std_top1,n_seeds"
     assert len(rows) == 5  # 2 K values x {greedy, random}
+
+
+def test_only_the_teachers_axis_checks_k_values(tmp_path, capsys, monkeypatch):
+    # run and the other axes never read ablate.k_values, so a teacher count
+    # above train.M fails only the teachers axis, before its first cell
+    out = tmp_path / "out"
+    raw = tiny_raw(out, mode="sfedkd", rounds=1)
+    raw["ablate"] = {"k_values": [2, 11]}
+    cfg = write_config(tmp_path, raw)
+    assert main(["run", str(cfg)]) == 0
+    assert main(["ablate", str(cfg), "--axis", "mode", "--seeds", "1"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("a cell ran"))
+    assert main(["ablate", str(cfg), "--axis", "teachers", "--seeds", "1"]) == 2
+    assert "config error: ablate.k_values: teacher counts must not exceed train.M=3" in \
+        capsys.readouterr().err
+    assert not (out / "ablate_teachers.csv").exists()
 
 
 def test_ablate_cell_matches_standalone_run(tmp_path):

@@ -66,7 +66,6 @@ REJECTED = [
     ("ablate.k_values", []), ("ablate.k_values", [0]),
     # rules that span fields
     ("train.K", 11), ("train.M", 101), ("partition.C", 11),
-    ("ablate.k_values", [2, 11]),
 ]
 
 # Rows whose error names another field than the one set.
