@@ -8,8 +8,8 @@ Verbs:
   select             teacher selection on a CSV of class distributions
   inspect-partition  print per-client class histograms for a config
 
-Exit codes: 0 success, 2 invalid config (with the dotted field path),
-3 I/O failure.
+Exit codes: 0 success, 2 invalid config (with the dotted field path) or
+malformed input file (with its path), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -77,11 +77,9 @@ def cmd_run(args) -> int:
     with open(out_dir / "config.resolved.json", "w") as fh:
         json.dump(cfg.to_resolved_dict(), fh, indent=2)
         fh.write("\n")
-    if "jsonl" in cfg.output.formats:
-        _write_rounds_jsonl(out_dir / "rounds.jsonl", result.records)
+    _write_rounds_jsonl(out_dir / "rounds.jsonl", result.records)
     summary = _summary_row(cfg, result.records)
-    if "csv" in cfg.output.formats:
-        _write_csv(out_dir / "summary.csv", [summary])
+    _write_csv(out_dir / "summary.csv", [summary])
     save_params(result.final_model, out_dir / "model_final.bin")
     final = summary["final_top1"]
     print(f"{cfg.train.mode}: {len(result.records)} rounds done"

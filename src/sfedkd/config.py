@@ -167,7 +167,6 @@ class KDConfig(_Block):
     beta: float = option(3.0, ge=0)
     metric: str = option("KL", choices=METRICS)
     epsilon: float = option(1e-4, gt=0)
-    tau_sq: bool = True        # scale both KD losses by tau**2
     uniform_g: bool = False    # ablation: replace g with uniform weights
     uniform_h: bool = False    # ablation: replace h with uniform weights
 
@@ -199,7 +198,6 @@ class EvalConfig(_Block):
 @dataclass
 class OutputConfig(_Block):
     dir: str = "runs/experiment"
-    formats: list[str] = option(["jsonl", "csv"], choices=("jsonl", "csv"))
 
 
 @dataclass

@@ -30,15 +30,8 @@ _BLOCK_BYTES = 1 << 21  # feature bytes a source produces per block
 
 
 class IdxFormatError(ValueError):
-    """Magic number or structural mismatch in an IDX file."""
-
-
-class IdxCountMismatchError(ValueError):
-    """Image and label files disagree on the sample count."""
-
-
-class IdxTruncatedError(IOError):
-    """IDX file ended before the declared payload."""
+    """A malformed IDX file: bad magic, truncated, no pixels, a label count
+    unlike the image count, or bad labels. The message names the file."""
 
 
 @dataclass
@@ -236,7 +229,7 @@ def generate_synthetic(n_per_class: int, c_total: int, n_features: int,
 
 def _read_be_u32(buf: bytes, offset: int, path) -> int:
     if offset + 4 > len(buf):
-        raise IdxTruncatedError(f"{path}: truncated header")
+        raise IdxFormatError(f"{path}: truncated header")
     return struct.unpack_from(">I", buf, offset)[0]
 
 
@@ -264,16 +257,16 @@ def read_idx(images_path, labels_path,
         raise IdxFormatError(f"{images_path}: {rows}x{cols} images, {n_images} of them, "
                              "hold no pixels")
     if len(img_buf) < 16 + n_images * rows * cols:
-        raise IdxTruncatedError(f"{images_path}: expected {n_images * rows * cols} pixel bytes")
+        raise IdxFormatError(f"{images_path}: expected {n_images * rows * cols} pixel bytes")
 
     magic = _read_be_u32(lab_buf, 0, labels_path)
     if magic != IDX_LABEL_MAGIC:
         raise IdxFormatError(f"{labels_path}: bad label magic 0x{magic:08x}")
     n_labels = _read_be_u32(lab_buf, 4, labels_path)
     if n_labels != n_images:
-        raise IdxCountMismatchError(f"{n_images} images but {n_labels} labels")
+        raise IdxFormatError(f"{labels_path}: {n_images} images but {n_labels} labels")
     if len(lab_buf) < 8 + n_labels:
-        raise IdxTruncatedError(f"{labels_path}: expected {n_labels} label bytes")
+        raise IdxFormatError(f"{labels_path}: expected {n_labels} label bytes")
 
     pixels = np.frombuffer(img_buf, dtype=np.uint8, count=n_images * rows * cols, offset=16)
     labels = np.frombuffer(lab_buf, dtype=np.uint8, count=n_labels, offset=8).astype(np.int64)

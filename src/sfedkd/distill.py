@@ -147,83 +147,74 @@ def _log_parts(logits: np.ndarray, lin: np.ndarray, tau: float):
     return ls, e / s, z_t - lse_all, lse_rest[:, 0] - lse_all
 
 
-@dataclass(frozen=True)
-class KDTargets:
-    """The teacher side of both KD terms, one mixed target per sample.
+def mix_teachers(teacher_logits, labels, g, h, tau: float) -> np.ndarray:
+    """The teacher side of both KD terms, one mixed target per sample: K
+    teachers' (n, C) logits mixed with weights g (non-target) and h (target),
+    each one (K,) vector or one row per sample (n, K).
 
     A weighted sum of KLs is linear in the teacher distributions:
     sum_k w_k KL(q_k||p) = sum_k w_k sum q_k log q_k - sum (sum_k w_k q_k) log p,
-    so K teachers reduce to their w-mixture plus a per-sample constant.
+    so K teachers reduce to their w-mixture plus a per-sample constant. The
+    result is one (n, C+5) array, row-aligned with the samples: the
+    g-mixture of non-target distributions nt (0 at the label), its row sum,
+    sum_k g_k sum_j q_kj log q_kj, the h-mixtures of the teachers' target and
+    rest probabilities, and sum_k h_k (q_t log q_t + q_rest log q_rest).
     """
-
-    nt: np.ndarray        # (n, C) g-mixture of non-target distributions, 0 at the label
-    nt_sum: np.ndarray    # (n,) row sums of nt
-    nt_const: np.ndarray  # (n,) sum_k g_k sum_j q_kj log q_kj
-    t: np.ndarray         # (n,) h-mixture of the teachers' target probability
-    rest: np.ndarray      # (n,) h-mixture of the teachers' rest probability
-    t_const: np.ndarray   # (n,) sum_k h_k (q_t log q_t + q_rest log q_rest)
-
-    @classmethod
-    def from_logits(cls, teacher_logits, labels, g, h, tau: float) -> "KDTargets":
-        """Mix K teachers' (n, C) logits with weights g (non-target) and h
-        (target), each one (K,) vector or one row per sample (n, K)."""
-        nt = np.zeros(np.shape(teacher_logits[0]))
-        nt_const, t, rest, t_const = np.zeros((4, len(nt)))
-        lin = label_index(labels, nt.shape[1])
-        for g_k, h_k, logits in zip(np.atleast_2d(g).T, np.atleast_2d(h).T, teacher_logits):
-            ls, q, lq_t, lq_rest = _log_parts(logits, lin, tau)
-            q_t, q_rest = np.exp(lq_t), np.exp(lq_rest)
-            nt += g_k[:, None] * q
-            nt_const += g_k * (q * ls).sum(axis=1)
-            t += h_k * q_t
-            rest += h_k * q_rest
-            t_const += h_k * (q_t * lq_t + q_rest * lq_rest)
-        return cls(nt, nt.sum(axis=1), nt_const, t, rest, t_const)
-
-    def take(self, idx) -> "KDTargets":
-        return KDTargets(*(a[idx] for a in vars(self).values()))
+    n, c = np.shape(teacher_logits[0])
+    mixed = np.zeros((n, c + 5))
+    nt, (nt_sum, nt_const, t, rest, t_const) = mixed[:, :-5], mixed[:, -5:].T
+    lin = label_index(labels, c)
+    for g_k, h_k, logits in zip(np.atleast_2d(g).T, np.atleast_2d(h).T, teacher_logits):
+        ls, q, lq_t, lq_rest = _log_parts(logits, lin, tau)
+        q_t, q_rest = np.exp(lq_t), np.exp(lq_rest)
+        nt += g_k[:, None] * q
+        nt_const += g_k * (q * ls).sum(axis=1)
+        t += h_k * q_t
+        rest += h_k * q_rest
+        t_const += h_k * (q_t * lq_t + q_rest * lq_rest)
+    nt.sum(axis=1, out=nt_sum)
+    return mixed
 
 
-def kd_targets(ensemble: TeacherEnsemble | None, clients: list[tuple[np.ndarray, np.ndarray]],
-               cfg: KDConfig) -> list[KDTargets | None]:
+def kd_targets(ensemble: TeacherEnsemble, clients: list[tuple[np.ndarray, np.ndarray]],
+               cfg: KDConfig) -> list[np.ndarray | None]:
     """Mixed targets of each (features, labels) client, one g/h row each, from
     one pass per teacher over all their rows (teachers still forward client by
-    client). None per client when distillation is off (no teachers, or gamma
-    and beta both zero)."""
-    if (ensemble is None or ensemble.k == 0 or (cfg.gamma == 0 and cfg.beta == 0)
-            or not clients):
+    client): each client's rows of one `mix_teachers` array. None per client
+    when distillation is off (no teachers, or gamma and beta both zero)."""
+    if ensemble.k == 0 or (cfg.gamma == 0 and cfg.beta == 0) or not clients:
         return [None] * len(clients)
     if ensemble.g is None or ensemble.h is None:
         raise ValueError("ensemble weights not set; call with_weights() first")
     sizes = [len(labels) for _, labels in clients]
     g, h = (np.repeat(np.atleast_2d(w), sizes, axis=0) for w in (ensemble.g, ensemble.h))
     logits = [np.concatenate([forward(t, x) for x, _ in clients]) for t in ensemble.teachers]
-    mixed = KDTargets.from_logits(logits, np.concatenate([y for _, y in clients]), g, h, cfg.tau)
-    return [mixed.take(slice(end - n, end)) for n, end in zip(sizes, np.cumsum(sizes))]
+    mixed = mix_teachers(logits, np.concatenate([y for _, y in clients]), g, h, cfg.tau)
+    return [mixed[end - n:end] for n, end in zip(sizes, np.cumsum(sizes))]
 
 
 def round_targets(ensemble: TeacherEnsemble, clients: list[Dataset],
                   dists: list[ClassDistribution], cfg: KDConfig):
     """The teacher side of a round, once for all its non-empty clients: the ensemble
-    with a g/h row per client (weights already set are kept), and each client's targets."""
-    if ensemble.k and ensemble.g is None:
-        ensemble = ensemble.with_weights(dists, cfg)
+    weighted for those clients (a g/h row each), and each client's targets."""
+    ensemble = ensemble.with_weights(dists, cfg)
     return ensemble, kd_targets(ensemble, [(c.features, c.labels) for c in clients], cfg)
 
 
-def _kd_terms(logits, lin, targets: KDTargets, tau: float, gamma: float, beta: float):
+def _kd_terms(logits, lin, targets: np.ndarray, tau: float, gamma: float, beta: float):
     """Per-sample gamma * NCKD + beta * TCKD and its student-logit gradient,
-    without the tau**2 factor or batch mean; `lin` is the labels'
-    `label_index`. The NCKD gradient is
-    sum(nt) * r - nt. The TCKD gradient is c * (r - onehot(label)) with
+    without the tau**2 factor or batch mean; `targets` are the samples' rows
+    of `mix_teachers` and `lin` the labels' `label_index`. The NCKD gradient
+    is sum(nt) * r - nt. The TCKD gradient is c * (r - onehot(label)) with
     c = t * p_rest - rest * p_t, probability products only, so it stays
     bounded when the student saturates."""
+    nt, (nt_sum, nt_const, t, rest, t_const) = targets[:, :-5], targets[:, -5:].T
     ls, r, lp_t, lp_rest = _log_parts(logits, lin, tau)
     p_t, p_rest = np.exp(lp_t), np.exp(lp_rest)
-    nckd = targets.nt_const - (targets.nt * ls).sum(axis=1)
-    tckd = targets.t_const - targets.t * lp_t - targets.rest * lp_rest
-    c = targets.t * p_rest - targets.rest * p_t
-    dz = (gamma * targets.nt_sum + beta * c)[:, None] * r - gamma * targets.nt
+    nckd = nt_const - (nt * ls).sum(axis=1)
+    tckd = t_const - t * lp_t - rest * lp_rest
+    c = t * p_rest - rest * p_t
+    dz = (gamma * nt_sum + beta * c)[:, None] * r - gamma * nt
     dz.reshape(-1)[lin] -= beta * c
     return gamma * nckd + beta * tckd, dz / tau
 
@@ -243,7 +234,7 @@ def _kd_loss(student_logits, teacher_logits, targets, weights, tau, gamma, beta)
         raise ValueError("need one weight per teacher")
     if not teachers:
         return 0.0
-    mixed = KDTargets.from_logits(teachers, targets, w, w, tau)
+    mixed = mix_teachers(teachers, targets, w, w, tau)
     per_sample = _kd_terms(s, lin, mixed, tau, gamma, beta)[0]
     return float(tau * tau * (per_sample.sum() / len(per_sample)))
 
@@ -263,8 +254,8 @@ def tckd_loss(student_logits, teacher_logits, targets, h, tau: float) -> float:
 
 
 def total_loss(params: ModelParams, features: np.ndarray, labels: np.ndarray,
-               ensemble: TeacherEnsemble | None, cfg: KDConfig,
-               targets: KDTargets | None = None,
+               ensemble: TeacherEnsemble, cfg: KDConfig,
+               targets: np.ndarray | None = None,
                out: ModelParams | None = None) -> tuple[float, ModelParams]:
     """Cross-entropy plus gamma * non-target KD plus beta * target KD.
 
@@ -282,7 +273,7 @@ def total_loss(params: ModelParams, features: np.ndarray, labels: np.ndarray,
     if targets is None:
         targets = kd_targets(ensemble, [(features, labels)], cfg)[0]
     if targets is not None:
-        factor = cfg.tau * cfg.tau if cfg.tau_sq else 1.0
+        factor = cfg.tau * cfg.tau
         per_sample, dz = _kd_terms(logits, lin, targets, cfg.tau,
                                    cfg.gamma * factor, cfg.beta * factor)
         loss += float(per_sample.sum() / len(per_sample))

@@ -21,7 +21,7 @@ import numpy as np
 from .config import (MODES, SEED_RANDOM_TEACHERS, SEED_SEQUENCE, SEED_SHUFFLE, TrainConfig,
                      derive_seed)
 from .data import ClassDistribution, Dataset, class_distribution
-from .distill import KDTargets, TeacherEnsemble, round_targets, total_loss
+from .distill import TeacherEnsemble, round_targets, total_loss
 from .metrics import EvalTrace, consistency, evaluate, forgetting_measure
 from .model import ModelParams, label_index, sgd_step, snapshot
 from .selection import SelectionInstance, greedy_select, random_select
@@ -115,12 +115,12 @@ def collect_teachers(state: FederationState, k: int, metric: str,
 
 
 def local_train(model: ModelParams, client: Dataset, ensemble: TeacherEnsemble,
-                cfg: TrainConfig, rng: np.random.Generator, targets: KDTargets | None = None,
+                cfg: TrainConfig, rng: np.random.Generator, targets: np.ndarray | None = None,
                 loss_sink: list | None = None) -> ModelParams:
     """E epochs of mini-batch SGD on one client, KD-guided when teachers exist.
 
     The dataset is reshuffled every epoch and the last partial batch is kept.
-    `targets` are this client's share of `round_targets`; without them the
+    `targets` are this client's rows of `round_targets`; without them the
     teacher side is computed here, as for a round of this one client.
     Training runs on `snapshot(model)`, the visit's one parameter copy,
     updated in place step by step with one gradient buffer; the returned
@@ -139,11 +139,11 @@ def local_train(model: ModelParams, client: Dataset, ensemble: TeacherEnsemble,
     for _ in range(cfg.E):
         order = rng.permutation(n)
         features, labels = client.features[order], client.labels[order]
-        epoch_targets = targets and targets.take(order)
+        epoch_targets = None if targets is None else targets[order]
         for start in range(0, n, cfg.batch_size):
             batch = slice(start, start + cfg.batch_size)
             loss, _ = total_loss(params, features[batch], labels[batch], ensemble, cfg.kd,
-                                 epoch_targets and epoch_targets.take(batch), out=grads)
+                                 None if targets is None else epoch_targets[batch], out=grads)
             # a step whose gradient is not finite fails in sgd_step below,
             # before its loss counts
             if loss_sink is not None and np.isfinite(grads.flat).all():
@@ -224,9 +224,11 @@ def weighted_average(params_list: list[ModelParams], weights) -> ModelParams:
     if not params_list:
         raise ValueError("nothing to average")
     w = np.asarray(weights, dtype=np.float64)
-    if len(w) != len(params_list) or (w < 0).any() or w.sum() <= 0:
-        raise ValueError("weights must be non-negative with a positive sum")
-    w = w / w.sum()
+    with np.errstate(over="ignore"):
+        total = w.sum()  # not finite when a weight is nan or inf, or the sum overflows
+    if len(w) != len(params_list) or (w < 0).any() or not 0 < total < np.inf:
+        raise ValueError("weights must be finite and non-negative with a positive, finite sum")
+    w = w / total
     avg = np.zeros_like(params_list[0].flat)
     for coeff, params in zip(w, params_list):
         avg += coeff * params.flat

@@ -11,7 +11,6 @@ from .data import (Dataset, Layout, class_distribution, generate_synthetic, idx_
                    load_idx, partition_exdir, read_idx, split_train_test,
                    synthetic_labels)
 from .engine import EvalContext, FederationState, RoundRecord, run_round
-from .metrics import EvalTrace
 from .model import ModelParams, init_params
 
 
@@ -19,7 +18,6 @@ from .model import ModelParams, init_params
 class ExperimentResult:
     records: list[RoundRecord]
     final_model: ModelParams
-    trace: EvalTrace
     round_models: list[ModelParams] | None = None
 
 
@@ -92,5 +90,5 @@ def run_experiment(cfg: ExperimentConfig,
         records.append(record)
         if keep_round_models:
             round_models.append(state.global_model)
-    return ExperimentResult(records, state.global_model, eval_ctx.trace,
+    return ExperimentResult(records, state.global_model,
                             round_models if keep_round_models else None)

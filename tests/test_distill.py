@@ -4,8 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sfedkd.data import ClassDistribution, Dataset, class_distribution
-from sfedkd.distill import (METRICS, KDConfig, KDTargets, TeacherEnsemble, discrepancy,
-                            kd_targets, nckd_loss, round_targets, tckd_loss,
+from sfedkd.distill import (METRICS, KDConfig, TeacherEnsemble, discrepancy, kd_targets,
+                            mix_teachers, nckd_loss, round_targets, tckd_loss,
                             teacher_weights, total_loss)
 from sfedkd.model import (ModelParams, backprop, cross_entropy_grad, forward,
                           forward_cached, init_params)
@@ -351,7 +351,6 @@ def test_total_loss_reduces_to_cross_entropy():
     ens = make_ensemble().with_weights(dist(0.2, 0.3, 0.5), KDConfig())
 
     for ensemble, cfg in [
-        (None, KDConfig()),
         (TeacherEnsemble.empty(), KDConfig()),
         (ens, KDConfig(gamma=0.0, beta=0.0)),
     ]:
@@ -477,12 +476,29 @@ def test_round_targets_slices_match_per_client_targets(k, cfg):
         own = ens.with_weights(d, cfg)
         assert weighted.g[m].tobytes() == own.g.tobytes()
         assert weighted.h[m].tobytes() == own.h.tobytes()
-        want = KDTargets.from_logits([forward(t, client.features) for t in ens.teachers],
-                                     client.labels, own.g, own.h, cfg.tau)
+        want = mix_teachers([forward(t, client.features) for t in ens.teachers],
+                            client.labels, own.g, own.h, cfg.tau)
         (alone,) = kd_targets(own, [(client.features, client.labels)], cfg)
-        for name, value in vars(want).items():
-            assert getattr(targets[m], name).tobytes() == value.tobytes(), name
-            assert getattr(alone, name).tobytes() == value.tobytes(), name
+        assert targets[m].shape == (len(client), c + 5)
+        assert targets[m].tobytes() == want.tobytes()
+        assert alone.tobytes() == want.tobytes()
+
+
+def test_round_targets_weight_the_ensemble_for_the_clients_given():
+    # an ensemble already weighted for one distribution is weighted again,
+    # one g/h row per client, and mixes as the unweighted ensemble does
+    rng = np.random.default_rng(3)
+    ens = make_ensemble()
+    clients = [Dataset(rng.standard_normal((n, 4)), rng.integers(0, 3, n), 3) for n in (5, 2)]
+    dists = [class_distribution(cl) for cl in clients]
+    preset = ens.with_weights(dist(0.2, 0.3, 0.5), KDConfig())
+    got_ens, got = round_targets(preset, clients, dists, KDConfig())
+    want_ens, want = round_targets(ens, clients, dists, KDConfig())
+    assert got_ens.g.shape == got_ens.h.shape == (2, 2)
+    assert got_ens.g.tobytes() == want_ens.g.tobytes()
+    assert got_ens.h.tobytes() == want_ens.h.tobytes()
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -499,13 +515,12 @@ def test_kd_targets_from_logits_match_row_index_oracle_bytes(n, c, k, tau, scale
         logits = [np.asfortranarray(z) for z in logits]
     labels = rng.integers(0, c, n)
     g, h = (rng.dirichlet(np.ones(k), n if per_row else None) for _ in range(2))
-    got = KDTargets.from_logits(logits, labels, g, h, tau)
+    got = mix_teachers(logits, labels, g, h, tau)
     nt, nt_const, t, rest, t_const = kd_targets_from_logits_oracle(logits, labels, g, h, tau)
-    want = {"nt": nt, "nt_sum": nt.sum(axis=1), "nt_const": nt_const, "t": t, "rest": rest,
-            "t_const": t_const}
-    assert vars(got).keys() == want.keys()
-    for name, value in want.items():
-        assert getattr(got, name).tobytes() == value.tobytes(), name
+    assert got.shape == (n, c + 5)
+    assert got[:, :c].tobytes() == nt.tobytes()
+    for col, value in enumerate([nt.sum(axis=1), nt_const, t, rest, t_const]):
+        assert got[:, c + col].tobytes() == value.tobytes(), col
 
 
 def test_round_targets_off_without_teachers_or_coefficients():

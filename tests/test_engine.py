@@ -198,7 +198,7 @@ def test_local_train_first_step_loss_matches_total_loss_with_teachers():
     expected, _ = total_loss(state.global_model, client.features[idx], client.labels[idx],
                              ens.with_weights(class_distribution(client), cfg.kd), cfg.kd)
     assert sink[0] > total_loss(state.global_model, client.features[idx],
-                                client.labels[idx], None, cfg.kd)[0]
+                                client.labels[idx], TeacherEnsemble.empty(), cfg.kd)[0]
     assert abs(sink[0] - expected) <= 1e-12 * abs(expected)
 
 
@@ -219,8 +219,7 @@ def local_train_cases(draw):
                                [ClassDistribution(rng.dirichlet(np.ones(c))) for _ in range(k)],
                                list(range(k)))
     gamma, beta = draw(st.sampled_from([(0.0, 0.0), (1.0, 3.0), (0.5, 0.0), (0.0, 2.0)]))
-    kd = KDConfig(tau=draw(st.sampled_from([1.0, 4.0])), gamma=gamma, beta=beta,
-                  tau_sq=draw(st.booleans()))
+    kd = KDConfig(tau=draw(st.sampled_from([1.0, 4.0])), gamma=gamma, beta=beta)
     cfg = small_cfg(E=draw(st.sampled_from([1, 3])),
                     batch_size=draw(st.one_of(st.integers(1, 16), st.integers(n, n + 8))),
                     eta=draw(st.sampled_from([0.05, 0.5])),
@@ -504,6 +503,15 @@ def test_weighted_average_validation():
         weighted_average([], [])
     with pytest.raises(ValueError):
         weighted_average([p], [0])
+
+
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, 1.0], [1e308, 1e308]])
+def test_weighted_average_rejects_non_finite_weights(weights):
+    # rejected before the division, with no numpy warning; a sum that
+    # overflows would scale every weight to 0
+    p = init_params((2, 2), seed=0)
+    with pytest.raises(ValueError, match="weights must be finite"):
+        weighted_average([p, p], weights)
 
 
 def test_fedavg_round_runs_and_averages():
