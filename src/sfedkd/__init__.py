@@ -11,9 +11,9 @@ from .distill import (KDConfig, TeacherEnsemble, discrepancy, nckd_loss,
 from .engine import (FederationState, RoundRecord, TrainConfig,
                      collect_teachers, local_train, run_round, sample_sequence,
                      weighted_average)
-from .metrics import EvalTrace, consistency, evaluate, forgetting_measure
-from .model import (ModelParams, cross_entropy, forward, init_params,
-                    load_params, save_params, sgd_step, snapshot, softmax_temp)
+from .metrics import consistency, evaluate, forgetting_measure
+from .model import (ModelParams, forward, init_params, load_params, save_params,
+                    sgd_step, snapshot)
 from .selection import (SelectionInstance, brute_force_select, greedy_select,
                         random_select)
 

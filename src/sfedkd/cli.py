@@ -18,12 +18,13 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .config import (METRICS, MODES, ConfigError, ExperimentConfig, apply_overrides,
-                     load_raw_config, resolve_config)
+from .config import (METRICS, MODES, ConfigError, ExperimentConfig, _read_utf8,
+                     apply_overrides, load_raw_config, resolve_config)
 from .data import ClassDistribution
 from .experiment import build_dataset, initial_state, run_experiment
 from .model import save_params
@@ -35,11 +36,9 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 
-def _load_config(path: str, overrides: list[str]) -> ExperimentConfig:
-    raw = load_raw_config(path)
-    if overrides:
-        raw = apply_overrides(raw, overrides)
-    return resolve_config(raw)
+def _load_raw(args) -> dict:
+    """The config file of `args` with its `--set` overrides applied."""
+    return apply_overrides(load_raw_config(args.config), args.set or [])
 
 
 def _write_rounds_jsonl(path: Path, records) -> None:
@@ -70,12 +69,12 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args.config, args.set or [])
+    cfg = resolve_config(_load_raw(args))
     result = run_experiment(cfg)
     out_dir = Path(cfg.output.dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "config.resolved.json", "w") as fh:
-        json.dump(cfg.to_resolved_dict(), fh, indent=2)
+        json.dump(asdict(cfg), fh, indent=2)
         fh.write("\n")
     _write_rounds_jsonl(out_dir / "rounds.jsonl", result.records)
     summary = _summary_row(cfg, result.records)
@@ -114,9 +113,7 @@ def _ablation_cells(axis: str, cfg: ExperimentConfig):
 
 
 def cmd_ablate(args) -> int:
-    raw = load_raw_config(args.config)
-    if args.set:
-        raw = apply_overrides(raw, args.set)
+    raw = _load_raw(args)
     base_cfg = resolve_config(raw)
     seeds = args.seeds or base_cfg.ablate.seeds
     cells = _ablation_cells(args.axis, base_cfg)
@@ -148,19 +145,18 @@ def cmd_ablate(args) -> int:
 
 def _read_distributions_csv(path) -> list[ClassDistribution]:
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                values = [float(p) for p in parts]
-            except ValueError:
-                if rows:
-                    raise ConfigError("csv", f"non-numeric row: {line!r}")
-                continue  # tolerate one header line
-            rows.append(values)
+    for line in _read_utf8(path).split("\n"):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        try:
+            values = [float(p) for p in parts]
+        except ValueError:
+            if rows:
+                raise ConfigError("csv", f"non-numeric row: {line!r}")
+            continue  # tolerate one header line
+        rows.append(values)
     if not rows:
         raise ConfigError("csv", "no distribution rows found")
     width = len(rows[0])
@@ -191,7 +187,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_inspect_partition(args) -> int:
-    cfg = _load_config(args.config, args.set or [])
+    cfg = resolve_config(_load_raw(args))
     train, _ = build_dataset(cfg)
     state = initial_state(cfg, train)
     for n, (part, dist) in enumerate(zip(state.client_datasets, state.client_dists)):

@@ -18,7 +18,7 @@ import json
 import math
 import operator
 import types
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -45,7 +45,7 @@ def derive_seed(master_seed: int, *tags: int) -> int:
 
 
 class ConfigError(ValueError):
-    """Invalid configuration; `field` is the dotted path of the bad entry."""
+    """Invalid configuration; `field` is the dotted path of the bad entry, or its file."""
 
     def __init__(self, field_path: str, message: str):
         super().__init__(f"{field_path}: {message}")
@@ -221,20 +221,21 @@ class ExperimentConfig(_Block):
     def hidden(self) -> list[int]:
         return self.model.hidden
 
-    def to_resolved_dict(self) -> dict:
-        """Fully materialized config (all defaults and derived seeds filled)."""
-        return asdict(self)
 
-
-DEFAULTS: dict = asdict(ExperimentConfig())
+def _read_utf8(path) -> str:
+    """The text of a UTF-8 file; other bytes are a ConfigError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(str(path), f"not UTF-8 text ({exc})") from None
 
 
 def load_raw_config(path) -> dict:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("<root>", f"not valid JSON ({exc})") from exc
+    try:
+        raw = json.loads(_read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(str(path), f"not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be a JSON object")
     return raw

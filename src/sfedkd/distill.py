@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import METRICS, KDConfig  # METRICS stays importable from here
+from .config import KDConfig
 from .data import ClassDistribution, Dataset, _check_distributions, _proportions
 from .model import (ModelParams, backprop, cross_entropy_grad,
                     forward, forward_cached, label_index)

@@ -22,7 +22,7 @@ from .config import (MODES, SEED_RANDOM_TEACHERS, SEED_SEQUENCE, SEED_SHUFFLE, T
                      derive_seed)
 from .data import ClassDistribution, Dataset, class_distribution
 from .distill import TeacherEnsemble, round_targets, total_loss
-from .metrics import EvalTrace, consistency, evaluate, forgetting_measure
+from .metrics import consistency, evaluate, forgetting_measure
 from .model import ModelParams, label_index, sgd_step, snapshot
 from .selection import SelectionInstance, greedy_select, random_select
 
@@ -73,7 +73,7 @@ class EvalContext:
 
     dataset: Dataset
     granularity: str = "round"  # "round" or "client"
-    trace: EvalTrace = field(default_factory=EvalTrace)
+    history: list[np.ndarray] = field(default_factory=list)  # class-wise, oldest first
 
 
 def sample_sequence(state: FederationState, m: int) -> list[int]:
@@ -93,7 +93,7 @@ def collect_teachers(state: FederationState, k: int, metric: str,
     round degenerates to plain sequential training. `solver` is a solver of
     `config.MODES`: "greedy", or any other for a seeded random pick.
     """
-    if state.round == 1 or not state.prev_models:
+    if not state.prev_models:
         return TeacherEnsemble.empty()
     positions = [m for m, cid in enumerate(state.prev_sequence)
                  if not state.client_dists[cid].empty]
@@ -152,15 +152,14 @@ def local_train(model: ModelParams, client: Dataset, ensemble: TeacherEnsemble,
     return params
 
 
-def _evaluate_round(model, record, eval_ctx, tag):
+def _evaluate_round(model, record, eval_ctx):
     top1, classwise = evaluate(model, eval_ctx.dataset)
-    eval_ctx.trace.add(tag, classwise, top1)
+    eval_ctx.history.append(classwise)
     record.top1 = top1
     record.classwise = [float(v) for v in classwise]
-    if len(eval_ctx.trace) >= 2:
-        record.consistency = consistency(eval_ctx.trace.checkpoints[-2][1],
-                                         eval_ctx.trace.checkpoints[-1][1])
-        record.forgetting = forgetting_measure(eval_ctx.trace)
+    if len(eval_ctx.history) >= 2:
+        record.consistency = consistency(*eval_ctx.history[-2:])
+        record.forgetting = forgetting_measure(eval_ctx.history)
 
 
 def run_round(state: FederationState, cfg: TrainConfig,
@@ -202,7 +201,7 @@ def run_round(state: FederationState, cfg: TrainConfig,
             model = local_train(state.global_model if average else model, client, ensemble,
                                 cfg, rng, next(targets))
             if per_visit:
-                _evaluate_round(model, record, eval_ctx, f"r{r}m{m}")
+                _evaluate_round(model, record, eval_ctx)
         if len(client) or not average:
             kept.append(model)
     if average:
@@ -212,7 +211,7 @@ def run_round(state: FederationState, cfg: TrainConfig,
             record.note = "all sampled clients empty; round skipped"
         kept = []
     if eval_ctx is not None and not per_visit:
-        _evaluate_round(model, record, eval_ctx, f"r{r}")
+        _evaluate_round(model, record, eval_ctx)
 
     new_state = replace(state, round=r + 1, global_model=model,
                         prev_sequence=seq, prev_models=kept)

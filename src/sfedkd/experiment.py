@@ -33,6 +33,10 @@ def _layout(cfg: ExperimentConfig, labels: np.ndarray, c_total: int) -> Layout:
     return Layout(train_rows[order], bounds, test_rows)
 
 
+def _too_big(field: str, what: str) -> ConfigError:
+    return ConfigError(field, f"{what} float64 values are too many to allocate")
+
+
 def build_dataset(cfg: ExperimentConfig) -> tuple[Dataset, Dataset | None]:
     """Materialize the (train, test) pair described by the dataset block.
 
@@ -40,19 +44,18 @@ def build_dataset(cfg: ExperimentConfig) -> tuple[Dataset, Dataset | None]:
     partition, and `initial_state` takes its clients from there."""
     ds = cfg.dataset
     if ds.kind == "synthetic":
-        def too_big(field):  # the labels fit once n_per_class does; then features overflow
-            return ConfigError(field, f"{ds.classes} classes x {ds.n_per_class} x "
-                               f"{ds.features} float64 values are too many to allocate")
+        # the labels fit once n_per_class does; then features overflow
+        size = f"{ds.classes} classes x {ds.n_per_class} x {ds.features}"
         try:
             labels = synthetic_labels(ds.n_per_class, ds.classes)
         except (MemoryError, ValueError):
-            raise too_big("dataset.n_per_class") from None
+            raise _too_big("dataset.n_per_class", size) from None
         layout = _layout(cfg, labels, ds.classes)
         try:
             return generate_synthetic(ds.n_per_class, ds.classes, ds.features, ds.spread,
                                       ds.seed, name=ds.name, layout=layout)
         except (MemoryError, ValueError):
-            raise too_big("dataset.features") from None
+            raise _too_big("dataset.features", size) from None
     pixels, labels, c_total = read_idx(ds.images, ds.labels)
     train, test = _layout(cfg, labels, c_total).fill(
         idx_blocks(pixels), labels, c_total, pixels.shape[1], ds.name)
@@ -66,7 +69,10 @@ def initial_state(cfg: ExperimentConfig, train: Dataset) -> FederationState:
     parts = train.clients()
     dists = [class_distribution(p) for p in parts]
     dims = (train.n_features, *cfg.hidden, train.c_total)
-    model = init_params(dims, derive_seed(cfg.master_seed, SEED_INIT))
+    try:
+        model = init_params(dims, derive_seed(cfg.master_seed, SEED_INIT))
+    except (MemoryError, ValueError):
+        raise _too_big("model.hidden", f"the {' -> '.join(map(str, dims))} model's") from None
     return FederationState(
         round=1, global_model=model, client_datasets=parts,
         client_dists=dists, master_seed=cfg.master_seed,

@@ -6,25 +6,10 @@ downstream reductions skip those entries instead of counting them as zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .data import Dataset
 from .model import ModelParams, forward
-
-
-@dataclass
-class EvalTrace:
-    """Ordered accuracy checkpoints: (tag, class-wise vector, top-1)."""
-
-    checkpoints: list[tuple[str, np.ndarray, float]] = field(default_factory=list)
-
-    def add(self, tag: str, classwise: np.ndarray, top1: float) -> None:
-        self.checkpoints.append((tag, np.asarray(classwise, dtype=np.float64), float(top1)))
-
-    def __len__(self) -> int:
-        return len(self.checkpoints)
 
 
 def evaluate(params: ModelParams, dataset: Dataset) -> tuple[float, np.ndarray]:
@@ -62,16 +47,16 @@ def consistency(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b / (na * nb))
 
 
-def forgetting_measure(trace: EvalTrace) -> float:
+def forgetting_measure(history: list[np.ndarray]) -> float:
     """Mean over classes of the peak historical accuracy minus the final one.
 
-    Uses all checkpoints but the last as history; classes without finite
-    entries are skipped. Negative when the final model beats every earlier
-    peak on average.
+    `history` holds the class-wise accuracy vectors, oldest first; all but
+    the last are the past. Classes without finite entries are skipped.
+    Negative when the final model beats every earlier peak on average.
     """
-    if len(trace) < 2:
+    if len(history) < 2:
         raise ValueError("need at least two checkpoints")
-    hist = np.stack([cw for _, cw, _ in trace.checkpoints])
+    hist = np.asarray(history, dtype=np.float64)
     past, final = hist[:-1], hist[-1]
     keep = ~(np.isnan(final) | np.isnan(past).all(axis=0))
     if not keep.any():

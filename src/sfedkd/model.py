@@ -142,26 +142,12 @@ def backprop(params: ModelParams, cache, dlogits: np.ndarray,
     return out if out is not None else ModelParams(grads_w, grads_b, flat, params.dims)
 
 
-def log_softmax(logits: np.ndarray, tau: float = 1.0) -> np.ndarray:
-    """Row-wise log softmax of logits/tau with max-subtraction."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log softmax with max-subtraction."""
     z = np.asarray(logits, dtype=np.float64)
-    if tau != 1.0:  # x / 1.0 is x, bit for bit
-        z = z / tau
     z = z - z.max(axis=-1, keepdims=True)
     z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
     return z
-
-
-def softmax_temp(logits: np.ndarray, tau: float) -> np.ndarray:
-    """Temperature softmax: exp(z_c/tau) / sum_j exp(z_j/tau), stable."""
-    return np.exp(log_softmax(logits, tau))
-
-
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-likelihood of the labels under softmax(logits)."""
-    return cross_entropy_grad(logits, labels)[0]
 
 
 def _check_labels(labels: np.ndarray, n_classes: int) -> None:
@@ -192,7 +178,7 @@ def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray,
     logits = np.atleast_2d(np.ascontiguousarray(logits, dtype=np.float64))  # `lin` is C-order
     if lin is None:
         lin = label_index(labels, logits.shape[1])
-    logp = log_softmax(logits, 1.0)
+    logp = log_softmax(logits)
     flat = logp.reshape(-1)
     loss = float(-flat[lin].sum() / len(lin))
     dlogits = np.exp(logp, out=logp)

@@ -154,9 +154,9 @@ def evaluate_oracle(params: ModelParams, dataset) -> tuple[float, np.ndarray]:
     return float(correct.mean()), classwise
 
 
-def forgetting_measure_oracle(trace) -> float:
+def forgetting_measure_oracle(history) -> float:
     """Mean peak-minus-final drop, one np.nanmax per kept class."""
-    hist = np.stack([cw for _, cw, _ in trace.checkpoints])
+    hist = np.stack(history)
     final = hist[-1]
     drops = []
     for c in range(hist.shape[1]):

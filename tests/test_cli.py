@@ -4,7 +4,7 @@ import struct
 import subprocess
 import sys
 import types
-from dataclasses import fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +13,8 @@ import pytest
 from data_oracle import build_clients_oracle
 from sfedkd import cli
 from sfedkd.cli import main
-from sfedkd.config import (DEFAULTS, ConfigError, ExperimentConfig,
-                           apply_overrides, load_raw_config, resolve_config)
+from sfedkd.config import (ConfigError, ExperimentConfig, apply_overrides,
+                           load_raw_config, resolve_config)
 from sfedkd.model import load_params
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -96,10 +96,24 @@ def test_run_rejects_unknown_field(tmp_path, capsys):
     assert "train.learning_rate" in capsys.readouterr().err
 
 
-def test_run_rejects_invalid_json(tmp_path):
+def test_run_rejects_invalid_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["run", str(path)]) == 2
+    assert f"config error: {path}: not valid JSON (Expecting property name" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb,name,body", [
+    ("run", "config.json", b"\xff\xfe{}"),
+    ("select", "dists.csv", b"\xff\xfe0.5,0.5\n"),
+])
+def test_undecodable_file_is_a_config_error_naming_it(tmp_path, capsys, verb, name, body):
+    path = tmp_path / name
+    path.write_bytes(body)
+    assert main([verb, str(path)] + (["--k", "1"] if verb == "select" else [])) == 2
+    assert f"config error: {path}: not UTF-8 text ('utf-8' codec can't decode byte 0xff" in \
+        capsys.readouterr().err
 
 
 def test_run_rejects_truncated_idx_file_naming_it(tmp_path, capsys):
@@ -362,7 +376,7 @@ def test_schema_defaults_match_config_defaults():
                         for rule, value in f.metadata.items()}  # nonempty=True == minItems 1
             assert {k: stated[k] for k in SCHEMA_RULES.values() if k in stated} == declared, where
 
-    check(schema, DEFAULTS, ExperimentConfig, "")
+    check(schema, asdict(ExperimentConfig()), ExperimentConfig, "")
 
 
 def test_config_validation_paths():

@@ -3,12 +3,13 @@ span fields, and the errors a bad block, a non-finite number or a half IDX
 test pair produce."""
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from sfedkd.cli import _ablation_cells, main
-from sfedkd.config import DEFAULTS, ConfigError, apply_overrides, resolve_config
+from sfedkd.config import ConfigError, ExperimentConfig, apply_overrides, resolve_config
 from sfedkd.data import PartitionSpec
 from sfedkd.distill import KDConfig
 from sfedkd.engine import TrainConfig
@@ -112,7 +113,7 @@ IDX_PATHS = {"dataset.images", "dataset.labels", "dataset.test_images", "dataset
 
 
 def test_rejection_table_covers_every_field():
-    assert {path for path, _ in REJECTED} | IDX_PATHS == set(leaf_paths(DEFAULTS))
+    assert {path for path, _ in REJECTED} | IDX_PATHS == set(leaf_paths(asdict(ExperimentConfig())))
 
 
 @pytest.mark.parametrize("raw,field", [
@@ -150,7 +151,7 @@ def test_non_finite_number_rejected_with_its_path(tmp_path, capsys, override):
 
 
 def test_int_for_float_field_written_back_as_float():
-    resolved = resolve_config({"train": {"eta": 1, "kd": {"tau": 2}}}).to_resolved_dict()
+    resolved = asdict(resolve_config({"train": {"eta": 1, "kd": {"tau": 2}}}))
     assert json.dumps(resolved["train"]["eta"]) == "1.0"
     assert json.dumps(resolved["train"]["kd"]["tau"]) == "2.0"
 
@@ -245,6 +246,18 @@ def test_oversized_synthetic_features_exit_2_naming_features(tmp_path, capsys):
     assert "config error: dataset.features: 10 classes x 200 x 1000000000000000000 float64 " \
         "values are too many to allocate" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_oversized_model_exits_2_naming_hidden(tmp_path, capsys):
+    # as above: 8 x 10**12 weights raise MemoryError, 8 x 10**18 ValueError,
+    # both before numpy allocates anything
+    for width in (10**12, 10**18):
+        assert main(["run", str(ROOT / "configs" / "synthetic_small.json"),
+                     "--set", f"model.hidden=[{width}]",
+                     "--set", f"output.dir={tmp_path}"]) == 2
+        assert f"config error: model.hidden: the 8 -> {width} -> 10 model's float64 " \
+            "values are too many to allocate" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("seeds", ["x", "1,,2", "1,-2", ""])

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sfedkd.config import METRICS
 from sfedkd.data import ClassDistribution, Dataset, class_distribution
-from sfedkd.distill import (METRICS, KDConfig, TeacherEnsemble, discrepancy, kd_targets,
+from sfedkd.distill import (KDConfig, TeacherEnsemble, discrepancy, kd_targets,
                             mix_teachers, nckd_loss, round_targets, tckd_loss,
                             teacher_weights, total_loss)
 from sfedkd.model import (ModelParams, backprop, cross_entropy_grad, forward,

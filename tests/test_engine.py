@@ -13,7 +13,6 @@ from sfedkd.engine import (SEED_SHUFFLE, EvalContext, FederationState,
                            TrainConfig, collect_teachers, derive_seed,
                            local_train, run_round, sample_sequence,
                            weighted_average)
-from sfedkd.metrics import EvalTrace
 from sfedkd.model import (ModelParams, cross_entropy_grad, forward_cached,
                           backprop, init_params, params_equal, sgd_step,
                           snapshot)
@@ -405,18 +404,18 @@ def test_run_round_determinism():
 
 def test_run_round_evaluates_with_context():
     data = generate_synthetic(10, 4, 3, 1.0, seed=5)
-    ctx = EvalContext(data, "round", EvalTrace())
+    ctx = EvalContext(data, "round")
     state, record = run_round(small_state(), small_cfg(), ctx)
     assert record.top1 is not None
     assert len(record.classwise) == 4
-    assert len(ctx.trace) == 1
-    ctx_client = EvalContext(data, "client", EvalTrace())
+    assert len(ctx.history) == 1
+    ctx_client = EvalContext(data, "client")
     run_round(small_state(), small_cfg(), ctx_client)
-    assert len(ctx_client.trace) == 3  # one checkpoint per trained client
-    ctx_fedavg = EvalContext(data, "client", EvalTrace())
+    assert len(ctx_client.history) == 3  # one checkpoint per trained client
+    ctx_fedavg = EvalContext(data, "client")
     _, record = run_round(small_state(), small_cfg(mode="fedavg"), ctx_fedavg)
-    assert [tag for tag, *_ in ctx_fedavg.trace.checkpoints] == ["r1"]  # fedavg: once per round
-    assert record.top1 == ctx_fedavg.trace.checkpoints[0][2]
+    assert len(ctx_fedavg.history) == 1  # fedavg: once per round
+    assert record.classwise == ctx_fedavg.history[0].tolist()
 
 
 @pytest.mark.parametrize("K,kd", [

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from kernel_oracle import evaluate_oracle, forgetting_measure_oracle
 from sfedkd.data import Dataset
-from sfedkd.metrics import EvalTrace, consistency, evaluate, forgetting_measure
+from sfedkd.metrics import consistency, evaluate, forgetting_measure
 from sfedkd.model import ModelParams
 
 
@@ -151,45 +151,41 @@ def test_consistency_rejects_length_mismatch():
 
 # ------------------------------------------------------ forgetting measure
 
-def trace_from(*rows):
-    trace = EvalTrace()
-    for i, row in enumerate(rows):
-        row = np.asarray(row, dtype=np.float64)
-        trace.add(f"t{i}", row, float(np.nanmean(row)))
-    return trace
+def history_from(*rows):
+    return [np.asarray(row, dtype=np.float64) for row in rows]
 
 
 def test_fm_constant_history_is_zero():
-    trace = trace_from([0.5, 0.7], [0.5, 0.7], [0.5, 0.7])
-    assert forgetting_measure(trace) == pytest.approx(0.0)
+    history = history_from([0.5, 0.7], [0.5, 0.7], [0.5, 0.7])
+    assert forgetting_measure(history) == pytest.approx(0.0)
 
 
 def test_fm_hand_arithmetic():
     # class histories [0.9, 0.5] and [0.4, 0.8]: drops 0.4 and -0.4 average 0
-    trace = trace_from([0.9, 0.4], [0.5, 0.8])
-    assert forgetting_measure(trace) == pytest.approx(0.0)
+    history = history_from([0.9, 0.4], [0.5, 0.8])
+    assert forgetting_measure(history) == pytest.approx(0.0)
 
 
 def test_fm_non_positive_for_monotone_improvement():
-    trace = trace_from([0.1, 0.2], [0.3, 0.4], [0.5, 0.6])
-    assert forgetting_measure(trace) <= 0.0
+    history = history_from([0.1, 0.2], [0.3, 0.4], [0.5, 0.6])
+    assert forgetting_measure(history) <= 0.0
 
 
 def test_fm_two_checkpoints_is_mean_difference():
     rng = np.random.default_rng(2)
     a, b = rng.random(6), rng.random(6)
-    trace = trace_from(a, b)
-    assert forgetting_measure(trace) == pytest.approx(float(np.mean(a - b)))
+    history = history_from(a, b)
+    assert forgetting_measure(history) == pytest.approx(float(np.mean(a - b)))
 
 
 def test_fm_requires_two_checkpoints():
     with pytest.raises(ValueError):
-        forgetting_measure(trace_from([0.5, 0.5]))
+        forgetting_measure(history_from([0.5, 0.5]))
 
 
 def test_fm_skips_absent_classes():
-    trace = trace_from([0.8, np.nan], [0.2, np.nan])
-    assert forgetting_measure(trace) == pytest.approx(0.6)
+    history = history_from([0.8, np.nan], [0.2, np.nan])
+    assert forgetting_measure(history) == pytest.approx(0.6)
 
 
 # accuracies as evaluate produces them: NaN or a fraction in [0, 1], never -0.0
@@ -199,23 +195,20 @@ ACCURACY = st.one_of(st.just(np.nan), st.integers(0, 12).map(lambda k: k / 12),
 
 @st.composite
 def histories(draw):
-    """Traces of 2-8 checkpoints, some classes with an all-NaN history."""
+    """Histories of 2-8 checkpoints, some classes with an all-NaN history."""
     t, c = draw(st.integers(2, 8)), draw(st.integers(2, 8))
     hist = np.reshape(draw(st.lists(ACCURACY, min_size=t * c, max_size=t * c)), (t, c))
     hist[:-1, draw(st.lists(st.integers(0, c - 1), max_size=c))] = np.nan
-    trace = EvalTrace()
-    for i, row in enumerate(hist):
-        trace.add(f"t{i}", row, 0.0)
-    return trace
+    return list(hist)
 
 
 @settings(max_examples=200, deadline=None)
 @given(histories())
-def test_forgetting_measure_matches_per_class_oracle_bytes(trace):
+def test_forgetting_measure_matches_per_class_oracle_bytes(history):
     try:
-        want = forgetting_measure_oracle(trace)
+        want = forgetting_measure_oracle(history)
     except ValueError as exc:
         with pytest.raises(ValueError, match=str(exc)):
-            forgetting_measure(trace)
+            forgetting_measure(history)
         return
-    assert np.float64(forgetting_measure(trace)).tobytes() == np.float64(want).tobytes()
+    assert np.float64(forgetting_measure(history)).tobytes() == np.float64(want).tobytes()

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from kernel_oracle import (backprop_oracle, cross_entropy_grad_oracle,
                            forward_cached_oracle, log_softmax_oracle)
 from param_oracle import param_sets, sgd_step_oracle
-from sfedkd.model import (ModelParams, backprop, cross_entropy,
-                          cross_entropy_grad, forward, forward_cached,
-                          init_params, label_index, load_params, log_softmax,
-                          params_equal, save_params, sgd_step, snapshot,
-                          softmax_temp)
+from sfedkd.model import (ModelParams, backprop, cross_entropy_grad, forward,
+                          forward_cached, init_params, label_index, load_params,
+                          log_softmax, params_equal, save_params, sgd_step, snapshot)
 
 
 # ------------------------------------------------------------------ init
@@ -123,33 +121,28 @@ def test_forward_deterministic():
 
 # --------------------------------------------------------------- softmax
 
+def softmax(z):
+    return np.exp(log_softmax(z))
+
+
 def test_softmax_uniform():
-    for tau in (0.5, 1.0, 4.0):
-        assert np.allclose(softmax_temp(np.zeros(3), tau), np.full(3, 1 / 3))
+    assert np.allclose(softmax(np.zeros(3)), np.full(3, 1 / 3))
 
 
 def test_softmax_shift_invariance():
     z = np.array([0.3, -1.2, 2.0])
-    assert np.allclose(softmax_temp(z, 2.0), softmax_temp(z + 7.5, 2.0), atol=1e-12)
+    assert np.allclose(softmax(z), softmax(z + 7.5), atol=1e-12)
 
 
 def test_softmax_hand_value():
-    p = softmax_temp(np.array([1.0, 0.0]), 1.0)
+    p = softmax(np.array([1.0, 0.0]))
     assert p == pytest.approx([0.731059, 0.268941], abs=1e-6)
 
 
-def test_softmax_rejects_bad_tau():
-    with pytest.raises(ValueError):
-        softmax_temp(np.zeros(2), 0.0)
-    with pytest.raises(ValueError):
-        softmax_temp(np.zeros(2), -1.0)
-
-
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(-500, 500), min_size=2, max_size=12),
-       st.sampled_from([0.5, 1.0, 2.0, 4.0]))
-def test_softmax_is_distribution(logits, tau):
-    p = softmax_temp(np.array(logits), tau)
+@given(st.lists(st.floats(-500, 500), min_size=2, max_size=12))
+def test_softmax_is_distribution(logits):
+    p = softmax(np.array(logits))
     assert (p >= 0).all()
     assert abs(p.sum() - 1.0) <= 1e-12
 
@@ -159,25 +152,25 @@ def test_softmax_is_distribution(logits, tau):
 def test_cross_entropy_uniform_logits():
     logits = np.zeros((4, 10))
     labels = np.array([0, 3, 7, 9])
-    assert cross_entropy(logits, labels) == pytest.approx(np.log(10), abs=1e-12)
+    assert cross_entropy_grad(logits, labels)[0] == pytest.approx(np.log(10), abs=1e-12)
 
 
 def test_cross_entropy_saturated():
     logits = np.zeros((1, 5))
     logits[0, 2] = 30.0
-    assert cross_entropy(logits, np.array([2])) < 1e-9
+    assert cross_entropy_grad(logits, np.array([2]))[0] < 1e-9
 
 
 def test_cross_entropy_hand_value():
-    assert cross_entropy(np.array([[1.0, 0.0]]), np.array([0])) == pytest.approx(
+    assert cross_entropy_grad(np.array([[1.0, 0.0]]), np.array([0]))[0] == pytest.approx(
         0.313262, abs=1e-6)
 
 
 def test_cross_entropy_rejects_bad_labels():
     with pytest.raises(ValueError):
-        cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
+        cross_entropy_grad(np.zeros((2, 3)), np.array([0, 3]))
     with pytest.raises(ValueError):
-        cross_entropy(np.zeros((0, 3)), np.array([], dtype=int))
+        cross_entropy_grad(np.zeros((0, 3)), np.array([], dtype=int))
 
 
 def test_cross_entropy_grad_matches_finite_differences():
@@ -197,9 +190,9 @@ def test_cross_entropy_grad_matches_finite_differences():
             ix = it.multi_index
             orig = arr[ix]
             arr[ix] = orig + h
-            up = cross_entropy(forward(p, X), y)
+            up = cross_entropy_grad(forward(p, X), y)[0]
             arr[ix] = orig - h
-            down = cross_entropy(forward(p, X), y)
+            down = cross_entropy_grad(forward(p, X), y)[0]
             arr[ix] = orig
             num = (up - down) / (2 * h)
             assert abs(num - g[ix]) / max(abs(num), abs(g[ix]), 1e-5) < 1e-4
@@ -266,12 +259,12 @@ def logit_batches(draw, values=LOGITS):
 
 
 @settings(max_examples=200, deadline=None)
-@given(logit_batches(), st.sampled_from([1, 1.0, 0.5, 4.0]), st.booleans())
-def test_log_softmax_matches_oracle_bytes(z, tau, one_row):
+@given(logit_batches(), st.booleans())
+def test_log_softmax_matches_oracle_bytes(z, one_row):
     z = z[0] if one_row else z
     before = z.tobytes()
     with np.errstate(all="ignore"):
-        got, want = log_softmax(z, tau), log_softmax_oracle(z, tau)
+        got, want = log_softmax(z), log_softmax_oracle(z)
     assert z.tobytes() == before
     assert got.tobytes() == want.tobytes()
 
