@@ -26,7 +26,7 @@ import numpy as np
 from .config import (METRICS, MODES, ConfigError, ExperimentConfig, _read_utf8,
                      apply_overrides, load_raw_config, resolve_config)
 from .data import ClassDistribution
-from .experiment import build_dataset, initial_state, run_experiment
+from .experiment import build_dataset, run_experiment
 from .model import save_params
 from .selection import (SelectionInstance, aggregate_objective,
                         brute_force_select, greedy_select, random_select)
@@ -144,31 +144,26 @@ def cmd_ablate(args) -> int:
 
 
 def _read_distributions_csv(path) -> list[ClassDistribution]:
+    lines = [line.strip() for line in _read_utf8(path).split("\n") if line.strip()]
     rows = []
-    for line in _read_utf8(path).split("\n"):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
+    for i, line in enumerate(lines):
         try:
-            values = [float(p) for p in parts]
+            rows.append([float(p) for p in line.split(",")])
         except ValueError:
-            if rows:
-                raise ConfigError("csv", f"non-numeric row: {line!r}")
-            continue  # tolerate one header line
-        rows.append(values)
+            if i:  # only the first line may be a header
+                raise ConfigError(str(path), f"non-numeric row: {line!r}") from None
     if not rows:
-        raise ConfigError("csv", "no distribution rows found")
+        raise ConfigError(str(path), "no distribution rows found")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
-        raise ConfigError("csv", "rows have inconsistent lengths")
+        raise ConfigError(str(path), "rows have inconsistent lengths")
     dists = []
     for i, row in enumerate(rows):
         vec = np.asarray(row, dtype=np.float64)
         with np.errstate(over="ignore"):
             total = vec.sum()  # not finite when a cell is nan or inf, or the sum overflows
         if (vec < 0).any() or not np.isfinite(total) or total <= 0:
-            raise ConfigError("csv", f"row {i} is not a valid distribution")
+            raise ConfigError(str(path), f"row {i} is not a valid distribution")
         dists.append(ClassDistribution(vec / total))
     return dists
 
@@ -189,10 +184,9 @@ def cmd_select(args) -> int:
 def cmd_inspect_partition(args) -> int:
     cfg = resolve_config(_load_raw(args))
     train, _ = build_dataset(cfg)
-    state = initial_state(cfg, train)
-    for n, (part, dist) in enumerate(zip(state.client_datasets, state.client_dists)):
+    for n, part in enumerate(train.clients()):
         counts = np.bincount(part.labels, minlength=train.c_total)
-        flag = " (empty)" if dist.empty else ""
+        flag = "" if len(part) else " (empty)"
         print(f"client {n:3d}  n={len(part):5d}  counts={counts.tolist()}{flag}")
     return EXIT_OK
 

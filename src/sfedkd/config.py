@@ -166,7 +166,7 @@ class KDConfig(_Block):
     gamma: float = option(1.0, ge=0)
     beta: float = option(3.0, ge=0)
     metric: str = option("KL", choices=METRICS)
-    epsilon: float = option(1e-4, gt=0)
+    epsilon: float = option(1e-4, ge=1e-300)  # keeps K / epsilon finite
     uniform_g: bool = False    # ablation: replace g with uniform weights
     uniform_h: bool = False    # ablation: replace h with uniform weights
 
@@ -223,9 +223,10 @@ class ExperimentConfig(_Block):
 
 
 def _read_utf8(path) -> str:
-    """The text of a UTF-8 file; other bytes are a ConfigError naming the file."""
+    """The text of a UTF-8 file, without a leading byte-order mark; other
+    bytes are a ConfigError naming the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(str(path), f"not UTF-8 text ({exc})") from None
@@ -237,7 +238,7 @@ def load_raw_config(path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
+        raise ConfigError(str(path), "config must be a JSON object")
     return raw
 
 
@@ -264,7 +265,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 
 def resolve_config(raw: dict) -> ExperimentConfig:
     """Fill defaults, check every field, derive unset seeds, then check the
-    rules that span fields."""
+    rules that span fields; the rules on the data are checked where it is built."""
     cfg = _build(ExperimentConfig, raw)
     ds, part, train = cfg.dataset, cfg.partition, cfg.train
     if ds.seed is None:
@@ -283,13 +284,6 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     if bool(ds.test_images) != bool(ds.test_labels):
         missing = "test_labels" if ds.test_images else "test_images"
         raise ConfigError(f"dataset.{missing}", "test images and labels come as a pair")
-    if ds.kind == "synthetic" and part.C > ds.classes:
-        raise ConfigError("partition.C", f"exceeds dataset.classes={ds.classes}")
-    if ds.kind == "synthetic" and part.N * part.C < ds.classes:
-        raise ConfigError("partition.C", f"partition.N*C={part.N * part.C} cannot cover "
-                                         f"all {ds.classes} classes")
     if train.M > part.N:
         raise ConfigError("train.M", f"M={train.M} exceeds partition.N={part.N}")
-    if cfg.eval.split == "test" and ds.test_fraction == 0 and not ds.test_images:
-        raise ConfigError("eval.split", "no test split: set dataset.test_fraction or test files")
     return cfg

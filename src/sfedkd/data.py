@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PartitionSpec
+from .config import ConfigError, PartitionSpec
 from .model import _check_labels
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -344,11 +344,10 @@ def partition_exdir(labels: np.ndarray, c_total: int,
     if len(np.unique(labels)) != c_total:
         raise ValueError("every class must appear in the dataset")
     if spec.C > c_total:
-        raise ValueError(f"C={spec.C} exceeds the class count {c_total}")
+        raise ConfigError("partition.C", f"C={spec.C} exceeds the class count {c_total}")
     if spec.N * spec.C < c_total:
-        raise ValueError(
-            f"N*C={spec.N * spec.C} cannot cover all {c_total} classes"
-        )
+        raise ConfigError("partition.C",
+                          f"N*C={spec.N * spec.C} cannot cover all {c_total} classes")
     if spec.seed is None:
         raise ValueError("partition seed is unset; resolve_config derives it from master_seed")
 
@@ -360,12 +359,15 @@ def partition_exdir(labels: np.ndarray, c_total: int,
         if holds.any(axis=0).all():
             break
     else:
-        raise RuntimeError("could not cover every class after 1000 allocation attempts")
+        raise ConfigError("partition.C", f"no draw covered all {c_total} classes in 1000 attempts")
     holders = [np.flatnonzero(holds[:, c]) for c in range(c_total)]
 
     owner = np.full(len(labels), -1)
     for c in range(c_total):
         share = rng.dirichlet(np.full(len(holders[c]), spec.alpha))
+        if not abs(share.sum() - 1.0) <= 1e-9:  # numpy draws all zeros at alpha near 1e308
+            raise ConfigError("partition.alpha", f"the Dirichlet draw over the {len(share)} "
+                              f"holders of class {c} sums to {share.sum()}, not 1")
         class_idx = np.flatnonzero(labels == c)
         rng.shuffle(class_idx)
         owner[class_idx] = np.repeat(holders[c], largest_remainder_counts(share, len(class_idx)))

@@ -29,6 +29,8 @@ def _layout(cfg: ExperimentConfig, labels: np.ndarray, c_total: int) -> Layout:
     if ds.test_fraction > 0 and not (ds.kind == "idx" and ds.test_images):
         train_rows, test_rows = split_train_test(labels, c_total, ds.test_fraction,
                                                  ds.split_seed)
+        if not len(train_rows):
+            raise ConfigError("dataset.test_fraction", f"{ds.test_fraction} leaves no train rows")
     order, bounds = partition_exdir(labels[train_rows], c_total, cfg.partition)
     return Layout(train_rows[order], bounds, test_rows)
 

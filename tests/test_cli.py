@@ -186,6 +186,29 @@ def test_select_tolerates_header_and_counts(tmp_path, capsys):
     assert "selected:" in capsys.readouterr().out
 
 
+def test_select_reads_past_a_byte_order_mark(tmp_path, capsys):
+    # the mark made row 0 unreadable, so it was taken for the header and
+    # the rows 1 and 2 were chosen
+    path = tmp_path / "dists.csv"
+    path.write_bytes(b"\xef\xbb\xbf0.9,0.1\n0.1,0.9\n0.5,0.5\n")
+    assert main(["select", str(path), "--k", "2", "--solver", "exact"]) == 0
+    assert capsys.readouterr().out == "selected: 0,1\nobjective: 0.000000\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("a,b\nx,y\n1,0\n0,1\n", "non-numeric row: 'x,y'"),  # one header line at most
+    ("1,0\n0,1\nx,y\n", "non-numeric row: 'x,y'"),
+    ("c0,c1\n", "no distribution rows found"),
+    ("1,0\n0\n", "rows have inconsistent lengths"),
+    ("1,0\n-1,2\n", "row 1 is not a valid distribution"),
+])
+def test_select_csv_error_names_the_file(tmp_path, capsys, text, message):
+    path = tmp_path / "dists.csv"
+    path.write_text(text)
+    assert main(["select", str(path), "--k", "1"]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: {message}\n"
+
+
 def test_select_rejects_bad_csv(tmp_path, capsys):
     path = tmp_path / "dists.csv"
     path.write_text("1,0\n0\n")
@@ -194,7 +217,8 @@ def test_select_rejects_bad_csv(tmp_path, capsys):
     for row in ("nan,0.2,0.3", "inf,0.2,0.3", "1e308,1e308,0"):
         path.write_text(f"0.5,0.5,0\n{row}\n")
         assert main(["select", str(path), "--k", "1"]) == 2
-        assert "config error: csv: row 1 is not a valid distribution" in capsys.readouterr().err
+        assert f"config error: {path}: row 1 is not a valid distribution" in \
+            capsys.readouterr().err
 
 
 @pytest.mark.parametrize("solver", ["greedy", "exact", "random"])
@@ -404,11 +428,22 @@ def test_apply_overrides_parses_json_values():
     assert raw["train"]["M"] == 3  # original untouched
 
 
-def test_load_raw_config_requires_object(tmp_path):
+def test_load_raw_config_requires_object(tmp_path, capsys):
     path = tmp_path / "arr.json"
     path.write_text("[1,2]")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as exc:
         load_raw_config(path)
+    assert exc.value.field == str(path)
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: config must be a JSON object\n"
+
+
+def test_config_with_byte_order_mark_runs(tmp_path):
+    out = tmp_path / "out"
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(tiny_raw(out)).encode())
+    assert main(["run", str(path)]) == 0
+    assert (out / "rounds.jsonl").exists()
 
 
 def run_in_subprocess(out_dir, threads, *overrides):

@@ -1,8 +1,10 @@
 """Config validation: every field's declared type and bound, the rules that
-span fields, and the errors a bad block, a non-finite number or a half IDX
+span fields, the rules on the data (checked where the data is built, for
+every verb), and the errors a bad block, a non-finite number or a half IDX
 test pair produce."""
 
 import json
+import struct
 from dataclasses import asdict
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from sfedkd.config import ConfigError, ExperimentConfig, apply_overrides, resolv
 from sfedkd.data import PartitionSpec
 from sfedkd.distill import KDConfig
 from sfedkd.engine import TrainConfig
+from sfedkd.experiment import build_dataset, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -68,13 +71,15 @@ REJECTED = [
     ("train.kd.metric", "kl"), ("ablate.seeds", []), ("ablate.seeds", [0, -1]),
     ("ablate.k_values", []), ("ablate.k_values", [0]),
     # rules that span fields
-    ("train.K", 11), ("train.M", 101), ("partition.C", 11),
+    ("train.K", 11), ("train.M", 101),
+    # rules on the data, checked where the data is built
+    ("partition.C", 11), ("dataset.test_fraction", 0), ("dataset.test_fraction", 0.999),
+    ("partition.alpha", 1e308), ("train.kd.epsilon", 5e-324),
 ]
 
 # Rows whose error names another field than the one set.
 REJECTED_ELSEWHERE = [
     ("dataset.kind", "idx", "dataset.images"),           # no IDX paths
-    ("dataset.test_fraction", 0, "eval.split"),         # no test split left
 ]
 
 UNKNOWN = ["color", "dataset.color", "partition.color", "model.color",
@@ -89,8 +94,9 @@ def raw_with(path, value):
 @pytest.mark.parametrize("path,value,field",
                          [(p, v, p) for p, v in REJECTED] + REJECTED_ELSEWHERE)
 def test_bad_value_rejected_at_its_path(path, value, field):
+    # the set-up of a run: every row fails before the first round
     with pytest.raises(ConfigError) as exc:
-        resolve_config(raw_with(path, value))
+        run_experiment(resolve_config(raw_with(path, value)))
     assert exc.value.field == field
 
 
@@ -204,15 +210,19 @@ def test_teachers_axis_reads_solvers_from_mode_table():
 
 
 def test_classes_not_covered_by_partition_names_partition_c(tmp_path, capsys):
+    cfg = resolve_config({"partition": {"N": 4, "C": 2}, "train": {"M": 3, "K": 2}})
     with pytest.raises(ConfigError) as exc:
-        resolve_config({"partition": {"N": 4, "C": 2}, "train": {"M": 3, "K": 2}})
+        build_dataset(cfg)
     assert exc.value.field == "partition.C"
     assert main(["run", str(ROOT / "configs" / "synthetic_small.json"),
                  "--set", "partition.N=4", "--set", "train.M=3", "--set", "train.K=2",
                  "--set", "ablate.k_values=[2]", "--set", f"output.dir={tmp_path}"]) == 2
     err = capsys.readouterr().err
-    assert "config error: partition.C: partition.N*C=8 cannot cover all 10 classes" in err
-    assert resolve_config({"partition": {"N": 5, "C": 2}, "train": {"M": 3, "K": 2}})
+    assert "config error: partition.C: N*C=8 cannot cover all 10 classes" in err
+    assert not any(tmp_path.iterdir())
+    # N*C equal to the class count is enough
+    assert build_dataset(resolve_config({"partition": {"N": 1, "C": 10},
+                                         "train": {"M": 1, "K": 1}}))
 
 
 def test_empty_evaluation_split_exits_2_naming_test_fraction(tmp_path, capsys):
@@ -268,3 +278,74 @@ def test_ablate_bad_seeds_rejected_by_the_parser(tmp_path, capsys, seeds):
     assert exc.value.code == 2
     assert "argument --seeds: expected comma-separated non-negative integers" in \
         capsys.readouterr().err
+
+
+SMALL = ROOT / "configs" / "synthetic_small.json"
+
+
+def three_class_idx_config(tmp_path):
+    """synthetic_small.json with its dataset replaced by a 30-image IDX pair
+    whose labels are 0, 1 and 2."""
+    img, lab = tmp_path / "img", tmp_path / "lab"
+    img.write_bytes(struct.pack(">IIII", 0x00000803, 30, 2, 2) + bytes(range(120)))
+    lab.write_bytes(struct.pack(">II", 0x00000801, 30) + bytes(i % 3 for i in range(30)))
+    raw = json.loads(SMALL.read_text())
+    raw["dataset"] = {"kind": "idx", "images": str(img), "labels": str(lab)}
+    path = tmp_path / "idx.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+# One reproduced set-up failure per row: the overrides and the start of the
+# error. `idx_*` rows override the three-class IDX config, the others
+# synthetic_small.json. Master seed 1 is one whose 1000 allocations of one
+# class to each of 10 clients all leave a class out.
+SET_UP_FAILURES = {
+    "idx_c_exceeds_classes": (["partition.C=5"], "partition.C: C=5 exceeds the class count 3"),
+    "allocation_attempts_run_out": (
+        ["partition.N=10", "partition.C=1", "train.M=5", "master_seed=1"],
+        "partition.C: no draw covered all 10 classes in 1000 attempts"),
+    "empty_train_split": (["dataset.test_fraction=0.999"],
+                          "dataset.test_fraction: 0.999 leaves no train rows"),
+    "dirichlet_draw_of_zeros": (["partition.alpha=1e308"],
+                                "partition.alpha: the Dirichlet draw over the "),
+    "epsilon_below_bound": (["train.kd.epsilon=5e-324"],
+                            "train.kd.epsilon: must be >= 1e-300, got 5e-324"),
+}
+
+
+@pytest.mark.parametrize("verb", ["run", "ablate", "inspect-partition"])
+@pytest.mark.parametrize("case", list(SET_UP_FAILURES))
+def test_set_up_failure_exits_2_naming_its_field(tmp_path, capsys, case, verb):
+    # each rule has one check, where the data is built or the field is
+    # declared, so every verb reports it alike and writes nothing
+    overrides, message = SET_UP_FAILURES[case]
+    config = three_class_idx_config(tmp_path) if case.startswith("idx_") else SMALL
+    out = tmp_path / "out"
+    args = [verb, str(config), *(["--axis", "mode"] if verb == "ablate" else [])]
+    for override in overrides + [f"output.dir={out}"]:
+        args += ["--set", override]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {message}")
+    assert captured.err.count("\n") == 1 and not captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override,field", [("model.hidden=[1000000000000]", "model.hidden"),
+                                            ("dataset.test_fraction=0", "dataset.test_fraction")])
+def test_inspect_partition_checks_only_the_rules_it_uses(tmp_path, capsys, override, field):
+    # a run rejects the value; the partition never uses it
+    assert main(["run", str(SMALL), "--set", override, "--set", f"output.dir={tmp_path}"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert main(["inspect-partition", str(SMALL), "--set", override]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 20
+
+
+def test_epsilon_at_its_bound_trains(tmp_path):
+    # every client trains every round, so a client meets its own previous
+    # model as a teacher at distance 0; at epsilon=5e-324 its 1/epsilon
+    # overflowed (a RuntimeWarning, so a failure here)
+    assert main(["run", str(SMALL), "--set", "partition.N=5", "--set", "partition.C=4",
+                 "--set", "train.M=5", "--set", "train.R=4", "--set", "train.kd.epsilon=1e-300",
+                 "--set", f"output.dir={tmp_path}"]) == 0

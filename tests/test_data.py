@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from data_oracle import (build_clients_oracle, generate_synthetic_oracle,
                          partition_exdir_indices_oracle, split_train_test_oracle)
 from sfedkd import data, experiment
-from sfedkd.config import resolve_config
+from sfedkd.config import ConfigError, resolve_config
 from sfedkd.data import (ClassDistribution, Dataset, IdxFormatError, PartitionSpec,
                          class_distribution, generate_synthetic,
                          largest_remainder_counts, load_idx, partition_exdir,
@@ -347,6 +347,20 @@ def test_partition_rejects_impossible_coverage():
         partition_exdir(np.array([0, 1, 2, 3]), 4, PartitionSpec(N=2, C=1, alpha=1.0, seed=0))
 
 
+@pytest.mark.parametrize("n,c,alpha,message", [
+    (4, 21, 1.0, "partition.C: C=21 exceeds the class count 20"),
+    (4, 2, 1.0, "partition.C: N*C=8 cannot cover all 20 classes"),
+    # 20!/20**20 < 1e-7: no allocation of one class each covers all 20
+    (20, 1, 1.0, "partition.C: no draw covered all 20 classes in 1000 attempts"),
+    # numpy's Dirichlet draw over two or more holders is all zeros at 1e308
+    (20, 2, 1e308, "partition.alpha: the Dirichlet draw over the "),
+])
+def test_partition_rule_failures_name_their_field(n, c, alpha, message):
+    labels = np.repeat(np.arange(20), 3)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        partition_exdir(labels, 20, PartitionSpec(N=n, C=c, alpha=alpha, seed=0))
+
+
 def test_partition_requires_all_classes_present():
     # class 1 missing
     with pytest.raises(ValueError):
@@ -401,12 +415,13 @@ def partition_cases(draw):
 @given(partition_cases())
 @example((np.random.default_rng(5).permutation(np.repeat(np.arange(10), 30)), 10,
           PartitionSpec(N=100, C=2, alpha=0.3, seed=11)))
+@example((np.arange(20), 20, PartitionSpec(N=20, C=1, alpha=1.0, seed=0)))  # attempts run out
 def test_partition_matches_list_assembly_oracle(case):
     labels, c_total, spec = case
     try:
         expected = partition_exdir_indices_oracle(labels, c_total, spec)
-    except RuntimeError:
-        with pytest.raises(RuntimeError):
+    except RuntimeError:  # the oracle's allocation attempts ran out
+        with pytest.raises(ConfigError, match="^partition.C: no draw covered all "):
             partition_exdir_indices(labels, c_total, spec)
         return
     got = partition_exdir_indices(labels, c_total, spec)
@@ -471,10 +486,15 @@ def test_split_train_test_rejects_labels_outside_class_count():
 
 def assert_matches_oracle(cfg):
     """build_dataset + initial_state give the oracle chain's clients and
-    test set, byte for byte, or raise what it raises."""
+    test set, byte for byte, or raise what it raises; where its allocation
+    attempts run out, that is a ConfigError on partition.C."""
     try:
         expected_clients, expected_test = build_clients_oracle(cfg)
-    except (ValueError, RuntimeError) as exc:
+    except RuntimeError:  # the oracle's allocation attempts ran out
+        with pytest.raises(ConfigError, match="^partition.C: no draw covered all "):
+            initial_state(cfg, build_dataset(cfg)[0])
+        return
+    except ValueError as exc:
         with pytest.raises(type(exc)):
             initial_state(cfg, build_dataset(cfg)[0])
         return

@@ -17,8 +17,10 @@ parent. The grid is every mode x master seeds 0 and 1 x eval granularity
 Each `run` case prints one line with the digests of `rounds.jsonl`,
 `summary.csv` and `model_final.bin`. Then, per shape, `ablate --axis
 teachers` and `--axis mode` over seeds 0 and 1 print the digest of their
-CSV. The bytes depend on the BLAS thread count, so the script pins one
-thread before numpy loads.
+CSV. After those, the digest of the stdout of `inspect-partition` per shape,
+and of `select` on one fixed CSV per solver, so every verb is covered. The
+bytes depend on the BLAS thread count, so the script pins one thread before
+numpy loads.
 """
 
 import contextlib
@@ -41,18 +43,33 @@ SHAPES = {
                "train.M=3", "train.K=2", "train.R=30", "ablate.k_values=[2]"],
 }
 RUN_FILES = ("rounds.jsonl", "summary.csv", "model_final.bin")
+# eight candidates over five classes, with a header line and a tie between
+# rows 2 and 6; `select --k 3` reads it with every solver
+SELECT_CSV = """c0,c1,c2,c3,c4
+0.6,0.1,0.1,0.1,0.1
+0,0.5,0.5,0,0
+0.2,0.2,0.2,0.2,0.2
+3,0,0,1,0
+0.05,0.05,0.3,0.3,0.3
+0,0,0,0,1
+0.2,0.2,0.2,0.2,0.2
+0.1,0.7,0,0.1,0.1
+"""
 
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def cli(args: list[str]) -> None:
+def cli(args: list[str]) -> str:
+    """The stdout of `sfedkd *args`; exits on a non-zero exit code."""
     from sfedkd.cli import main
-    with contextlib.redirect_stdout(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         code = main(args)
     if code:
         sys.exit(f"exit {code}: sfedkd {' '.join(args)}")
+    return out.getvalue()
 
 
 def sets(overrides: list[str]) -> list[str]:
@@ -77,6 +94,15 @@ def run() -> None:
                      *sets([*overrides, f"output.dir={out}"])])
                 print(f"{shape}/ablate_{axis} ablate_{axis}.csv="
                       f"{sha256(out / f'ablate_{axis}.csv')}", flush=True)
+        for shape, overrides in SHAPES.items():
+            stdout = cli(["inspect-partition", str(CONFIG), *sets(overrides)]).encode()
+            print(f"{shape}/inspect-partition stdout={hashlib.sha256(stdout).hexdigest()}",
+                  flush=True)
+        csv = out / "dists.csv"
+        csv.write_text(SELECT_CSV)
+        for solver in ("greedy", "exact", "random"):
+            stdout = cli(["select", str(csv), "--k", "3", "--solver", solver]).encode()
+            print(f"select/{solver} stdout={hashlib.sha256(stdout).hexdigest()}", flush=True)
 
 
 if __name__ == "__main__":
