@@ -115,13 +115,12 @@ def _ablation_cells(axis: str, cfg: ExperimentConfig):
 def cmd_ablate(args) -> int:
     raw = _load_raw(args)
     base_cfg = resolve_config(raw)
-    seeds = args.seeds or base_cfg.ablate.seeds
     cells = _ablation_cells(args.axis, base_cfg)
 
     rows = []
     for label, overrides in cells:
         finals = []
-        for seed in seeds:
+        for seed in base_cfg.ablate.seeds:
             cfg = resolve_config(apply_overrides(raw, overrides + [f"master_seed={seed}"]))
             finals.append(_summary_row(cfg, run_experiment(cfg).records)["final_top1"])
         finals = np.asarray(finals)
@@ -169,6 +168,8 @@ def _read_distributions_csv(path) -> list[ClassDistribution]:
 
 
 def cmd_select(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("--seed", f"expected a non-negative integer, got {args.seed}")
     dists = _read_distributions_csv(args.csv)
     if args.solver == "random":
         chosen = random_select(len(dists), args.k, args.seed)
@@ -191,33 +192,24 @@ def cmd_inspect_partition(args) -> int:
     return EXIT_OK
 
 
-def _seed_list(text: str) -> list[int]:
-    if not all(s.strip().isdigit() for s in text.split(",")):
-        raise argparse.ArgumentTypeError(f"expected comma-separated non-negative integers, "
-                                         f"got {text!r}")
-    return [int(s) for s in text.split(",")]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sfedkd",
         description="Sequential federated learning with multi-teacher distillation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)  # the verbs that read a config
+    config.add_argument("config", help="path to the JSON config file")
+    config.add_argument("--set", action="append", metavar="PATH=VALUE",
+                        help="override a config field by dotted path")
 
-    p_run = sub.add_parser("run", help="run one experiment from a JSON config")
-    p_run.add_argument("config", help="path to the JSON config file")
-    p_run.add_argument("--set", action="append", metavar="PATH=VALUE",
-                       help="override a config field by dotted path")
+    p_run = sub.add_parser("run", parents=[config], help="run one experiment from a JSON config")
     p_run.set_defaults(fn=cmd_run)
 
-    p_ab = sub.add_parser("ablate", help="sweep one ablation axis over seeds")
-    p_ab.add_argument("config")
+    p_ab = sub.add_parser("ablate", parents=[config],
+                          help="sweep one ablation axis over the seeds of ablate.seeds")
     p_ab.add_argument("--axis", required=True,
                       choices=("weights", "metric", "teachers", "mode"))
-    p_ab.add_argument("--seeds", type=_seed_list, help="comma-separated master seeds "
-                                                       "(default: the config's ablate.seeds)")
-    p_ab.add_argument("--set", action="append", metavar="PATH=VALUE")
     p_ab.set_defaults(fn=cmd_ablate)
 
     p_sel = sub.add_parser("select", help="teacher selection on a distributions CSV")
@@ -229,10 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("--seed", type=int, default=0, help="seed for --solver random")
     p_sel.set_defaults(fn=cmd_select)
 
-    p_part = sub.add_parser("inspect-partition",
+    p_part = sub.add_parser("inspect-partition", parents=[config],
                             help="print per-client class histograms")
-    p_part.add_argument("config")
-    p_part.add_argument("--set", action="append", metavar="PATH=VALUE")
     p_part.set_defaults(fn=cmd_inspect_partition)
     return parser
 

@@ -240,7 +240,8 @@ def read_idx(images_path, labels_path,
     Big-endian format: image file is magic 0x00000803, count, rows, cols,
     then unsigned pixel bytes; label file is magic 0x00000801, count, then
     unsigned label bytes. `pixels` is the (n, rows*cols) uint8 view of the
-    image bytes.
+    image bytes. Without `n_classes`, c_total is the largest label + 1, and
+    every class below it must have a label.
     """
     with open(images_path, "rb") as fh:
         img_buf = fh.read()
@@ -278,6 +279,11 @@ def read_idx(images_path, labels_path,
     if c_total < 2 and n_classes is None:
         raise IdxFormatError(f"{labels_path}: every label is 0, so the file holds one class; "
                              "at least 2 are needed")
+    if n_classes is None:
+        missing = np.flatnonzero(np.bincount(labels) == 0)
+        if len(missing):
+            raise IdxFormatError(f"{labels_path}: no sample has label {missing[0]}, though "
+                                 f"the labels run up to {c_total - 1}")
     return pixels.reshape(n_images, rows * cols), labels, c_total
 
 

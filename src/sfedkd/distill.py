@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import KDConfig
-from .data import ClassDistribution, Dataset, _check_distributions, _proportions
+from .data import ClassDistribution, _check_distributions, _proportions
 from .model import (ModelParams, backprop, cross_entropy_grad,
                     forward, forward_cached, label_index)
 
@@ -178,10 +178,10 @@ def mix_teachers(teacher_logits, labels, g, h, tau: float) -> np.ndarray:
 
 def kd_targets(ensemble: TeacherEnsemble, clients: list[tuple[np.ndarray, np.ndarray]],
                cfg: KDConfig) -> list[np.ndarray | None]:
-    """Mixed targets of each (features, labels) client, one g/h row each, from
-    one pass per teacher over all their rows (teachers still forward client by
-    client): each client's rows of one `mix_teachers` array. None per client
-    when distillation is off (no teachers, or gamma and beta both zero)."""
+    """The one builder of KD targets: each (features, labels) client's rows of one
+    `mix_teachers` array, with its g/h row of the weighted ensemble (or the one
+    (K,) vector), one pass per teacher over all rows. None per client when
+    distillation is off (no teachers, or gamma and beta both zero)."""
     if ensemble.k == 0 or (cfg.gamma == 0 and cfg.beta == 0) or not clients:
         return [None] * len(clients)
     if ensemble.g is None or ensemble.h is None:
@@ -191,14 +191,6 @@ def kd_targets(ensemble: TeacherEnsemble, clients: list[tuple[np.ndarray, np.nda
     logits = [np.concatenate([forward(t, x) for x, _ in clients]) for t in ensemble.teachers]
     mixed = mix_teachers(logits, np.concatenate([y for _, y in clients]), g, h, cfg.tau)
     return [mixed[end - n:end] for n, end in zip(sizes, np.cumsum(sizes))]
-
-
-def round_targets(ensemble: TeacherEnsemble, clients: list[Dataset],
-                  dists: list[ClassDistribution], cfg: KDConfig):
-    """The teacher side of a round, once for all its non-empty clients: the ensemble
-    weighted for those clients (a g/h row each), and each client's targets."""
-    ensemble = ensemble.with_weights(dists, cfg)
-    return ensemble, kd_targets(ensemble, [(c.features, c.labels) for c in clients], cfg)
 
 
 def _kd_terms(logits, lin, targets: np.ndarray, tau: float, gamma: float, beta: float):
@@ -260,8 +252,8 @@ def total_loss(params: ModelParams, features: np.ndarray, labels: np.ndarray,
     """Cross-entropy plus gamma * non-target KD plus beta * target KD.
 
     Returns the scalar loss and analytic gradients for every parameter.
-    `targets` are this batch's rows of `kd_targets`; without them they are
-    built here from the ensemble's frozen teachers. With no teachers, or
+    `targets` are this batch's rows of `kd_targets`; without them
+    `kd_targets` builds them here, with the weights the ensemble was given. With no teachers, or
     gamma and beta both zero, the result is exactly the cross-entropy path.
     With `out`, a gradient buffer shaped like `params`, the gradients go
     there unchecked and the labels are taken as checked against the class

@@ -21,7 +21,7 @@ import numpy as np
 from .config import (MODES, SEED_RANDOM_TEACHERS, SEED_SEQUENCE, SEED_SHUFFLE, TrainConfig,
                      derive_seed)
 from .data import ClassDistribution, Dataset, class_distribution
-from .distill import TeacherEnsemble, round_targets, total_loss
+from .distill import TeacherEnsemble, kd_targets, total_loss
 from .metrics import consistency, evaluate, forgetting_measure
 from .model import ModelParams, label_index, sgd_step, snapshot
 from .selection import SelectionInstance, greedy_select, random_select
@@ -120,8 +120,8 @@ def local_train(model: ModelParams, client: Dataset, ensemble: TeacherEnsemble,
     """E epochs of mini-batch SGD on one client, KD-guided when teachers exist.
 
     The dataset is reshuffled every epoch and the last partial batch is kept.
-    `targets` are this client's rows of `round_targets`; without them the
-    teacher side is computed here, as for a round of this one client.
+    `targets` are this client's rows of `kd_targets`; without them the
+    ensemble is weighted for this client and its targets are built here.
     Training runs on `snapshot(model)`, the visit's one parameter copy,
     updated in place step by step with one gradient buffer; the returned
     model is that copy, and nothing writes to it afterwards. Each epoch
@@ -131,8 +131,8 @@ def local_train(model: ModelParams, client: Dataset, ensemble: TeacherEnsemble,
     """
     label_index(client.labels, model.dims[-1])  # an empty client or a bad label fails here
     if targets is None and ensemble.k:
-        ensemble, (targets,) = round_targets(ensemble, [client], [class_distribution(client)],
-                                             cfg.kd)
+        ensemble = ensemble.with_weights(class_distribution(client), cfg.kd)
+        (targets,) = kd_targets(ensemble, [(client.features, client.labels)], cfg.kd)
     params = snapshot(model)
     grads = ModelParams.from_flat(np.zeros_like(model.flat), model.dims)
     n = len(client)
@@ -185,12 +185,12 @@ def run_round(state: FederationState, cfg: TrainConfig,
 
     record = RoundRecord(round=r, mode=cfg.mode, teachers=list(ensemble.client_ids))
     trained = [cid for cid in seq if len(state.client_datasets[cid])]
-    ensemble, targets = round_targets(ensemble, [state.client_datasets[c] for c in trained],
-                                      [state.client_dists[c] for c in trained], cfg.kd)
+    ensemble = ensemble.with_weights([state.client_dists[c] for c in trained], cfg.kd)
+    clients = [state.client_datasets[c] for c in trained]
+    targets = iter(kd_targets(ensemble, [(c.features, c.labels) for c in clients], cfg.kd))
     if ensemble.k and trained:
         record.g_mean = (ensemble.g.sum(axis=0) / len(trained)).tolist()
         record.h_mean = (ensemble.h.sum(axis=0) / len(trained)).tolist()
-    targets = iter(targets)
     per_visit = eval_ctx is not None and eval_ctx.granularity == "client" and not average
     model = state.global_model
     kept: list[ModelParams] = []  # fedavg: the local models; else each position's model
@@ -206,7 +206,7 @@ def run_round(state: FederationState, cfg: TrainConfig,
             kept.append(model)
     if average:
         if kept:
-            model = weighted_average(kept, [len(state.client_datasets[c]) for c in trained])
+            model = weighted_average(kept, [len(c) for c in clients])
         else:
             record.note = "all sampled clients empty; round skipped"
         kept = []

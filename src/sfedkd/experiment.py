@@ -31,6 +31,10 @@ def _layout(cfg: ExperimentConfig, labels: np.ndarray, c_total: int) -> Layout:
                                                  ds.split_seed)
         if not len(train_rows):
             raise ConfigError("dataset.test_fraction", f"{ds.test_fraction} leaves no train rows")
+        missing = np.flatnonzero(np.bincount(labels[train_rows], minlength=c_total) == 0)
+        if len(missing):
+            raise ConfigError("dataset.test_fraction",
+                              f"{ds.test_fraction} leaves class {missing[0]} no train rows")
     order, bounds = partition_exdir(labels[train_rows], c_total, cfg.partition)
     return Layout(train_rows[order], bounds, test_rows)
 

@@ -12,7 +12,7 @@ tests compare the two byte for byte.
 import numpy as np
 
 from sfedkd.data import class_distribution
-from sfedkd.distill import kd_targets, round_targets
+from sfedkd.distill import kd_targets
 from sfedkd.model import ModelParams, backprop, forward_cached, sgd_step
 
 
@@ -125,8 +125,8 @@ def local_train_oracle(model, client, ensemble, cfg, rng, targets=None, loss_sin
     """`engine.local_train` gathering every batch and building two parameter
     sets (gradients, then the update) per step."""
     if targets is None and ensemble.k:
-        ensemble, (targets,) = round_targets(ensemble, [client], [class_distribution(client)],
-                                             cfg.kd)
+        ensemble = ensemble.with_weights(class_distribution(client), cfg.kd)
+        (targets,) = kd_targets(ensemble, [(client.features, client.labels)], cfg.kd)
     params = model
     n = len(client)
     for _ in range(cfg.E):

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import struct
 import subprocess
 import sys
@@ -37,6 +38,15 @@ def write_config(tmp_path, raw, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
     return path
+
+
+def test_readme_quick_start_lines_parse():
+    # parsing only: a flag removed from the CLI cannot linger in the examples
+    section = (ROOT / "README.md").read_text().split("\n## Quick start\n")[1].split("\n## ")[0]
+    lines = [line.split(" #")[0] for line in section.splitlines() if line.startswith("sfedkd ")]
+    parser = cli.build_parser()
+    assert {parser.parse_args(shlex.split(line)[1:]).command for line in lines} == \
+        {"run", "ablate", "select", "inspect-partition"}
 
 
 # --------------------------------------------------------------------- run
@@ -230,12 +240,20 @@ def test_select_rejects_k_outside_candidate_range(tmp_path, capsys, solver, k):
     assert f"error: K={k} must lie in [1, 4]" in capsys.readouterr().err
 
 
+def test_select_rejects_a_negative_seed_naming_the_flag(tmp_path, capsys):
+    path = tmp_path / "dists.csv"
+    path.write_text(DOC_CSV)
+    assert main(["select", str(path), "--k", "2", "--solver", "random", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == \
+        "config error: --seed: expected a non-negative integer, got -1\n"
+
+
 # ------------------------------------------------------------------ ablate
 
 def test_ablate_mode_axis(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, tiny_raw(out, mode="sfedkd", rounds=2))
-    assert main(["ablate", str(cfg), "--axis", "mode", "--seeds", "1"]) == 0
+    assert main(["ablate", str(cfg), "--axis", "mode", "--set", "ablate.seeds=[1]"]) == 0
     rows = (out / "ablate_mode.csv").read_text().strip().split("\n")
     assert rows[0] == "mode,mean_top1,std_top1,n_seeds"
     assert len(rows) == 4  # sfedkd, fedseq, fedavg
@@ -245,7 +263,7 @@ def test_ablate_mode_axis(tmp_path):
 def test_ablate_weights_axis_grid(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, tiny_raw(out, mode="sfedkd", rounds=2))
-    assert main(["ablate", str(cfg), "--axis", "weights", "--seeds", "1"]) == 0
+    assert main(["ablate", str(cfg), "--axis", "weights", "--set", "ablate.seeds=[1]"]) == 0
     rows = (out / "ablate_weights.csv").read_text().strip().split("\n")
     assert rows[0] == "g,h,mean_top1,std_top1,n_seeds"
     grid = [tuple(r.split(",")[:2]) for r in rows[1:]]
@@ -255,7 +273,7 @@ def test_ablate_weights_axis_grid(tmp_path):
 def test_ablate_metric_axis(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, tiny_raw(out, mode="sfedkd", rounds=2))
-    assert main(["ablate", str(cfg), "--axis", "metric", "--seeds", "1,2"]) == 0
+    assert main(["ablate", str(cfg), "--axis", "metric", "--set", "ablate.seeds=[1,2]"]) == 0
     rows = (out / "ablate_metric.csv").read_text().strip().split("\n")
     assert len(rows) == 5
     assert [r.split(",")[0] for r in rows[1:]] == ["L1", "L2", "KL", "JS"]
@@ -267,7 +285,7 @@ def test_ablate_teachers_axis(tmp_path):
     raw = tiny_raw(out, mode="sfedkd", rounds=2)
     raw["ablate"] = {"k_values": [1, 2]}
     cfg = write_config(tmp_path, raw)
-    assert main(["ablate", str(cfg), "--axis", "teachers", "--seeds", "1"]) == 0
+    assert main(["ablate", str(cfg), "--axis", "teachers", "--set", "ablate.seeds=[1]"]) == 0
     rows = (out / "ablate_teachers.csv").read_text().strip().split("\n")
     assert rows[0] == "K,solver,mean_top1,std_top1,n_seeds"
     assert len(rows) == 5  # 2 K values x {greedy, random}
@@ -281,10 +299,10 @@ def test_only_the_teachers_axis_checks_k_values(tmp_path, capsys, monkeypatch):
     raw["ablate"] = {"k_values": [2, 11]}
     cfg = write_config(tmp_path, raw)
     assert main(["run", str(cfg)]) == 0
-    assert main(["ablate", str(cfg), "--axis", "mode", "--seeds", "1"]) == 0
+    assert main(["ablate", str(cfg), "--axis", "mode", "--set", "ablate.seeds=[1]"]) == 0
     capsys.readouterr()
     monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("a cell ran"))
-    assert main(["ablate", str(cfg), "--axis", "teachers", "--seeds", "1"]) == 2
+    assert main(["ablate", str(cfg), "--axis", "teachers", "--set", "ablate.seeds=[1]"]) == 2
     assert "config error: ablate.k_values: teacher counts must not exceed train.M=3" in \
         capsys.readouterr().err
     assert not (out / "ablate_teachers.csv").exists()
@@ -293,7 +311,7 @@ def test_only_the_teachers_axis_checks_k_values(tmp_path, capsys, monkeypatch):
 def test_ablate_cell_matches_standalone_run(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, tiny_raw(out, mode="sfedkd", rounds=2))
-    assert main(["ablate", str(cfg), "--axis", "mode", "--seeds", "7"]) == 0
+    assert main(["ablate", str(cfg), "--axis", "mode", "--set", "ablate.seeds=[7]"]) == 0
     rows = (out / "ablate_mode.csv").read_text().strip().split("\n")
     fedseq_mean = float(rows[2].split(",")[1])
 
@@ -308,7 +326,7 @@ def test_ablate_cell_matches_standalone_run(tmp_path):
 def test_ablate_set_reaches_every_cell(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, tiny_raw(out, mode="sfedkd", rounds=2))
-    assert main(["ablate", str(cfg), "--axis", "mode", "--seeds", "3",
+    assert main(["ablate", str(cfg), "--axis", "mode", "--set", "ablate.seeds=[3]",
                  "--set", "train.eta=0.3"]) == 0
     rows = (out / "ablate_mode.csv").read_text().strip().split("\n")[1:]
     for row in rows:

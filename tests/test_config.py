@@ -272,23 +272,26 @@ def test_oversized_model_exits_2_naming_hidden(tmp_path, capsys):
 
 @pytest.mark.parametrize("seeds", ["x", "1,,2", "1,-2", ""])
 def test_ablate_bad_seeds_rejected_by_the_parser(tmp_path, capsys, seeds):
-    with pytest.raises(SystemExit) as exc:
-        main(["ablate", str(ROOT / "configs" / "synthetic_small.json"), "--axis", "mode",
-              "--seeds", seeds, "--set", f"output.dir={tmp_path}"])
-    assert exc.value.code == 2
-    assert "argument --seeds: expected comma-separated non-negative integers" in \
-        capsys.readouterr().err
+    # ablate.seeds is the one seed list of ablate, checked by the config parser
+    # before any cell runs: "[x]" and "[1,,2]" are not JSON lists, "[1,-2]"
+    # holds a negative seed and "[]" none
+    assert main(["ablate", str(ROOT / "configs" / "synthetic_small.json"), "--axis", "mode",
+                 "--set", f"ablate.seeds=[{seeds}]", "--set", f"output.dir={tmp_path}"]) == 2
+    assert "config error: ablate.seeds: " in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 SMALL = ROOT / "configs" / "synthetic_small.json"
 
 
-def three_class_idx_config(tmp_path):
-    """synthetic_small.json with its dataset replaced by a 30-image IDX pair
-    whose labels are 0, 1 and 2."""
+def three_class_idx_config(tmp_path, labels=tuple(i % 3 for i in range(30))):
+    """synthetic_small.json with its dataset replaced by an IDX pair of 2x2
+    images, one per label; by default 30 of them, labelled 0, 1 and 2."""
     img, lab = tmp_path / "img", tmp_path / "lab"
-    img.write_bytes(struct.pack(">IIII", 0x00000803, 30, 2, 2) + bytes(range(120)))
-    lab.write_bytes(struct.pack(">II", 0x00000801, 30) + bytes(i % 3 for i in range(30)))
+    n = len(labels)
+    img.write_bytes(struct.pack(">IIII", 0x00000803, n, 2, 2)
+                    + bytes(i % 256 for i in range(4 * n)))
+    lab.write_bytes(struct.pack(">II", 0x00000801, n) + bytes(labels))
     raw = json.loads(SMALL.read_text())
     raw["dataset"] = {"kind": "idx", "images": str(img), "labels": str(lab)}
     path = tmp_path / "idx.json"
@@ -330,6 +333,27 @@ def test_set_up_failure_exits_2_naming_its_field(tmp_path, capsys, case, verb):
     assert captured.err.startswith(f"config error: {message}")
     assert captured.err.count("\n") == 1 and not captured.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "ablate", "inspect-partition"])
+@pytest.mark.parametrize("labels,overrides,message", [
+    # labels 0 and 2 only: the file counts 3 classes, and class 1 has no sample
+    ([0, 2] * 15, [], "error: {lab}: no sample has label 1, though the labels run up to 2"),
+    # the one sample of class 2 goes to the test split
+    ([0, 1] * 15 + [2], ["dataset.test_fraction=0.6"],
+     "config error: dataset.test_fraction: 0.6 leaves class 2 no train rows"),
+], ids=["idx_labels_skip_a_class", "split_leaves_a_class_no_train_rows"])
+def test_a_class_missing_from_the_train_labels_is_named(tmp_path, capsys, verb, labels,
+                                                       overrides, message):
+    config = three_class_idx_config(tmp_path, labels)
+    out = tmp_path / "out"
+    args = [verb, str(config), *(["--axis", "mode"] if verb == "ablate" else [])]
+    for override in overrides + [f"output.dir={out}"]:
+        args += ["--set", override]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message.format(lab=tmp_path / "lab") + "\n"
+    assert not captured.out and not out.exists()
 
 
 @pytest.mark.parametrize("override,field", [("model.hidden=[1000000000000]", "model.hidden"),

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from sfedkd.config import METRICS
 from sfedkd.data import ClassDistribution, Dataset, class_distribution
 from sfedkd.distill import (KDConfig, TeacherEnsemble, discrepancy, kd_targets,
-                            mix_teachers, nckd_loss, round_targets, tckd_loss,
+                            mix_teachers, nckd_loss, tckd_loss,
                             teacher_weights, total_loss)
 from sfedkd.model import (ModelParams, backprop, cross_entropy_grad, forward,
                           forward_cached, init_params)
@@ -460,9 +460,10 @@ def test_total_loss_matches_per_teacher_oracle(seed, c, k, tau, scale, coeffs, c
     (2, KDConfig(uniform_h=True, tau=1.0)),
 ])
 def test_round_targets_slices_match_per_client_targets(k, cfg):
-    # one pass over the round's rows must give each client the bytes of its
-    # own teachers' forward mixed with its own weights, whatever the other
-    # clients hold; a one-client call of kd_targets must give them too
+    # the ensemble weighted for a round's clients and one kd_targets pass over
+    # their rows must give each client the bytes of its own teachers' forward
+    # mixed with its own weights, whatever the other clients hold; a
+    # one-client call of kd_targets must give them too
     rng = np.random.default_rng(k)
     c = 5
     ens = TeacherEnsemble([init_params((4, 6, c), seed=40 + i) for i in range(k)],
@@ -471,7 +472,8 @@ def test_round_targets_slices_match_per_client_targets(k, cfg):
     clients = [Dataset(2 * rng.standard_normal((n, 4)), rng.integers(0, c, n), c)
                for n in (7, 1, 12, 64, 3)]
     dists = [class_distribution(cl) for cl in clients]
-    weighted, targets = round_targets(ens, clients, dists, cfg)
+    weighted = ens.with_weights(dists, cfg)
+    targets = kd_targets(weighted, [(cl.features, cl.labels) for cl in clients], cfg)
     assert len(targets) == len(clients)
     for m, (client, d) in enumerate(zip(clients, dists)):
         own = ens.with_weights(d, cfg)
@@ -493,8 +495,9 @@ def test_round_targets_weight_the_ensemble_for_the_clients_given():
     clients = [Dataset(rng.standard_normal((n, 4)), rng.integers(0, 3, n), 3) for n in (5, 2)]
     dists = [class_distribution(cl) for cl in clients]
     preset = ens.with_weights(dist(0.2, 0.3, 0.5), KDConfig())
-    got_ens, got = round_targets(preset, clients, dists, KDConfig())
-    want_ens, want = round_targets(ens, clients, dists, KDConfig())
+    got_ens, want_ens = (e.with_weights(dists, KDConfig()) for e in (preset, ens))
+    rows = [(cl.features, cl.labels) for cl in clients]
+    got, want = (kd_targets(e, rows, KDConfig()) for e in (got_ens, want_ens))
     assert got_ens.g.shape == got_ens.h.shape == (2, 2)
     assert got_ens.g.tobytes() == want_ens.g.tobytes()
     assert got_ens.h.tobytes() == want_ens.h.tobytes()
@@ -525,10 +528,13 @@ def test_kd_targets_from_logits_match_row_index_oracle_bytes(n, c, k, tau, scale
 
 
 def test_round_targets_off_without_teachers_or_coefficients():
-    clients = [Dataset(np.zeros((2, 4)), np.array([0, 1]), 3)]
-    dists = [class_distribution(cl) for cl in clients]
-    assert round_targets(TeacherEnsemble.empty(), clients, dists, KDConfig())[1] == [None]
+    # kd_targets states the off rule for every caller: no teachers, gamma and
+    # beta both zero, or no clients
+    rows = [(np.zeros((2, 4)), np.array([0, 1]))]
+    dists = [class_distribution(Dataset(*rows[0], 3))]
+    empty = TeacherEnsemble.empty()
+    assert kd_targets(empty.with_weights(dists, KDConfig()), rows, KDConfig()) == [None]
     off = KDConfig(gamma=0.0, beta=0.0)
-    weighted, targets = round_targets(make_ensemble(), clients, dists, off)
-    assert targets == [None] and weighted.g.shape == (1, 2)
-    assert round_targets(make_ensemble(), [], [], KDConfig())[1] == []
+    weighted = make_ensemble().with_weights(dists, off)
+    assert kd_targets(weighted, rows, off) == [None] and weighted.g.shape == (1, 2)
+    assert kd_targets(make_ensemble().with_weights([], KDConfig()), [], KDConfig()) == []

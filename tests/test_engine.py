@@ -8,7 +8,7 @@ from param_oracle import param_sets, weighted_average_oracle
 from sfedkd.data import (ClassDistribution, Dataset, PartitionSpec,
                          class_distribution, generate_synthetic,
                          partition_exdir_indices)
-from sfedkd.distill import KDConfig, TeacherEnsemble, round_targets, total_loss
+from sfedkd.distill import KDConfig, TeacherEnsemble, kd_targets, total_loss
 from sfedkd.engine import (SEED_SHUFFLE, EvalContext, FederationState,
                            TrainConfig, collect_teachers, derive_seed,
                            local_train, run_round, sample_sequence,
@@ -232,8 +232,8 @@ def test_local_train_matches_per_step_oracle_bytes(case, precomputed):
     model, client, ensemble, cfg, seed = case
     targets = None
     if precomputed and ensemble.k:
-        ensemble, (targets,) = round_targets(ensemble, [client], [class_distribution(client)],
-                                             cfg.kd)
+        ensemble = ensemble.with_weights(class_distribution(client), cfg.kd)
+        (targets,) = kd_targets(ensemble, [(client.features, client.labels)], cfg.kd)
     sink, want_sink = [], []
     got = local_train(model, client, ensemble, cfg, np.random.default_rng(seed), targets, sink)
     want = local_train_oracle(model, client, ensemble, cfg, np.random.default_rng(seed),

@@ -2,7 +2,9 @@
 
 Run from the repository root on two commits and diff the outputs:
 
-    PYTHONPATH=src python tools/output_matrix.py > outputs.txt
+    PYTHONPATH=src python -W error::RuntimeWarning tools/output_matrix.py > outputs.txt
+
+(`-W error::RuntimeWarning` turns a numpy warning in any verb into a failure.)
 
 A refactor that claims byte-identical outputs prints the same lines as its
 parent. The grid is every mode x master seeds 0 and 1 x eval granularity
@@ -90,7 +92,7 @@ def run() -> None:
                         digests = " ".join(f"{name}={sha256(out / name)}" for name in RUN_FILES)
                         print(f"{shape}/{mode}/seed{seed}/{granularity} {digests}", flush=True)
             for axis in ("teachers", "mode"):
-                cli(["ablate", str(CONFIG), "--axis", axis, "--seeds", "0,1",
+                cli(["ablate", str(CONFIG), "--axis", axis, "--set", "ablate.seeds=[0,1]",
                      *sets([*overrides, f"output.dir={out}"])])
                 print(f"{shape}/ablate_{axis} ablate_{axis}.csv="
                       f"{sha256(out / f'ablate_{axis}.csv')}", flush=True)
