@@ -171,6 +171,8 @@ def cmd_select(args) -> int:
     if args.seed < 0:
         raise ConfigError("--seed", f"expected a non-negative integer, got {args.seed}")
     dists = _read_distributions_csv(args.csv)
+    if not 1 <= args.k <= len(dists):
+        raise ConfigError("--k", f"expected an integer in [1, {len(dists)}], got {args.k}")
     if args.solver == "random":
         chosen = random_select(len(dists), args.k, args.seed)
     else:

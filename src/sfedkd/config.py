@@ -129,7 +129,7 @@ class _Block:
 @dataclass
 class DatasetConfig(_Block):
     kind: str = option("synthetic", choices=("synthetic", "idx"))
-    name: str = "synthetic"
+    name: str = "synthetic"                      # a label; only config.resolved.json has it
     n_per_class: int = option(150, ge=1)
     classes: int = option(10, ge=2)
     features: int = option(16, ge=2)
@@ -249,12 +249,14 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
         if "=" not in item:
             raise ConfigError(item, "override must look like dotted.path=value")
         path, _, text = item.partition("=")
+        keys = path.split(".")
+        if "" in keys:
+            raise ConfigError(item, "override path has an empty segment")
         try:
             value = json.loads(text)
         except json.JSONDecodeError:
             value = text
         node = out
-        keys = path.split(".")
         for key in keys[:-1]:
             node = node.setdefault(key, {})
             if not isinstance(node, dict):

@@ -15,7 +15,7 @@ place: train rows grouped by client in one buffer, test rows in another.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     c_total: int
-    name: str = "dataset"
     client_bounds: np.ndarray | None = None
 
     def __post_init__(self):
@@ -81,15 +80,14 @@ class Dataset:
     def clients(self) -> list["Dataset"]:
         """One dataset per client, each a view of this dataset's rows."""
         if self.client_bounds is None:
-            raise ValueError(f"{self.name}: rows are not grouped by client")
+            raise ValueError("rows are not grouped by client")
         b = self.client_bounds
-        return [Dataset(self.features[b[n]:b[n + 1]], self.labels[b[n]:b[n + 1]],
-                        self.c_total, f"{self.name}/client{n:02d}")
+        return [Dataset(self.features[b[n]:b[n + 1]], self.labels[b[n]:b[n + 1]], self.c_total)
                 for n in range(len(b) - 1)]
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.features[indices], self.labels[indices], self.c_total, self.name)
+        return Dataset(self.features[indices], self.labels[indices], self.c_total)
 
 
 @dataclass
@@ -138,27 +136,24 @@ class Layout:
     train_rows: the source row of each train row, grouped by client.
     client_bounds: client n holds train rows client_bounds[n]:client_bounds[n+1];
     None when the train rows are not grouped by client.
-    test_rows: the source row of each test row; None when the source
-    yields no test set.
+    test_rows: the source row of each test row; empty when there are none.
     """
 
     train_rows: np.ndarray
     client_bounds: np.ndarray | None = None
-    test_rows: np.ndarray | None = None
+    test_rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
-    def fill(self, blocks, labels: np.ndarray, c_total: int, n_features: int,
-             name: str) -> tuple[Dataset, Dataset | None]:
+    def fill(self, blocks, labels: np.ndarray, c_total: int,
+             n_features: int) -> tuple[Dataset, Dataset]:
         """(train, test) with each row of `blocks`, which yields the source's
         feature rows in order, written once to its place. Both buffers are
         allocated before the first block is read."""
-        n_train = len(self.train_rows)
-        n_test = 0 if self.test_rows is None else len(self.test_rows)
+        n_train, n_test = len(self.train_rows), len(self.test_rows)
         dest = np.empty(len(labels), dtype=np.int64)
         dest[self.train_rows] = np.arange(n_train)
         train = np.empty((n_train, n_features))
         test = np.empty((n_test, n_features))
-        if n_test:
-            dest[self.test_rows] = np.arange(n_train, n_train + n_test)
+        dest[self.test_rows] = np.arange(n_train, n_train + n_test)
         start = 0
         for block in blocks:
             to = dest[start:start + len(block)]
@@ -168,11 +163,8 @@ class Layout:
                 test[to[~keep] - n_train] = block[~keep]
                 block, to = block[keep], to[keep]
             train[to] = block
-        if self.test_rows is None:
-            return Dataset(train, labels[self.train_rows], c_total, name, self.client_bounds), None
-        return (Dataset(train, labels[self.train_rows], c_total, f"{name}/train",
-                        self.client_bounds),
-                Dataset(test, labels[self.test_rows], c_total, f"{name}/test"))
+        return (Dataset(train, labels[self.train_rows], c_total, self.client_bounds),
+                Dataset(test, labels[self.test_rows], c_total))
 
 
 def _block_rows(n_features: int) -> int:
@@ -185,9 +177,8 @@ def synthetic_labels(n_per_class: int, c_total: int) -> np.ndarray:
 
 
 def generate_synthetic(n_per_class: int, c_total: int, n_features: int,
-                       spread: float, seed: int, name: str = "synthetic",
-                       layout: Layout | None = None
-                       ) -> Dataset | tuple[Dataset, Dataset | None]:
+                       spread: float, seed: int,
+                       layout: Layout | None = None) -> Dataset | tuple[Dataset, Dataset]:
     """Gaussian-blob classification data with one blob per class.
 
     Class means sit evenly spaced on a circle of radius 5 in the first two
@@ -223,8 +214,8 @@ def generate_synthetic(n_per_class: int, c_total: int, n_features: int,
             yield block
 
     if layout is None:
-        return Layout(np.arange(len(labels))).fill(blocks(), labels, c_total, n_features, name)[0]
-    return layout.fill(blocks(), labels, c_total, n_features, name)
+        return Layout(np.arange(len(labels))).fill(blocks(), labels, c_total, n_features)[0]
+    return layout.fill(blocks(), labels, c_total, n_features)
 
 
 def _read_be_u32(buf: bytes, offset: int, path) -> int:
@@ -296,13 +287,12 @@ def idx_blocks(pixels: np.ndarray):
         yield block
 
 
-def load_idx(images_path, labels_path, n_classes: int | None = None,
-             name: str = "idx") -> Dataset:
+def load_idx(images_path, labels_path, n_classes: int | None = None) -> Dataset:
     """Load an IDX image/label file pair (see `read_idx`) into a flat
     [0,1]-scaled Dataset in file order."""
     pixels, labels, c_total = read_idx(images_path, labels_path, n_classes)
     return Layout(np.arange(len(labels))).fill(idx_blocks(pixels), labels, c_total,
-                                               pixels.shape[1], name)[0]
+                                               pixels.shape[1])[0]
 
 
 def largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray:

@@ -25,7 +25,7 @@ def _layout(cfg: ExperimentConfig, labels: np.ndarray, c_total: int) -> Layout:
     """Where each source row goes: the label-level split (unless test files
     are given), then the partition of the train labels, grouped by client."""
     ds = cfg.dataset
-    train_rows, test_rows = np.arange(len(labels)), None
+    train_rows, test_rows = np.arange(len(labels)), np.empty(0, dtype=np.int64)
     if ds.test_fraction > 0 and not (ds.kind == "idx" and ds.test_images):
         train_rows, test_rows = split_train_test(labels, c_total, ds.test_fraction,
                                                  ds.split_seed)
@@ -43,11 +43,12 @@ def _too_big(field: str, what: str) -> ConfigError:
     return ConfigError(field, f"{what} float64 values are too many to allocate")
 
 
-def build_dataset(cfg: ExperimentConfig) -> tuple[Dataset, Dataset | None]:
+def build_dataset(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     """Materialize the (train, test) pair described by the dataset block.
 
     The train rows are grouped by client; `Dataset.clients` gives the
-    partition, and `initial_state` takes its clients from there."""
+    partition, and `initial_state` takes its clients from there. The test
+    set is empty when there are no test rows."""
     ds = cfg.dataset
     if ds.kind == "synthetic":
         # the labels fit once n_per_class does; then features overflow
@@ -59,14 +60,14 @@ def build_dataset(cfg: ExperimentConfig) -> tuple[Dataset, Dataset | None]:
         layout = _layout(cfg, labels, ds.classes)
         try:
             return generate_synthetic(ds.n_per_class, ds.classes, ds.features, ds.spread,
-                                      ds.seed, name=ds.name, layout=layout)
+                                      ds.seed, layout=layout)
         except (MemoryError, ValueError):
             raise _too_big("dataset.features", size) from None
     pixels, labels, c_total = read_idx(ds.images, ds.labels)
-    train, test = _layout(cfg, labels, c_total).fill(
-        idx_blocks(pixels), labels, c_total, pixels.shape[1], ds.name)
+    train, test = _layout(cfg, labels, c_total).fill(idx_blocks(pixels), labels, c_total,
+                                                     pixels.shape[1])
     if ds.test_images:
-        test = load_idx(ds.test_images, ds.test_labels, n_classes=c_total, name=f"{ds.name}/test")
+        test = load_idx(ds.test_images, ds.test_labels, n_classes=c_total)
     return train, test
 
 
@@ -90,7 +91,7 @@ def run_experiment(cfg: ExperimentConfig,
     """Run the configured mode for R rounds; pure function of the config."""
     train, test = build_dataset(cfg)
     eval_dataset = test if cfg.eval.split == "test" else train
-    if eval_dataset is None or not len(eval_dataset):
+    if not len(eval_dataset):
         raise ConfigError("dataset.test_fraction", f"{cfg.dataset.test_fraction} leaves the "
                           f"{cfg.eval.split} split empty, so no round can be evaluated")
     state = initial_state(cfg, train)

@@ -49,6 +49,14 @@ def test_readme_quick_start_lines_parse():
         {"run", "ablate", "select", "inspect-partition"}
 
 
+def test_readme_library_use_example_runs(capsys):
+    section = (ROOT / "README.md").read_text().split("\n## Library use\n")[1].split("\n## ")[0]
+    code = section.split("```python\n")[1].split("```")[0]
+    exec(compile(code, "README.md", "exec"), {})
+    top1 = capsys.readouterr().out.split()[0]  # the line is "<top1> <forgetting>"
+    assert 0.0 <= float(top1) <= 1.0
+
+
 # --------------------------------------------------------------------- run
 
 def test_run_emits_artifacts(tmp_path):
@@ -232,12 +240,13 @@ def test_select_rejects_bad_csv(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("solver", ["greedy", "exact", "random"])
-@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("k", [0, -1, 5])
 def test_select_rejects_k_outside_candidate_range(tmp_path, capsys, solver, k):
     path = tmp_path / "dists.csv"
     path.write_text(DOC_CSV)
     assert main(["select", str(path), "--k", str(k), "--solver", solver]) == 2
-    assert f"error: K={k} must lie in [1, 4]" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        f"config error: --k: expected an integer in [1, 4], got {k}\n"
 
 
 def test_select_rejects_a_negative_seed_naming_the_flag(tmp_path, capsys):

@@ -141,6 +141,15 @@ def test_cli_block_that_is_not_an_object_exits_2(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("override", ["=5", ".R=5", "train.=5", "train..R=5"])
+def test_override_with_an_empty_path_segment_names_the_override(tmp_path, capsys, override):
+    assert main(["run", str(ROOT / "configs" / "synthetic_small.json"),
+                 "--set", override, "--set", f"output.dir={tmp_path}"]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: {override}: override path has an empty segment\n"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("override", [
     "dataset.test_fraction=NaN", "train.eta=NaN", "train.kd.tau=NaN",
     "partition.alpha=Infinity", "train.weight_decay=-Infinity",
