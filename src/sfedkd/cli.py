@@ -28,7 +28,7 @@ from .config import (METRICS, MODES, ConfigError, ExperimentConfig, _read_utf8,
 from .data import ClassDistribution
 from .experiment import build_dataset, run_experiment
 from .model import save_params
-from .selection import (SelectionInstance, aggregate_objective,
+from .selection import (BRUTE_FORCE_MAX_CANDIDATES, SelectionInstance, aggregate_objective,
                         brute_force_select, greedy_select, random_select)
 
 EXIT_OK = 0
@@ -173,6 +173,9 @@ def cmd_select(args) -> int:
     dists = _read_distributions_csv(args.csv)
     if not 1 <= args.k <= len(dists):
         raise ConfigError("--k", f"expected an integer in [1, {len(dists)}], got {args.k}")
+    if args.solver == "exact" and len(dists) > BRUTE_FORCE_MAX_CANDIDATES:
+        raise ConfigError("--solver", f"exact takes at most {BRUTE_FORCE_MAX_CANDIDATES} rows, "
+                          f"{args.csv} has {len(dists)}")
     if args.solver == "random":
         chosen = random_select(len(dists), args.k, args.seed)
     else:

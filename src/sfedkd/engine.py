@@ -36,8 +36,7 @@ class FederationState:
     client_datasets: list[Dataset]
     client_dists: list[ClassDistribution]
     master_seed: int
-    prev_sequence: list[int] = field(default_factory=list)
-    prev_models: list[ModelParams] = field(default_factory=list)
+    candidates: list[tuple[int, ModelParams]] = field(default_factory=list)
 
     @property
     def n_clients(self) -> int:
@@ -88,29 +87,25 @@ def collect_teachers(state: FederationState, k: int, metric: str,
                      solver: str = "greedy") -> TeacherEnsemble:
     """Teacher ensemble drawn from the models the previous round ended with.
 
-    Candidates are the previous sequence's positions whose clients hold data.
-    Round 1 (or an all-empty previous round) yields an empty ensemble and the
-    round degenerates to plain sequential training. `solver` is a solver of
-    `config.MODES`: "greedy", or any other for a seeded random pick.
+    Candidates are `state.candidates`, the (client id, model) pair of each
+    client the previous round trained, in sequence order. There are none in
+    round 1 or after a round that averaged or trained no client; then the
+    ensemble is empty and the round is plain sequential training. `solver` is
+    a solver of `config.MODES`: "greedy", or any other for a seeded random pick.
     """
-    if not state.prev_models:
+    if not state.candidates:
         return TeacherEnsemble.empty()
-    positions = [m for m, cid in enumerate(state.prev_sequence)
-                 if not state.client_dists[cid].empty]
-    if not positions:
-        return TeacherEnsemble.empty()
-    k_eff = min(k, len(positions))
-    dists = [state.client_dists[state.prev_sequence[m]] for m in positions]
+    k_eff = min(k, len(state.candidates))
+    dists = [state.client_dists[cid] for cid, _ in state.candidates]
     if solver == "greedy":
         picked = greedy_select(SelectionInstance(dists, k_eff, metric))
     else:
         seed = derive_seed(state.master_seed, SEED_RANDOM_TEACHERS, state.round)
-        picked = random_select(len(positions), k_eff, seed)
-    chosen = [positions[i] for i in picked]
+        picked = random_select(len(dists), k_eff, seed)
     return TeacherEnsemble(
-        teachers=[state.prev_models[m] for m in chosen],
+        teachers=[state.candidates[i][1] for i in picked],
         dists=[dists[i] for i in picked],
-        client_ids=[state.prev_sequence[m] for m in chosen],
+        client_ids=[state.candidates[i][0] for i in picked],
     )
 
 
@@ -167,54 +162,50 @@ def run_round(state: FederationState, cfg: TrainConfig,
     """One round of any mode: sample M clients in order, train each non-empty
     one, evaluate.
 
-    Sequential modes chain: client m starts from client m-1's final model, and
-    the model each position ends with, as `local_train` returned it (an empty
-    client's is the model passing through), is a teacher candidate for round
-    r+1; positions may share one object, since no model is written after its
-    visit. fedavg trains each client from the global model without teachers
-    and averages the results by client size, in sequence order; it keeps no
-    candidates, evaluates once per round at any granularity, and skips a
-    round whose sampled clients are all empty.
+    Sequential modes chain: each trained client starts from the previous
+    trained client's final model, and the (client id, model) pairs of the
+    trained clients, each model as `local_train` returned it, are the teacher
+    candidates of round r+1; no model is written after its visit. fedavg
+    trains each client from the global model without teachers and averages
+    the results by client size, in sequence order; it keeps no candidates,
+    evaluates once per round at any granularity, and skips a round whose
+    sampled clients are all empty.
     """
     r = state.round
     average = cfg.mode == "fedavg"
-    seq = sample_sequence(state, cfg.M)
+    visits = [(m, cid) for m, cid in enumerate(sample_sequence(state, cfg.M))
+              if len(state.client_datasets[cid])]
     solver = MODES[cfg.mode]
     ensemble = (collect_teachers(state, cfg.K, cfg.kd.metric, solver) if solver
                 else TeacherEnsemble.empty())
 
     record = RoundRecord(round=r, mode=cfg.mode, teachers=list(ensemble.client_ids))
-    trained = [cid for cid in seq if len(state.client_datasets[cid])]
-    ensemble = ensemble.with_weights([state.client_dists[c] for c in trained], cfg.kd)
-    clients = [state.client_datasets[c] for c in trained]
-    targets = iter(kd_targets(ensemble, [(c.features, c.labels) for c in clients], cfg.kd))
-    if ensemble.k and trained:
-        record.g_mean = (ensemble.g.sum(axis=0) / len(trained)).tolist()
-        record.h_mean = (ensemble.h.sum(axis=0) / len(trained)).tolist()
+    ensemble = ensemble.with_weights([state.client_dists[c] for _, c in visits], cfg.kd)
+    clients = [state.client_datasets[c] for _, c in visits]
+    targets = kd_targets(ensemble, [(c.features, c.labels) for c in clients], cfg.kd)
+    if ensemble.k and visits:
+        record.g_mean = (ensemble.g.sum(axis=0) / len(visits)).tolist()
+        record.h_mean = (ensemble.h.sum(axis=0) / len(visits)).tolist()
     per_visit = eval_ctx is not None and eval_ctx.granularity == "client" and not average
     model = state.global_model
-    kept: list[ModelParams] = []  # fedavg: the local models; else each position's model
-    for m, cid in enumerate(seq):
-        client = state.client_datasets[cid]
-        if len(client):
-            rng = np.random.default_rng(derive_seed(state.master_seed, SEED_SHUFFLE, r, m))
-            model = local_train(state.global_model if average else model, client, ensemble,
-                                cfg, rng, next(targets))
-            if per_visit:
-                _evaluate_round(model, record, eval_ctx)
-        if len(client) or not average:
-            kept.append(model)
+    trained: list[tuple[int, ModelParams]] = []
+    for (m, cid), client, client_targets in zip(visits, clients, targets):
+        rng = np.random.default_rng(derive_seed(state.master_seed, SEED_SHUFFLE, r, m))
+        model = local_train(state.global_model if average else model, client, ensemble,
+                            cfg, rng, client_targets)
+        trained.append((cid, model))
+        if per_visit:
+            _evaluate_round(model, record, eval_ctx)
     if average:
-        if kept:
-            model = weighted_average(kept, [len(c) for c in clients])
+        if trained:
+            model = weighted_average([p for _, p in trained], [len(c) for c in clients])
         else:
             record.note = "all sampled clients empty; round skipped"
-        kept = []
     if eval_ctx is not None and not per_visit:
         _evaluate_round(model, record, eval_ctx)
 
     new_state = replace(state, round=r + 1, global_model=model,
-                        prev_sequence=seq, prev_models=kept)
+                        candidates=[] if average else trained)
     return new_state, record
 
 

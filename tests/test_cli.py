@@ -249,6 +249,17 @@ def test_select_rejects_k_outside_candidate_range(tmp_path, capsys, solver, k):
         f"config error: --k: expected an integer in [1, 4], got {k}\n"
 
 
+def test_select_exact_refuses_more_rows_than_its_cap_naming_the_flag(tmp_path, capsys):
+    path = tmp_path / "dists.csv"
+    path.write_text("1,0\n0,1\n" * 10)
+    assert main(["select", str(path), "--k", "2", "--solver", "exact"]) == 0
+    assert capsys.readouterr().out == "selected: 0,1\nobjective: 0.000000\n"
+    path.write_text("1,0\n0,1\n" * 10 + "0.5,0.5\n")
+    assert main(["select", str(path), "--k", "2", "--solver", "exact"]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: --solver: exact takes at most 20 rows, {path} has 21\n"
+
+
 def test_select_rejects_a_negative_seed_naming_the_flag(tmp_path, capsys):
     path = tmp_path / "dists.csv"
     path.write_text(DOC_CSV)

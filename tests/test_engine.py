@@ -85,9 +85,9 @@ def test_collect_teachers_all_when_k_equals_m():
     state, _ = run_round(state, cfg)
     ens = collect_teachers(state, 3, "KL")
     assert ens.k == 3
-    assert sorted(ens.client_ids) == sorted(state.prev_sequence)
+    assert sorted(ens.client_ids) == sorted(cid for cid, _ in state.candidates)
     for teacher in ens.teachers:
-        assert any(params_equal(teacher, m) for m in state.prev_models)
+        assert any(params_equal(teacher, m) for _, m in state.candidates)
 
 
 def test_collect_teachers_one_hot_coverage():
@@ -104,8 +104,7 @@ def test_collect_teachers_one_hot_coverage():
     state = FederationState(
         round=2, global_model=model, client_datasets=datasets,
         client_dists=dists, master_seed=0,
-        prev_sequence=list(range(c)),
-        prev_models=[snapshot(model) for _ in range(c)],
+        candidates=[(cid, snapshot(model)) for cid in range(c)],
     )
     ens = collect_teachers(state, c, "L1")
     assert ens.k == c
@@ -114,14 +113,19 @@ def test_collect_teachers_one_hot_coverage():
 
 
 def test_collect_teachers_skips_empty_clients():
+    # a sampled empty client trains nothing, so it is no candidate and no teacher
     state = small_state()
-    state.round = 2
-    state.prev_sequence = [0, 1, 2]
-    state.prev_models = [snapshot(state.global_model) for _ in range(3)]
-    state.client_dists[1] = ClassDistribution(np.zeros(4), empty=True)
-    ens = collect_teachers(state, 3, "KL")
-    assert ens.k == 2
+    empty = state.client_datasets[1].subset(np.array([], dtype=np.int64))
+    state.client_datasets[1], state.client_dists[1] = empty, class_distribution(empty)
+    state, _ = run_round(state, small_cfg(M=6))
+    assert sorted(cid for cid, _ in state.candidates) == [0, 2, 3, 4, 5]
+    ens = collect_teachers(state, 6, "KL")
+    assert ens.k == 5
     assert 1 not in ens.client_ids
+    # a candidate built by hand with an empty distribution fails loudly
+    state.candidates = [(0, state.global_model), (1, state.global_model)]
+    with pytest.raises(ValueError, match="distribution 1 is empty"):
+        run_round(state, small_cfg(M=6))
 
 
 # ------------------------------------------------------------ local_train
@@ -302,8 +306,7 @@ def test_round_one_modes_agree():
 def test_run_round_state_contract():
     state, record = run_round(small_state(), small_cfg())
     assert state.round == 2
-    assert len(state.prev_models) == 3
-    assert len(state.prev_sequence) == 3
+    assert len(state.candidates) == 3
     assert record.round == 1
     assert record.mode == "sfedkd"
 
@@ -314,42 +317,61 @@ def test_run_round_sequential_causality_replay():
     start = small_state()
     state, _ = run_round(start, cfg)
     model = start.global_model
-    for m, cid in enumerate(state.prev_sequence):
+    want = []
+    for m, cid in enumerate(sample_sequence(start, cfg.M)):
         client = start.client_datasets[cid]
         if len(client):
             rng = np.random.default_rng(derive_seed(start.master_seed, SEED_SHUFFLE, 1, m))
             model = local_train(model, client, TeacherEnsemble.empty(), cfg, rng)
-        assert params_equal(model, state.prev_models[m])
+            want.append((cid, model))
+    assert [cid for cid, _ in state.candidates] == [cid for cid, _ in want]
+    for (_, got), (_, expected) in zip(state.candidates, want):
+        assert params_equal(got, expected)
     assert params_equal(model, state.global_model)
 
 
 def test_run_round_keeps_the_models_local_train_returns():
     # local_train returns a copy that nobody else holds, so the round keeps
-    # it as is: positions, teachers and the global model share objects, and
+    # it as is: candidates, teachers and the global model share objects, and
     # no later round may write to them
     state = small_state()
     empty = state.client_datasets[0].subset(np.array([], dtype=np.int64))
     state.client_datasets[0], state.client_dists[0] = empty, class_distribution(empty)
     cfg = small_cfg(M=6)
-    empty_positions = []
     for _ in range(3):
-        held = state.prev_models + [state.global_model]
+        held = [p for _, p in state.candidates] + [state.global_model]
         held_bytes = [p.flat.tobytes() for p in held]
-        start = state.global_model
         state, _ = run_round(state, cfg)
         assert [p.flat.tobytes() for p in held] == held_bytes
-        m = state.prev_sequence.index(0)
-        assert state.prev_models[m] is (state.prev_models[m - 1] if m else start)
-        assert state.global_model is state.prev_models[-1]
-        empty_positions.append(m)
-    assert any(empty_positions)  # the empty client passed a trained model on
+        assert 0 not in [cid for cid, _ in state.candidates]
+        assert state.global_model is state.candidates[-1][1]
+
+
+def test_sequential_round_that_trains_no_client():
+    # a round whose sampled clients are all empty keeps the global model and
+    # leaves no candidates, so the next round has no teachers and trains as
+    # fedseq does
+    cfg = small_cfg(M=2)
+    state, _ = run_round(small_state(seed=3), cfg)
+    assert state.candidates
+    for cid in sample_sequence(state, cfg.M):
+        empty = state.client_datasets[cid].subset(np.array([], dtype=np.int64))
+        state.client_datasets[cid], state.client_dists[cid] = empty, class_distribution(empty)
+    idle, _ = run_round(state, cfg)
+    assert idle.global_model is state.global_model
+    assert idle.candidates == []
+    assert any(len(idle.client_datasets[cid]) for cid in sample_sequence(idle, cfg.M))
+    kd_state, record = run_round(idle, cfg)
+    seq_state, _ = run_round(idle, small_cfg(M=2, mode="fedseq"))
+    assert record.teachers == [] and kd_state.candidates
+    assert kd_state.global_model.flat.tobytes() == seq_state.global_model.flat.tobytes()
 
 
 def test_run_round_teacher_provenance():
     cfg = small_cfg()
     state = small_state()
     state, _ = run_round(state, cfg)
-    prev_snapshots = state.prev_models
+    prev_snapshots = [p for _, p in state.candidates]
     ens = collect_teachers(state, cfg.K, cfg.kd.metric)
     for teacher in ens.teachers:
         assert any(params_equal(teacher, s) for s in prev_snapshots)
@@ -387,8 +409,8 @@ def test_record_to_dict_keys_follow_field_order():
 
 def test_fedavg_round_keeps_no_teacher_candidates():
     state, _ = run_round(small_state(), small_cfg(mode="fedavg"))
-    assert state.round == 2 and len(state.prev_sequence) == 3
-    assert state.prev_models == []
+    assert state.round == 2
+    assert state.candidates == []
     assert collect_teachers(state, 2, "KL").k == 0
 
 
@@ -438,19 +460,20 @@ def test_run_round_matches_per_client_teacher_pass(K, kd):
     state, _ = run_round(state, cfg)
     ensemble = collect_teachers(state, K, kd.metric)
     new_state, record = run_round(state, cfg)
-    assert 2 in new_state.prev_sequence
+    assert 2 in sample_sequence(state, cfg.M)
     model = state.global_model
-    g_sum, h_sum, n = np.zeros(K), np.zeros(K), 0
-    for m, cid in enumerate(new_state.prev_sequence):
+    g_sum, h_sum, want = np.zeros(K), np.zeros(K), []
+    for m, cid in enumerate(sample_sequence(state, cfg.M)):
         client = state.client_datasets[cid]
         if len(client):
             own = ensemble.with_weights(state.client_dists[cid], kd)
             g_sum += own.g
             h_sum += own.h
-            n += 1
             rng = np.random.default_rng(derive_seed(state.master_seed, SEED_SHUFFLE, 2, m))
             model = local_train(model, client, own, cfg, rng)
-        assert model.flat.tobytes() == new_state.prev_models[m].flat.tobytes()
+            want.append((cid, model.flat.tobytes()))
+    assert [(cid, p.flat.tobytes()) for cid, p in new_state.candidates] == want
+    n = len(want)
     assert record.g_mean == (g_sum / n).tolist()
     assert record.h_mean == (h_sum / n).tolist()
 
@@ -520,7 +543,7 @@ def test_fedavg_round_runs_and_averages():
     start = small_state()
     state, record = run_round(start, cfg)
     locals_, sizes = [], []
-    for m, cid in enumerate(state.prev_sequence):
+    for m, cid in enumerate(sample_sequence(start, cfg.M)):
         client = start.client_datasets[cid]
         if len(client):
             rng = np.random.default_rng(derive_seed(start.master_seed, SEED_SHUFFLE, 1, m))
@@ -530,7 +553,7 @@ def test_fedavg_round_runs_and_averages():
     assert len(locals_) >= 2
     want = weighted_average(locals_, sizes)
     assert state.global_model.flat.tobytes() == want.flat.tobytes()
-    assert state.prev_models == []
+    assert state.candidates == []
     assert state.round == 2
     assert record.mode == "fedavg"
     assert record.note == "" and record.teachers == [] and record.g_mean == []
@@ -549,4 +572,4 @@ def test_fedavg_round_skips_when_all_sampled_clients_empty():
     new_state, record = run_round(state, small_cfg(mode="fedavg", M=2, K=1))
     assert record.note == "all sampled clients empty; round skipped"
     assert params_equal(new_state.global_model, model)
-    assert new_state.prev_models == []
+    assert new_state.candidates == []

@@ -14,7 +14,9 @@ parent. The grid is every mode x master seeds 0 and 1 x eval granularity
 - `small`: the config as shipped (8 -> 32 -> 10);
 - `wide`: a 784 -> 64 -> 10 shape with 30 clients and 4 rounds;
 - `sparse`: 4 classes, one class per client and alpha 0.05, so many clients
-  are empty and some fedavg rounds sample only empty clients.
+  are empty and some rounds of every mode sample only empty clients: a
+  fedavg round skips, and a sequential round trains no client, so the next
+  one has no teachers.
 
 Each `run` case prints one line with the digests of `rounds.jsonl`,
 `summary.csv` and `model_final.bin`. Then, per shape, `ablate --axis
