@@ -92,22 +92,15 @@ class Dataset:
 
 @dataclass
 class ClassDistribution:
-    """Per-class data proportions of one client's dataset.
-
-    `empty` marks the all-zero vector of a client that holds no samples.
-    """
+    """Per-class data proportions of one client's dataset."""
 
     proportions: np.ndarray
-    empty: bool = False
 
     def __post_init__(self):
         self.proportions = np.asarray(self.proportions, dtype=np.float64)
         if self.proportions.ndim != 1:
             raise ValueError("proportions must be a 1-D vector")
-        if not self.empty:
-            _check_distributions(self.proportions, "proportions")
-        elif self.proportions.any():  # NaN and inf count as non-zero
-            raise ValueError("empty distribution must be all-zero")
+        _check_distributions(self.proportions, "proportions")
 
     def __len__(self) -> int:
         return len(self.proportions)
@@ -121,9 +114,7 @@ def _check_distributions(rows: np.ndarray, name: str) -> None:
 
 
 def _proportions(dists: list[ClassDistribution]) -> np.ndarray:
-    """The (n, C) stack of class distributions of one length, none empty."""
-    if any(d.empty for d in dists):
-        raise ValueError(f"distribution {[d.empty for d in dists].index(True)} is empty")
+    """The (n, C) stack of class distributions of one length."""
     if len({len(d) for d in dists}) > 1:
         raise ValueError(f"distributions must have equal length, got {[len(d) for d in dists]}")
     return np.stack([d.proportions for d in dists])
@@ -380,9 +371,9 @@ def partition_exdir_indices(labels: np.ndarray, c_total: int,
 
 
 def class_distribution(dataset: Dataset) -> ClassDistribution:
-    """Per-class sample proportions; all-zero with the empty flag if no samples."""
+    """Per-class sample proportions of a non-empty dataset."""
     if len(dataset) == 0:
-        return ClassDistribution(np.zeros(dataset.c_total), empty=True)
+        raise ValueError("an empty dataset has no class distribution")
     counts = np.bincount(dataset.labels, minlength=dataset.c_total).astype(np.float64)
     return ClassDistribution(counts / counts.sum())
 

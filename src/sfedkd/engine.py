@@ -34,7 +34,7 @@ class FederationState:
     round: int
     global_model: ModelParams
     client_datasets: list[Dataset]
-    client_dists: list[ClassDistribution]
+    client_dists: dict[int, ClassDistribution]  # keyed by the clients that hold data
     master_seed: int
     candidates: list[tuple[int, ModelParams]] = field(default_factory=list)
 
@@ -167,23 +167,24 @@ def run_round(state: FederationState, cfg: TrainConfig,
     trained clients, each model as `local_train` returned it, are the teacher
     candidates of round r+1; no model is written after its visit. fedavg
     trains each client from the global model without teachers and averages
-    the results by client size, in sequence order; it keeps no candidates,
-    evaluates once per round at any granularity, and skips a round whose
-    sampled clients are all empty.
+    the results by client size, in sequence order; it keeps no candidates and
+    evaluates once per round at any granularity. A round whose sampled
+    clients are all empty picks no teachers, keeps the global model and is
+    noted as skipped, in every mode.
     """
     r = state.round
     average = cfg.mode == "fedavg"
     visits = [(m, cid) for m, cid in enumerate(sample_sequence(state, cfg.M))
               if len(state.client_datasets[cid])]
     solver = MODES[cfg.mode]
-    ensemble = (collect_teachers(state, cfg.K, cfg.kd.metric, solver) if solver
+    ensemble = (collect_teachers(state, cfg.K, cfg.kd.metric, solver) if solver and visits
                 else TeacherEnsemble.empty())
 
     record = RoundRecord(round=r, mode=cfg.mode, teachers=list(ensemble.client_ids))
     ensemble = ensemble.with_weights([state.client_dists[c] for _, c in visits], cfg.kd)
     clients = [state.client_datasets[c] for _, c in visits]
     targets = kd_targets(ensemble, [(c.features, c.labels) for c in clients], cfg.kd)
-    if ensemble.k and visits:
+    if ensemble.k:
         record.g_mean = (ensemble.g.sum(axis=0) / len(visits)).tolist()
         record.h_mean = (ensemble.h.sum(axis=0) / len(visits)).tolist()
     per_visit = eval_ctx is not None and eval_ctx.granularity == "client" and not average
@@ -196,11 +197,10 @@ def run_round(state: FederationState, cfg: TrainConfig,
         trained.append((cid, model))
         if per_visit:
             _evaluate_round(model, record, eval_ctx)
-    if average:
-        if trained:
-            model = weighted_average([p for _, p in trained], [len(c) for c in clients])
-        else:
-            record.note = "all sampled clients empty; round skipped"
+    if not visits:
+        record.note = "all sampled clients empty; round skipped"
+    elif average:
+        model = weighted_average([p for _, p in trained], [len(c) for c in clients])
     if eval_ctx is not None and not per_visit:
         _evaluate_round(model, record, eval_ctx)
 

@@ -74,7 +74,6 @@ def build_dataset(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 def initial_state(cfg: ExperimentConfig, train: Dataset) -> FederationState:
     """Round 1 of a federation whose clients are the views `train.clients()`."""
     parts = train.clients()
-    dists = [class_distribution(p) for p in parts]
     dims = (train.n_features, *cfg.hidden, train.c_total)
     try:
         model = init_params(dims, derive_seed(cfg.master_seed, SEED_INIT))
@@ -82,7 +81,8 @@ def initial_state(cfg: ExperimentConfig, train: Dataset) -> FederationState:
         raise _too_big("model.hidden", f"the {' -> '.join(map(str, dims))} model's") from None
     return FederationState(
         round=1, global_model=model, client_datasets=parts,
-        client_dists=dists, master_seed=cfg.master_seed,
+        client_dists={n: class_distribution(p) for n, p in enumerate(parts) if len(p)},
+        master_seed=cfg.master_seed,
     )
 
 

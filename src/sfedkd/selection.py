@@ -28,7 +28,7 @@ class SelectionInstance:
 
     def __post_init__(self):
         _check_k(self.K, len(self.candidate_dists))
-        _proportions(self.candidate_dists)  # one length, none empty
+        _proportions(self.candidate_dists)  # one length
 
 
 def _check_k(k: int, m: int) -> None:

@@ -436,16 +436,14 @@ def test_class_distribution_hand_counts():
     ds = make_dataset([0, 0, 1, 2], 3)
     dist = class_distribution(ds)
     assert np.allclose(dist.proportions, [0.5, 0.25, 0.25])
-    assert not dist.empty
 
 
 def test_class_distribution_degenerate_and_empty():
     ds = make_dataset([0, 0, 0], 4)
     assert np.allclose(class_distribution(ds).proportions, [1, 0, 0, 0])
     empty = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 4)
-    dist = class_distribution(empty)
-    assert dist.empty
-    assert not dist.proportions.any()
+    with pytest.raises(ValueError, match="^an empty dataset has no class distribution$"):
+        class_distribution(empty)
 
 
 def test_class_distribution_sums_to_one():
@@ -464,7 +462,8 @@ def test_class_distribution_validation():
         ClassDistribution(np.array([np.nan, 1.0]))
     with pytest.raises(ValueError):
         ClassDistribution(np.array([np.inf, 0.0]))
-    ClassDistribution(np.zeros(3), empty=True)  # fine
+    with pytest.raises(ValueError, match="sum to 1"):  # an empty client has no distribution
+        ClassDistribution(np.zeros(3))
 
 
 # ------------------------------------------------------- train/test split

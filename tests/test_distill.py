@@ -60,8 +60,8 @@ def test_kl_handles_exact_zeros():
 def test_discrepancy_rejects_bad_inputs():
     with pytest.raises(ValueError):
         discrepancy(dist(1, 0), dist(1, 0, 0), "L1")
-    with pytest.raises(ValueError):
-        discrepancy(ClassDistribution(np.zeros(2), empty=True), dist(1, 0), "L1")
+    with pytest.raises(ValueError, match="^proportions must be"):  # no empty distribution
+        discrepancy(ClassDistribution(np.zeros(2)), dist(1, 0), "L1")
     with pytest.raises(ValueError):
         discrepancy(dist(1, 0), dist(1, 0), "cosine")
 

@@ -22,10 +22,16 @@ def small_state(n_clients=6, c_total=4, seed=0, n_per_class=12):
     data = generate_synthetic(n_per_class, c_total, 3, 1.0, seed=seed)
     parts = [data.subset(idx) for idx in partition_exdir_indices(
         data.labels, c_total, PartitionSpec(N=n_clients, C=2, alpha=0.5, seed=seed))]
-    dists = [class_distribution(p) for p in parts]
+    dists = {n: class_distribution(p) for n, p in enumerate(parts) if len(p)}
     model = init_params((3, 5, c_total), seed=seed)
     return FederationState(round=1, global_model=model, client_datasets=parts,
                            client_dists=dists, master_seed=seed)
+
+
+def empty_client(state, cid):
+    """Take every sample of client `cid`, and with them its distribution."""
+    state.client_datasets[cid] = state.client_datasets[cid].subset(np.array([], dtype=np.int64))
+    del state.client_dists[cid]
 
 
 def small_cfg(**kw):
@@ -115,16 +121,15 @@ def test_collect_teachers_one_hot_coverage():
 def test_collect_teachers_skips_empty_clients():
     # a sampled empty client trains nothing, so it is no candidate and no teacher
     state = small_state()
-    empty = state.client_datasets[1].subset(np.array([], dtype=np.int64))
-    state.client_datasets[1], state.client_dists[1] = empty, class_distribution(empty)
+    empty_client(state, 1)
     state, _ = run_round(state, small_cfg(M=6))
     assert sorted(cid for cid, _ in state.candidates) == [0, 2, 3, 4, 5]
     ens = collect_teachers(state, 6, "KL")
     assert ens.k == 5
     assert 1 not in ens.client_ids
-    # a candidate built by hand with an empty distribution fails loudly
+    # a candidate built by hand for an empty client has no distribution
     state.candidates = [(0, state.global_model), (1, state.global_model)]
-    with pytest.raises(ValueError, match="distribution 1 is empty"):
+    with pytest.raises(KeyError):
         run_round(state, small_cfg(M=6))
 
 
@@ -193,7 +198,7 @@ def test_local_train_first_step_loss_matches_total_loss_with_teachers():
     client = max(state.client_datasets, key=len)
     cfg = small_cfg(E=2, batch_size=4)
     ens = TeacherEnsemble([init_params((3, 5, 4), seed=20 + i) for i in range(3)],
-                          state.client_dists[:3], [0, 1, 2])
+                          list(state.client_dists.values())[:3], [0, 1, 2])
     sink = []
     local_train(state.global_model, client, ens, cfg, np.random.default_rng(7),
                 loss_sink=sink)
@@ -253,7 +258,7 @@ def test_local_train_trains_a_private_copy():
     before, features = model.flat.copy(), client.features.copy()
     cfg = small_cfg(E=2, batch_size=4)
     ens = TeacherEnsemble([init_params((3, 5, 4), seed=20 + i) for i in range(2)],
-                          state.client_dists[:2], [0, 1])
+                          list(state.client_dists.values())[:2], [0, 1])
     got = local_train(model, client, ens, cfg, np.random.default_rng(3))
     assert model.flat.tobytes() == before.tobytes()
     assert client.features.tobytes() == features.tobytes()
@@ -277,7 +282,7 @@ def test_local_train_fails_at_the_oracle_step(case, k):
         features[len(client) // 2, 0] = np.nan
         client = Dataset(features, client.labels, client.c_total)
     ens = TeacherEnsemble([init_params((3, 5, 4), seed=20 + i) for i in range(k)],
-                          state.client_dists[:k], list(range(k)))
+                          list(state.client_dists.values())[:k], list(range(k)))
     sinks = [], []
     for train, sink in zip((local_train, local_train_oracle), sinks):
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="parameters must be finite"):
@@ -335,8 +340,7 @@ def test_run_round_keeps_the_models_local_train_returns():
     # it as is: candidates, teachers and the global model share objects, and
     # no later round may write to them
     state = small_state()
-    empty = state.client_datasets[0].subset(np.array([], dtype=np.int64))
-    state.client_datasets[0], state.client_dists[0] = empty, class_distribution(empty)
+    empty_client(state, 0)
     cfg = small_cfg(M=6)
     for _ in range(3):
         held = [p for _, p in state.candidates] + [state.global_model]
@@ -347,17 +351,19 @@ def test_run_round_keeps_the_models_local_train_returns():
         assert state.global_model is state.candidates[-1][1]
 
 
-def test_sequential_round_that_trains_no_client():
-    # a round whose sampled clients are all empty keeps the global model and
-    # leaves no candidates, so the next round has no teachers and trains as
-    # fedseq does
-    cfg = small_cfg(M=2)
+@pytest.mark.parametrize("mode", ["sfedkd", "sfedkd_random_teachers", "fedseq"])
+def test_sequential_round_that_trains_no_client(mode):
+    # a round whose sampled clients are all empty picks no teachers, notes the
+    # skip, keeps the global model and leaves no candidates, so the next round
+    # has no teachers and trains as fedseq does
+    cfg = small_cfg(M=2, mode=mode)
     state, _ = run_round(small_state(seed=3), cfg)
     assert state.candidates
     for cid in sample_sequence(state, cfg.M):
-        empty = state.client_datasets[cid].subset(np.array([], dtype=np.int64))
-        state.client_datasets[cid], state.client_dists[cid] = empty, class_distribution(empty)
-    idle, _ = run_round(state, cfg)
+        empty_client(state, cid)
+    idle, idle_record = run_round(state, cfg)
+    assert idle_record.teachers == [] and idle_record.g_mean == []
+    assert idle_record.note == "all sampled clients empty; round skipped"
     assert idle.global_model is state.global_model
     assert idle.candidates == []
     assert any(len(idle.client_datasets[cid]) for cid in sample_sequence(idle, cfg.M))
@@ -454,8 +460,7 @@ def test_run_round_matches_per_client_teacher_pass(K, kd):
     # local_train run with that client's own teacher pass, byte for byte,
     # and g_mean/h_mean the running mean of the per-client weights.
     state = small_state()
-    state.client_datasets[2] = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 4)
-    state.client_dists[2] = ClassDistribution(np.zeros(4), empty=True)
+    empty_client(state, 2)
     cfg = small_cfg(M=6, K=K, E=2, batch_size=4, kd=kd)
     state, _ = run_round(state, cfg)
     ensemble = collect_teachers(state, K, kd.metric)
@@ -566,7 +571,7 @@ def test_fedavg_round_skips_when_all_sampled_clients_empty():
     state = FederationState(
         round=1, global_model=model,
         client_datasets=[empty] * 3,
-        client_dists=[ClassDistribution(np.zeros(c), empty=True)] * 3,
+        client_dists={},
         master_seed=3,
     )
     new_state, record = run_round(state, small_cfg(mode="fedavg", M=2, K=1))

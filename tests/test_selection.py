@@ -66,9 +66,8 @@ def test_selection_instance_validation():
         SelectionInstance(one_hots(3), K=4, metric="L1")
     with pytest.raises(ValueError):
         SelectionInstance(one_hots(3), K=0, metric="L1")
-    with pytest.raises(ValueError):
-        SelectionInstance([ClassDistribution(np.zeros(3), empty=True)], K=1,
-                          metric="L1")
+    with pytest.raises(ValueError, match="^proportions must be"):  # no empty distribution
+        SelectionInstance([ClassDistribution(np.zeros(3))], K=1, metric="L1")
 
 
 # ----------------------------------------------------------- brute force

@@ -1,9 +1,9 @@
 """One table per input rule, run through every public entry point that
 enforces it: a label lies in [0, C); a class distribution (or a g/h row,
-or a normalized aggregate) is non-negative, finite and sums to 1; a set of
-class distributions has one length and no empty member; a teacher count
-lies in [1, m]; a metric is one of METRICS. Each entry point raises the
-same error for the same bad input."""
+or a normalized aggregate) is non-negative, finite and sums to 1, which
+an all-zero vector does not; a set of class distributions has one length;
+a teacher count lies in [1, m]; a metric is one of METRICS. Each entry
+point raises the same error for the same bad input."""
 
 import re
 import struct
@@ -59,6 +59,7 @@ BAD_VECTORS = {
     "nan": [np.nan, np.nan],
     "inf": [np.inf, 0.0],
     "1e-8 off": [0.5, 0.5 + 1e-8],
+    "all zero": [0.0, 0.0],
 }
 TEACHERS = [init_params((2, 3, 2), seed) for seed in (0, 1)]
 TEACHER_DISTS = [ClassDistribution([0.5, 0.5]), ClassDistribution([0.9, 0.1])]
@@ -100,10 +101,10 @@ def test_valid_distributions_pass_every_caller():
         make([0.25, 0.75])
 
 
-# ------------------------------- one length, no empty class distribution
+# ---------------------------------------- one length of class distribution
+# (no member is empty: an all-zero vector is no distribution, see BAD_VECTORS)
 
 UNEQUAL = [ClassDistribution([0.5, 0.5]), ClassDistribution([0.2, 0.3, 0.5])]
-WITH_EMPTY = [ClassDistribution([0.5, 0.5]), ClassDistribution(np.zeros(2), empty=True)]
 
 SET_CALLERS = {
     "SelectionInstance": lambda ds: SelectionInstance(ds, 1),
@@ -116,8 +117,7 @@ SET_CALLERS = {
 
 @pytest.mark.parametrize("dists,message", [
     (UNEQUAL, "distributions must have equal length, got [2, 3]"),
-    (WITH_EMPTY, "distribution 1 is empty"),
-], ids=["unequal", "empty"])
+], ids=["unequal"])
 @pytest.mark.parametrize("caller", SET_CALLERS)
 def test_distribution_set_needs_one_length_and_no_empty(caller, dists, message):
     with pytest.raises(ValueError, match=re.escape(message)):
