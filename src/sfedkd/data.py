@@ -199,8 +199,10 @@ def generate_synthetic(n_per_class: int, c_total: int, n_features: int,
         means[:, 0] = 5.0 * np.cos(angles)
         means[:, 1] = 5.0 * np.sin(angles)
         step = _block_rows(n_features)
+        buf = np.empty((min(step, len(labels)), n_features))  # every block reuses it
         for start in range(0, len(labels), step):
-            block = spread * rng.standard_normal((min(step, len(labels) - start), n_features))
+            block = rng.standard_normal(out=buf[:len(labels) - start])
+            block *= spread
             block += means[labels[start:start + step]]
             yield block
 
@@ -338,10 +340,15 @@ def partition_exdir(labels: np.ndarray, c_total: int,
     if spec.seed is None:
         raise ValueError("partition seed is unset; resolve_config derives it from master_seed")
 
+    try:  # allocated before the draws, so an N too large for it fails at once
+        holds = np.empty((spec.N, c_total), dtype=bool)  # holds[n, c]: client n draws class c
+    except (MemoryError, ValueError):
+        raise ConfigError("partition.N", f"{spec.N} clients x {c_total} classes are too "
+                          "many to allocate") from None
     rng = np.random.default_rng(spec.seed)
     for _ in range(_MAX_ALLOCATION_ATTEMPTS):
         allocation = [rng.choice(c_total, size=spec.C, replace=False) for _ in range(spec.N)]
-        holds = np.zeros((spec.N, c_total), dtype=bool)  # holds[n, c]: client n draws class c
+        holds.fill(False)
         holds[np.arange(spec.N)[:, None], allocation] = True
         if holds.any(axis=0).all():
             break

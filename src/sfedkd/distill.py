@@ -128,12 +128,12 @@ def teacher_weights(teacher_dists: list[ClassDistribution], student_dist,
     return (g[0], h[0]) if single else (g, h)
 
 
-def _log_parts(logits: np.ndarray, lin: np.ndarray, tau: float):
+def _log_parts(logits: np.ndarray, lin: np.ndarray, tau: float, with_ls: bool = True):
     """One pass over logits/tau, with `lin` the labels' `label_index`: ls,
-    the log softmax over the non-target classes (0 at the label), r = exp(ls)
-    (0 at the label), and log p_target, log p_rest of the full softmax. The
-    full log-sum-exp is the logaddexp of the target logit and the rest one,
-    so saturated rows stay finite."""
+    the log softmax over the non-target classes (0 at the label; None unless
+    `with_ls`), r = exp(ls) (0 at the label), and log p_target, log p_rest of
+    the full softmax. The full log-sum-exp is the logaddexp of the target
+    logit and the rest one, so saturated rows stay finite."""
     z = np.divide(logits, tau, order="C")  # fresh and C-ordered, so `lin` indexes it
     z_t = z.reshape(-1)[lin]
     z.reshape(-1)[lin] = -np.inf
@@ -141,8 +141,10 @@ def _log_parts(logits: np.ndarray, lin: np.ndarray, tau: float):
     e = np.exp(z - zmax)
     s = e.sum(axis=1, keepdims=True)
     lse_rest = zmax + np.log(s)
-    ls = z - lse_rest
-    ls.reshape(-1)[lin] = 0.0
+    ls = None
+    if with_ls:
+        ls = z - lse_rest
+        ls.reshape(-1)[lin] = 0.0
     lse_all = np.logaddexp(z_t, lse_rest[:, 0])
     return ls, e / s, z_t - lse_all, lse_rest[:, 0] - lse_all
 
@@ -193,22 +195,28 @@ def kd_targets(ensemble: TeacherEnsemble, clients: list[tuple[np.ndarray, np.nda
     return [mixed[end - n:end] for n, end in zip(sizes, np.cumsum(sizes))]
 
 
-def _kd_terms(logits, lin, targets: np.ndarray, tau: float, gamma: float, beta: float):
-    """Per-sample gamma * NCKD + beta * TCKD and its student-logit gradient,
-    without the tau**2 factor or batch mean; `targets` are the samples' rows
-    of `mix_teachers` and `lin` the labels' `label_index`. The NCKD gradient
-    is sum(nt) * r - nt. The TCKD gradient is c * (r - onehot(label)) with
+def _kd_terms(logits, lin, targets: np.ndarray, tau: float, gamma: float, beta: float,
+              with_loss: bool = True):
+    """Per-sample gamma * NCKD + beta * TCKD (None unless `with_loss`) and its
+    student-logit gradient, built in place on `r`, without the tau**2 factor
+    or batch mean; `targets` are the samples' rows of `mix_teachers` and `lin`
+    the labels' `label_index`. The NCKD gradient is sum(nt) * r - nt. The
+    TCKD gradient is c * (r - onehot(label)) with
     c = t * p_rest - rest * p_t, probability products only, so it stays
     bounded when the student saturates."""
     nt, (nt_sum, nt_const, t, rest, t_const) = targets[:, :-5], targets[:, -5:].T
-    ls, r, lp_t, lp_rest = _log_parts(logits, lin, tau)
-    p_t, p_rest = np.exp(lp_t), np.exp(lp_rest)
+    ls, r, lp_t, lp_rest = _log_parts(logits, lin, tau, with_loss)
+    c = t * np.exp(lp_rest) - rest * np.exp(lp_t)
+    c *= beta
+    r *= (gamma * nt_sum + c)[:, None]
+    r -= gamma * nt
+    r.reshape(-1)[lin] -= c
+    r /= tau
+    if not with_loss:
+        return None, r
     nckd = nt_const - (nt * ls).sum(axis=1)
     tckd = t_const - t * lp_t - rest * lp_rest
-    c = t * p_rest - rest * p_t
-    dz = (gamma * nt_sum + beta * c)[:, None] * r - gamma * nt
-    dz.reshape(-1)[lin] -= beta * c
-    return gamma * nckd + beta * tckd, dz / tau
+    return gamma * nckd + beta * tckd, r
 
 
 def _kd_loss(student_logits, teacher_logits, targets, weights, tau, gamma, beta) -> float:
@@ -248,15 +256,16 @@ def tckd_loss(student_logits, teacher_logits, targets, h, tau: float) -> float:
 def total_loss(params: ModelParams, features: np.ndarray, labels: np.ndarray,
                ensemble: TeacherEnsemble, cfg: KDConfig,
                targets: np.ndarray | None = None,
-               out: ModelParams | None = None) -> tuple[float, ModelParams]:
+               out: ModelParams | None = None) -> tuple[float | None, ModelParams]:
     """Cross-entropy plus gamma * non-target KD plus beta * target KD.
 
     Returns the scalar loss and analytic gradients for every parameter.
     `targets` are this batch's rows of `kd_targets`; without them
     `kd_targets` builds them here, with the weights the ensemble was given. With no teachers, or
     gamma and beta both zero, the result is exactly the cross-entropy path.
-    With `out`, a gradient buffer shaped like `params`, the gradients go
-    there unchecked and the labels are taken as checked against the class
+    With `out`, a gradient buffer shaped like `params`, the call is a training
+    step: the gradients go there unchecked, no KD loss value is computed and
+    the loss is None, and the labels are taken as checked against the class
     count (`local_train` checks a client's once per visit).
     """
     logits, cache = forward_cached(params, features)
@@ -266,8 +275,10 @@ def total_loss(params: ModelParams, features: np.ndarray, labels: np.ndarray,
         targets = kd_targets(ensemble, [(features, labels)], cfg)[0]
     if targets is not None:
         factor = cfg.tau * cfg.tau
-        per_sample, dz = _kd_terms(logits, lin, targets, cfg.tau,
-                                   cfg.gamma * factor, cfg.beta * factor)
-        loss += float(per_sample.sum() / len(per_sample))
-        dlogits = dlogits + dz / len(per_sample)
-    return loss, backprop(params, cache, dlogits, out)
+        per_sample, dz = _kd_terms(logits, lin, targets, cfg.tau, cfg.gamma * factor,
+                                   cfg.beta * factor, with_loss=out is None)
+        dz /= len(lin)
+        dlogits += dz
+        if out is None:
+            loss += float(per_sample.sum() / len(per_sample))
+    return loss if out is None else None, backprop(params, cache, dlogits, out)

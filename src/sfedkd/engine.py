@@ -110,8 +110,8 @@ def collect_teachers(state: FederationState, k: int, metric: str,
 
 
 def local_train(model: ModelParams, client: Dataset, ensemble: TeacherEnsemble,
-                cfg: TrainConfig, rng: np.random.Generator, targets: np.ndarray | None = None,
-                loss_sink: list | None = None) -> ModelParams:
+                cfg: TrainConfig, rng: np.random.Generator,
+                targets: np.ndarray | None = None) -> ModelParams:
     """E epochs of mini-batch SGD on one client, KD-guided when teachers exist.
 
     The dataset is reshuffled every epoch and the last partial batch is kept.
@@ -121,8 +121,7 @@ def local_train(model: ModelParams, client: Dataset, ensemble: TeacherEnsemble,
     updated in place step by step with one gradient buffer; the returned
     model is that copy, and nothing writes to it afterwards. Each epoch
     gathers the client's rows (and targets) in shuffled order once, so every
-    batch is a slice. `loss_sink` gets the loss of each step whose gradient
-    is finite.
+    batch is a slice. A step computes gradients only, no loss value.
     """
     label_index(client.labels, model.dims[-1])  # an empty client or a bad label fails here
     if targets is None and ensemble.k:
@@ -137,12 +136,8 @@ def local_train(model: ModelParams, client: Dataset, ensemble: TeacherEnsemble,
         epoch_targets = None if targets is None else targets[order]
         for start in range(0, n, cfg.batch_size):
             batch = slice(start, start + cfg.batch_size)
-            loss, _ = total_loss(params, features[batch], labels[batch], ensemble, cfg.kd,
-                                 None if targets is None else epoch_targets[batch], out=grads)
-            # a step whose gradient is not finite fails in sgd_step below,
-            # before its loss counts
-            if loss_sink is not None and np.isfinite(grads.flat).all():
-                loss_sink.append(loss)
+            total_loss(params, features[batch], labels[batch], ensemble, cfg.kd,
+                       None if targets is None else epoch_targets[batch], out=grads)
             sgd_step(params, grads, cfg.eta, cfg.weight_decay, out=params)
     return params
 

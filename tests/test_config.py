@@ -323,6 +323,10 @@ SET_UP_FAILURES = {
                                 "partition.alpha: the Dirichlet draw over the "),
     "epsilon_below_bound": (["train.kd.epsilon=5e-324"],
                             "train.kd.epsilon: must be >= 1e-300, got 5e-324"),
+    # the N x classes table is allocated before the first class draw
+    "partition_n_too_big": (["partition.N=1000000000000"],
+                            "partition.N: 1000000000000 clients x 10 classes are too many "
+                            "to allocate"),
 }
 
 

@@ -387,6 +387,26 @@ def test_total_loss_requires_weights():
         total_loss(p, np.zeros((2, 4)), np.array([0, 1]), ens, KDConfig())
 
 
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("tau", [1.0, 4.0])
+@pytest.mark.parametrize("gamma,beta", [(1.0, 3.0), (0.0, 0.0)], ids=["kd", "no_kd"])
+def test_total_loss_training_step_returns_no_loss(k, tau, gamma, beta):
+    # with `out` (the training step) no loss value is computed: the call
+    # returns None and writes the gradient bytes the loss path returns
+    rng = np.random.default_rng(k)
+    p = init_params((4, 6, 3), seed=k)
+    X = 3 * rng.standard_normal((9, 4))
+    y = rng.integers(0, 3, size=9)
+    cfg = KDConfig(tau=tau, gamma=gamma, beta=beta)
+    ens = (make_ensemble(k=k, seed=k).with_weights(dist(0.2, 0.3, 0.5), cfg) if k
+           else TeacherEnsemble.empty())
+    out = ModelParams.from_flat(np.zeros_like(p.flat), p.dims)
+    out.flat.fill(np.nan)
+    loss, grads = total_loss(p, X, y, ens, cfg, out=out)
+    assert loss is None and grads is out
+    assert out.flat.tobytes() == total_loss(p, X, y, ens, cfg)[1].flat.tobytes()
+
+
 def test_total_loss_gradient_finite_differences():
     # small smoke version; the acceptance suite runs the full sweep
     rng = np.random.default_rng(9)

@@ -1,8 +1,13 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import kernel_oracle
+import sfedkd.engine as engine
 from kernel_oracle import local_train_oracle
 from param_oracle import param_sets, weighted_average_oracle
 from sfedkd.data import (ClassDistribution, Dataset, PartitionSpec,
@@ -160,35 +165,54 @@ def test_local_train_matches_plain_ce_loop():
     assert params_equal(got, want)
 
 
+class StepSpy:
+    """Stands in for a training step (`engine.total_loss` or the oracle's
+    `step_loss_oracle`): keeps each call's batch and the bytes of each
+    gradient the step returns."""
+
+    def __init__(self, step):
+        self.step, self.batches, self.grads = step, [], []
+
+    def __call__(self, params, features, labels, *args, **kwargs):
+        self.batches.append((features, labels))
+        result = self.step(params, features, labels, *args, **kwargs)
+        self.grads.append(result[1].flat.tobytes())
+        return result
+
+
+@contextlib.contextmanager
+def spy_steps(module, name):
+    spy = StepSpy(getattr(module, name))
+    with mock.patch.object(module, name, spy):
+        yield spy
+
+
 def test_local_train_one_step_per_epoch_when_batch_covers_client():
     state = small_state()
     client = max(state.client_datasets, key=len)
-    sink = []
-    cfg = small_cfg(E=1, batch_size=len(client) + 5)
-    local_train(state.global_model, client, TeacherEnsemble.empty(), cfg,
-                np.random.default_rng(0), loss_sink=sink)
-    assert len(sink) == 1
-    cfg3 = small_cfg(E=3, batch_size=len(client))
-    sink3 = []
-    local_train(state.global_model, client, TeacherEnsemble.empty(), cfg3,
-                np.random.default_rng(0), loss_sink=sink3)
-    assert len(sink3) == 3
+    for epochs, batch_size in ((1, len(client) + 5), (3, len(client))):
+        with spy_steps(engine, "total_loss") as spy:
+            local_train(state.global_model, client, TeacherEnsemble.empty(),
+                        small_cfg(E=epochs, batch_size=batch_size), np.random.default_rng(0))
+        assert [len(labels) for _, labels in spy.batches] == [len(client)] * epochs
 
 
 def test_local_train_first_step_loss_matches_pre_update_evaluation():
+    # the first step trains on the replayed first batch, with the gradient
+    # total_loss gives there before any update
     state = small_state()
     client = max(state.client_datasets, key=len)
     cfg = small_cfg(E=2, batch_size=4)
-    sink = []
-    local_train(state.global_model, client, TeacherEnsemble.empty(), cfg,
-                np.random.default_rng(7), loss_sink=sink)
-    assert all(np.isfinite(v) for v in sink)
-    # replay the first shuffle to rebuild the first batch
-    order = np.random.default_rng(7).permutation(len(client))
-    idx = order[:4]
-    expected, _ = total_loss(state.global_model, client.features[idx],
+    with spy_steps(engine, "total_loss") as spy:
+        local_train(state.global_model, client, TeacherEnsemble.empty(), cfg,
+                    np.random.default_rng(7))
+    idx = np.random.default_rng(7).permutation(len(client))[:4]
+    features, labels = spy.batches[0]
+    assert features.tobytes() == client.features[idx].tobytes()
+    assert labels.tobytes() == client.labels[idx].tobytes()
+    _, expected = total_loss(state.global_model, client.features[idx],
                              client.labels[idx], TeacherEnsemble.empty(), cfg.kd)
-    assert sink[0] == pytest.approx(expected, abs=1e-15)
+    assert spy.grads[0] == expected.flat.tobytes()
 
 
 def test_local_train_first_step_loss_matches_total_loss_with_teachers():
@@ -199,15 +223,17 @@ def test_local_train_first_step_loss_matches_total_loss_with_teachers():
     cfg = small_cfg(E=2, batch_size=4)
     ens = TeacherEnsemble([init_params((3, 5, 4), seed=20 + i) for i in range(3)],
                           list(state.client_dists.values())[:3], [0, 1, 2])
-    sink = []
-    local_train(state.global_model, client, ens, cfg, np.random.default_rng(7),
-                loss_sink=sink)
+    with spy_steps(engine, "total_loss") as spy:
+        local_train(state.global_model, client, ens, cfg, np.random.default_rng(7))
     idx = np.random.default_rng(7).permutation(len(client))[:4]
-    expected, _ = total_loss(state.global_model, client.features[idx], client.labels[idx],
-                             ens.with_weights(class_distribution(client), cfg.kd), cfg.kd)
-    assert sink[0] > total_loss(state.global_model, client.features[idx],
-                                client.labels[idx], TeacherEnsemble.empty(), cfg.kd)[0]
-    assert abs(sink[0] - expected) <= 1e-12 * abs(expected)
+    batch = (state.global_model, client.features[idx], client.labels[idx])
+    expected = total_loss(*batch, ens.with_weights(class_distribution(client), cfg.kd),
+                          cfg.kd)[1].flat
+    plain_ce = total_loss(*batch, TeacherEnsemble.empty(), cfg.kd)[1].flat
+    got = np.frombuffer(spy.grads[0])
+    scale = np.abs(expected).max()
+    assert np.abs(got - expected).max() <= 1e-12 * scale
+    assert np.abs(got - plain_ce).max() > 1e-3 * scale  # the teachers change the step
 
 
 @st.composite
@@ -243,12 +269,13 @@ def test_local_train_matches_per_step_oracle_bytes(case, precomputed):
     if precomputed and ensemble.k:
         ensemble = ensemble.with_weights(class_distribution(client), cfg.kd)
         (targets,) = kd_targets(ensemble, [(client.features, client.labels)], cfg.kd)
-    sink, want_sink = [], []
-    got = local_train(model, client, ensemble, cfg, np.random.default_rng(seed), targets, sink)
-    want = local_train_oracle(model, client, ensemble, cfg, np.random.default_rng(seed),
-                              targets, want_sink)
+    with spy_steps(engine, "total_loss") as steps, \
+            spy_steps(kernel_oracle, "step_loss_oracle") as oracle_steps:
+        got = local_train(model, client, ensemble, cfg, np.random.default_rng(seed), targets)
+        want = local_train_oracle(model, client, ensemble, cfg, np.random.default_rng(seed),
+                                  targets)
     assert got.flat.tobytes() == want.flat.tobytes()
-    assert np.array(sink).tobytes() == np.array(want_sink).tobytes()
+    assert steps.grads == oracle_steps.grads
 
 
 def test_local_train_trains_a_private_copy():
@@ -272,8 +299,10 @@ def test_local_train_trains_a_private_copy():
 @pytest.mark.parametrize("k", [0, 2])
 def test_local_train_fails_at_the_oracle_step(case, k):
     # the per-step oracle fails in backprop on a non-finite gradient (eta=1e300
-    # from step 2, a NaN feature in its first batch), before the step's loss
-    # counts, and in sgd_step on an overflowing update (eta=1e308), after it
+    # from step 2, a NaN feature in its first batch), and in sgd_step on an
+    # overflowing update (eta=1e308); local_train, whose gradients go to its
+    # buffer unchecked, fails in sgd_step at the same step, with the same
+    # gradients before it
     state = small_state(n_per_class=40)
     client = max(state.client_datasets, key=len)
     cfg = small_cfg(E=2, batch_size=4, eta=float(case[4:]) if case[:4] == "eta=" else 0.1)
@@ -283,11 +312,16 @@ def test_local_train_fails_at_the_oracle_step(case, k):
         client = Dataset(features, client.labels, client.c_total)
     ens = TeacherEnsemble([init_params((3, 5, 4), seed=20 + i) for i in range(k)],
                           list(state.client_dists.values())[:k], list(range(k)))
-    sinks = [], []
-    for train, sink in zip((local_train, local_train_oracle), sinks):
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="parameters must be finite"):
-            train(state.global_model, client, ens, cfg, np.random.default_rng(5), loss_sink=sink)
-    assert sinks[1] and np.array(sinks[0]).tobytes() == np.array(sinks[1]).tobytes()
+    spies = []
+    for train, step in ((local_train, (engine, "total_loss")),
+                        (local_train_oracle, (kernel_oracle, "step_loss_oracle"))):
+        with spy_steps(*step) as spy, np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match="parameters must be finite"):
+            train(state.global_model, client, ens, cfg, np.random.default_rng(5))
+        spies.append(spy)
+    got, want = spies
+    assert want.grads and len(got.batches) == len(want.batches)
+    assert got.grads[:len(want.grads)] == want.grads
 
 
 def test_local_train_rejects_empty_client():
