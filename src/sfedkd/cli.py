@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import suppress
 from dataclasses import asdict
 from pathlib import Path
 
@@ -48,15 +49,13 @@ def _write_rounds_jsonl(path: Path, records) -> None:
 
 
 def _summary_row(cfg: ExperimentConfig, records) -> dict:
-    top1 = [r.top1 for r in records if r.top1 is not None]
     cons = [r.consistency for r in records if r.consistency is not None]
-    final_fm = next((r.forgetting for r in reversed(records) if r.forgetting is not None), None)
     return {
         "mode": cfg.train.mode,
         "rounds": len(records),
-        "final_top1": top1[-1] if top1 else None,
-        "best_top1": max(top1) if top1 else None,
-        "final_forgetting": final_fm,
+        "final_top1": records[-1].top1,
+        "best_top1": max(r.top1 for r in records),
+        "final_forgetting": records[-1].forgetting,
         "mean_consistency": float(np.mean(cons)) if cons else None,
     }
 
@@ -80,10 +79,8 @@ def cmd_run(args) -> int:
     summary = _summary_row(cfg, result.records)
     _write_csv(out_dir / "summary.csv", [summary])
     save_params(result.final_model, out_dir / "model_final.bin")
-    final = summary["final_top1"]
-    print(f"{cfg.train.mode}: {len(result.records)} rounds done"
-          + (f", final top1 {final:.4f}" if final is not None else "")
-          + f" -> {out_dir}")
+    print(f"{cfg.train.mode}: {len(result.records)} rounds done, "
+          f"final top1 {summary['final_top1']:.4f} -> {out_dir}")
     return EXIT_OK
 
 
@@ -122,11 +119,10 @@ def cmd_ablate(args) -> int:
         finals = []
         for seed in base_cfg.ablate.seeds:
             cfg = resolve_config(apply_overrides(raw, overrides + [f"master_seed={seed}"]))
-            finals.append(_summary_row(cfg, run_experiment(cfg).records)["final_top1"])
-        finals = np.asarray(finals)
+            finals.append(run_experiment(cfg).records[-1].top1)
         rows.append({**label,
-                     "mean_top1": float(finals.mean()),
-                     "std_top1": float(finals.std(ddof=1)) if len(finals) > 1 else 0.0,
+                     "mean_top1": float(np.mean(finals)),
+                     "std_top1": float(np.std(finals, ddof=1)) if len(finals) > 1 else 0.0,
                      "n_seeds": len(finals)})
 
     out_dir = Path(base_cfg.output.dir)
@@ -146,15 +142,17 @@ def _read_distributions_csv(path) -> list[ClassDistribution]:
     lines = [line.strip() for line in _read_utf8(path).split("\n") if line.strip()]
     rows = []
     for i, line in enumerate(lines):
-        try:
-            rows.append([float(p) for p in line.split(",")])
-        except ValueError:
-            if i:  # only the first line may be a header
-                raise ConfigError(str(path), f"non-numeric row: {line!r}") from None
+        row = []
+        for cell in line.split(","):
+            with suppress(ValueError):
+                row.append(float(cell))
+        if len(row) == line.count(",") + 1:
+            rows.append(row)
+        elif i or row:  # only a first line in which no cell is a number is a header
+            raise ConfigError(str(path), f"non-numeric row: {line!r}")
     if not rows:
         raise ConfigError(str(path), "no distribution rows found")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    if any(len(r) != len(rows[0]) for r in rows):
         raise ConfigError(str(path), "rows have inconsistent lengths")
     dists = []
     for i, row in enumerate(rows):

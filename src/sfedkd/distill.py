@@ -181,15 +181,17 @@ def mix_teachers(teacher_logits, labels, g, h, tau: float) -> np.ndarray:
 def kd_targets(ensemble: TeacherEnsemble, clients: list[tuple[np.ndarray, np.ndarray]],
                cfg: KDConfig) -> list[np.ndarray | None]:
     """The one builder of KD targets: each (features, labels) client's rows of one
-    `mix_teachers` array, with its g/h row of the weighted ensemble (or the one
-    (K,) vector), one pass per teacher over all rows. None per client when
-    distillation is off (no teachers, or gamma and beta both zero)."""
+    `mix_teachers` array, with its g/h row of the weighted ensemble (one row per
+    client) or the one (K,) vector, one pass per teacher over all rows. None per
+    client when distillation is off (no teachers, or gamma and beta both zero)."""
     if ensemble.k == 0 or (cfg.gamma == 0 and cfg.beta == 0) or not clients:
         return [None] * len(clients)
     if ensemble.g is None or ensemble.h is None:
         raise ValueError("ensemble weights not set; call with_weights() first")
+    if rows := {len(w) for w in (ensemble.g, ensemble.h) if np.ndim(w) == 2} - {len(clients)}:
+        raise ValueError(f"g/h weight row count {rows.pop()} != client count {len(clients)}")
     sizes = [len(labels) for _, labels in clients]
-    g, h = (np.repeat(np.atleast_2d(w), sizes, axis=0) for w in (ensemble.g, ensemble.h))
+    g, h = (np.repeat(w, sizes, axis=0) if np.ndim(w) == 2 else w for w in (ensemble.g, ensemble.h))
     logits = [np.concatenate([forward(t, x) for x, _ in clients]) for t in ensemble.teachers]
     mixed = mix_teachers(logits, np.concatenate([y for _, y in clients]), g, h, cfg.tau)
     return [mixed[end - n:end] for n, end in zip(sizes, np.cumsum(sizes))]

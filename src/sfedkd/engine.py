@@ -50,7 +50,7 @@ class RoundRecord:
     round: int
     mode: str
     top1: float | None = None
-    classwise: list | None = None
+    classwise: list | None = None  # per class; None where the evaluation set lacks it
     consistency: float | None = None
     forgetting: float | None = None
     teachers: list[int] = field(default_factory=list)
@@ -59,11 +59,7 @@ class RoundRecord:
     note: str = ""
 
     def to_dict(self) -> dict:
-        def clean(x):
-            if isinstance(x, list):
-                return [clean(v) for v in x]
-            return None if isinstance(x, float) and not np.isfinite(x) else x
-        return {k: clean(v) for k, v in asdict(self).items()}
+        return asdict(self)
 
 
 @dataclass
@@ -143,10 +139,9 @@ def local_train(model: ModelParams, client: Dataset, ensemble: TeacherEnsemble,
 
 
 def _evaluate_round(model, record, eval_ctx):
-    top1, classwise = evaluate(model, eval_ctx.dataset)
+    record.top1, classwise = evaluate(model, eval_ctx.dataset)
     eval_ctx.history.append(classwise)
-    record.top1 = top1
-    record.classwise = [float(v) for v in classwise]
+    record.classwise = [None if np.isnan(v) else float(v) for v in classwise]
     if len(eval_ctx.history) >= 2:
         record.consistency = consistency(*eval_ctx.history[-2:])
         record.forgetting = forgetting_measure(eval_ctx.history)
@@ -163,8 +158,8 @@ def run_round(state: FederationState, cfg: TrainConfig,
     candidates of round r+1; no model is written after its visit. fedavg
     trains each client from the global model without teachers and averages
     the results by client size, in sequence order; it keeps no candidates and
-    evaluates once per round at any granularity. A round whose sampled
-    clients are all empty picks no teachers, keeps the global model and is
+    evaluates once per round at any granularity, as does a round whose sampled
+    clients are all empty: it picks no teachers, keeps the global model and is
     noted as skipped, in every mode.
     """
     r = state.round
@@ -196,7 +191,7 @@ def run_round(state: FederationState, cfg: TrainConfig,
         record.note = "all sampled clients empty; round skipped"
     elif average:
         model = weighted_average([p for _, p in trained], [len(c) for c in clients])
-    if eval_ctx is not None and not per_visit:
+    if eval_ctx is not None and not (per_visit and trained):
         _evaluate_round(model, record, eval_ctx)
 
     new_state = replace(state, round=r + 1, global_model=model,

@@ -18,7 +18,7 @@ from .model import ModelParams, init_params
 class ExperimentResult:
     records: list[RoundRecord]
     final_model: ModelParams
-    round_models: list[ModelParams] | None = None
+    round_models: list[ModelParams]  # empty unless run with keep_round_models
 
 
 def _layout(cfg: ExperimentConfig, labels: np.ndarray, c_total: int) -> Layout:
@@ -103,5 +103,4 @@ def run_experiment(cfg: ExperimentConfig,
         records.append(record)
         if keep_round_models:
             round_models.append(state.global_model)
-    return ExperimentResult(records, state.global_model,
-                            round_models if keep_round_models else None)
+    return ExperimentResult(records, state.global_model, round_models)

@@ -121,7 +121,7 @@ def step_loss_oracle(params, features, labels, ensemble, cfg, targets=None):
     return loss, backprop(params, cache, dlogits)
 
 
-def local_train_oracle(model, client, ensemble, cfg, rng, targets=None, loss_sink=None):
+def local_train_oracle(model, client, ensemble, cfg, rng, targets=None):
     """`engine.local_train` gathering every batch and building two parameter
     sets (gradients, then the update) per step."""
     if targets is None and ensemble.k:
@@ -133,11 +133,9 @@ def local_train_oracle(model, client, ensemble, cfg, rng, targets=None, loss_sin
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            loss, grads = step_loss_oracle(params, client.features[idx], client.labels[idx],
-                                           ensemble, cfg.kd,
-                                           None if targets is None else targets[idx])
-            if loss_sink is not None:
-                loss_sink.append(loss)
+            _, grads = step_loss_oracle(params, client.features[idx], client.labels[idx],
+                                        ensemble, cfg.kd,
+                                        None if targets is None else targets[idx])
             params = sgd_step(params, grads, cfg.eta, cfg.weight_decay)
     return params
 

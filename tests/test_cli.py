@@ -219,6 +219,8 @@ def test_select_reads_past_a_byte_order_mark(tmp_path, capsys):
     ("c0,c1\n", "no distribution rows found"),
     ("1,0\n0\n", "rows have inconsistent lengths"),
     ("1,0\n-1,2\n", "row 1 is not a valid distribution"),
+    # a first line with a number in it is a row, not a header
+    ("0.6,0.4,\n0.5,0.5\n0.1,0.9\n", "non-numeric row: '0.6,0.4,'"),
 ])
 def test_select_csv_error_names_the_file(tmp_path, capsys, text, message):
     path = tmp_path / "dists.csv"
@@ -358,6 +360,29 @@ def test_ablate_set_reaches_every_cell(tmp_path):
         final = json.loads((solo_out / "rounds.jsonl").read_text().strip().split("\n")[-1])
         assert final["top1"] == pytest.approx(float(mean_top1), abs=1e-12)
     assert len(rows) == 3
+
+
+def test_client_granularity_idle_round_is_evaluated(tmp_path, capsys, monkeypatch):
+    # the one round of master seed 0 samples only empty clients; it is still
+    # evaluated, so ablate has a final top-1 per cell and run prints one
+    sets = [arg for item in ("dataset.classes=4", "partition.N=12", "partition.C=1",
+                             "partition.alpha=0.05", "train.M=3", "train.K=2", "train.R=1",
+                             "eval.granularity=client", "ablate.seeds=[0,1]",
+                             f"output.dir={tmp_path}")
+            for arg in ("--set", item)]
+    config = str(ROOT / "configs" / "synthetic_small.json")
+    results, run = [], cli.run_experiment
+
+    def run_and_keep(cfg):
+        results.append(run(cfg))
+        return results[-1]
+    monkeypatch.setattr(cli, "run_experiment", run_and_keep)
+    assert main(["ablate", config, "--axis", "mode", *sets]) == 0
+    assert main(["run", config, *sets]) == 0
+    assert "rounds done, final top1 0." in capsys.readouterr().out
+    assert results[-1].records[0].note == "all sampled clients empty; round skipped"
+    assert len(results) == 7
+    assert all(isinstance(r.top1, float) for result in results for r in result.records)
 
 
 # -------------------------------------------------------- inspect-partition

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -523,6 +525,23 @@ def test_round_targets_weight_the_ensemble_for_the_clients_given():
     assert got_ens.h.tobytes() == want_ens.h.tobytes()
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
+
+
+def test_kd_targets_give_one_weight_vector_to_every_client_and_count_rows():
+    # a (K,) g/h vector mixes each client's rows as it does for that client
+    # alone; an ensemble with one g/h row per client needs as many clients
+    rng = np.random.default_rng(4)
+    ens = make_ensemble()
+    rows = [(rng.standard_normal((n, 4)), rng.integers(0, 3, n)) for n in (5, 2)]
+    one = ens.with_weights(dist(0.2, 0.3, 0.5), KDConfig())
+    for got, client in zip(kd_targets(one, rows, KDConfig()), rows):
+        (alone,) = kd_targets(one, [client], KDConfig())
+        assert got.tobytes() == alone.tobytes()
+    three = ens.with_weights([dist(0.2, 0.3, 0.5)] * 3, KDConfig())
+    with pytest.raises(ValueError, match="^g/h weight row count 3 != client count 2$"):
+        kd_targets(three, rows, KDConfig())
+    with pytest.raises(ValueError, match="^g/h weight row count 1 != client count 2$"):
+        kd_targets(replace(one, h=one.h[None]), rows, KDConfig())
 
 
 @settings(max_examples=150, deadline=None)

@@ -388,14 +388,17 @@ def test_run_round_keeps_the_models_local_train_returns():
 @pytest.mark.parametrize("mode", ["sfedkd", "sfedkd_random_teachers", "fedseq"])
 def test_sequential_round_that_trains_no_client(mode):
     # a round whose sampled clients are all empty picks no teachers, notes the
-    # skip, keeps the global model and leaves no candidates, so the next round
-    # has no teachers and trains as fedseq does
+    # skip, keeps the global model, is evaluated once even under client
+    # granularity and leaves no candidates, so the next round has no teachers
+    # and trains as fedseq does
     cfg = small_cfg(M=2, mode=mode)
     state, _ = run_round(small_state(seed=3), cfg)
     assert state.candidates
     for cid in sample_sequence(state, cfg.M):
         empty_client(state, cid)
-    idle, idle_record = run_round(state, cfg)
+    ctx = EvalContext(generate_synthetic(10, 4, 3, 1.0, seed=5), "client")
+    idle, idle_record = run_round(state, cfg, ctx)
+    assert len(ctx.history) == 1 and idle_record.top1 is not None  # evaluated once, at the end
     assert idle_record.teachers == [] and idle_record.g_mean == []
     assert idle_record.note == "all sampled clients empty; round skipped"
     assert idle.global_model is state.global_model
@@ -428,15 +431,21 @@ def test_run_round_records_teachers_and_weights():
     assert abs(sum(record.h_mean) - 1.0) < 1e-9
 
 
-def test_record_to_dict_cleans_non_finite():
-    from sfedkd.engine import RoundRecord
-    rec = RoundRecord(round=1, mode="fedseq", top1=0.5,
-                      classwise=[1.0, float("nan"), 0.25])
-    d = rec.to_dict()
-    assert d["classwise"] == [1.0, None, 0.25]
-    assert d["consistency"] is None
+def test_record_to_dict_cleans_non_finite(tmp_path):
+    # a class the evaluation set lacks is None in the record, so null in
+    # rounds.jsonl; any other non-finite value fails the strict JSON write
     import json
-    json.dumps(d, allow_nan=False)  # must be valid strict JSON
+    from sfedkd.cli import _write_rounds_jsonl
+    from sfedkd.engine import RoundRecord
+    data = generate_synthetic(10, 4, 3, 1.0, seed=5)
+    _, record = run_round(small_state(), small_cfg(),
+                          EvalContext(data.subset(np.flatnonzero(data.labels != 2))))
+    path = tmp_path / "rounds.jsonl"
+    _write_rounds_jsonl(path, [record])
+    classwise = json.loads(path.read_text())["classwise"]
+    assert [v is None for v in classwise] == [False, False, True, False]
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _write_rounds_jsonl(path, [RoundRecord(round=1, mode="fedseq", top1=float("nan"))])
 
 
 def test_record_to_dict_keys_follow_field_order():

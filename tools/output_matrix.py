@@ -19,10 +19,11 @@ parent. The grid is every mode x master seeds 0 and 1 x eval granularity
   after a sequential one the next round has no teachers either.
 
 Each `run` case prints one line with the digests of `rounds.jsonl`,
-`summary.csv` and `model_final.bin`. Then, per shape, `ablate --axis
-teachers` and `--axis mode` over seeds 0 and 1 print the digest of their
-CSV. After those, the digest of the stdout of `inspect-partition` per shape,
-and of `select` on one fixed CSV per solver, so every verb is covered.
+`summary.csv` and `model_final.bin`. Then, per shape, `ablate` on each
+axis (`weights`, `metric`, `teachers` and `mode`) over seeds 0 and 1 prints
+the digest of its CSV, so the uniform-weight cells and every distance metric
+run too. After those, the digest of the stdout of `inspect-partition` per
+shape, and of `select` on one fixed CSV per solver, so every verb is covered.
 
 Last comes the `idx` shape, which reads IDX files instead of drawing blobs:
 a train pair of 120 and a test pair of 45 4x4 images over 3 classes, every
@@ -256,7 +257,7 @@ def run(matrix: Matrix) -> None:
                         record_run(matrix, f"{shape}/{mode}/seed{seed}/{granularity}",
                                    [*overrides, f"train.mode={mode}", f"master_seed={seed}",
                                     f"eval.granularity={granularity}"], out)
-            for axis in ("teachers", "mode"):
+            for axis in ("weights", "metric", "teachers", "mode"):
                 cli(["ablate", str(CONFIG), "--axis", axis, "--set", "ablate.seeds=[0,1]",
                      *sets([*overrides, f"output.dir={out}"])])
                 name = f"ablate_{axis}.csv"
