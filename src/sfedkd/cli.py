@@ -4,7 +4,7 @@ Verbs:
   run                full experiment from a JSON config; emits rounds.jsonl,
                      summary.csv, config.resolved.json, model_final.bin
   ablate             sweep one axis (weights | metric | teachers | mode)
-                     over a seed list; emits a mean/std CSV per cell
+                     over a seed list; writes each mean/std CSV row as its cell ends
   select             teacher selection on a CSV of class distributions
   inspect-partition  print per-client class histograms for a config
 
@@ -112,28 +112,21 @@ def _ablation_cells(axis: str, cfg: ExperimentConfig):
 def cmd_ablate(args) -> int:
     raw = _load_raw(args)
     base_cfg = resolve_config(raw)
-    cells = _ablation_cells(args.axis, base_cfg)
-
+    out_path = Path(base_cfg.output.dir) / f"ablate_{args.axis}.csv"
     rows = []
-    for label, overrides in cells:
+    for label, overrides in _ablation_cells(args.axis, base_cfg):
         finals = []
         for seed in base_cfg.ablate.seeds:
             cfg = resolve_config(apply_overrides(raw, overrides + [f"master_seed={seed}"]))
             finals.append(run_experiment(cfg).records[-1].top1)
-        rows.append({**label,
-                     "mean_top1": float(np.mean(finals)),
-                     "std_top1": float(np.std(finals, ddof=1)) if len(finals) > 1 else 0.0,
-                     "n_seeds": len(finals)})
-
-    out_dir = Path(base_cfg.output.dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / f"ablate_{args.axis}.csv"
-    _write_csv(out_path, rows)
-    for row in rows:
-        label = " ".join(f"{k}={v}" for k, v in row.items()
-                         if k not in ("mean_top1", "std_top1", "n_seeds"))
-        print(f"{label}: {row['mean_top1']:.4f} +/- {row['std_top1']:.4f}"
-              f" ({row['n_seeds']} seeds)")
+        mean = float(np.mean(finals))
+        std = float(np.std(finals, ddof=1)) if len(finals) > 1 else 0.0
+        rows.append({**label, "mean_top1": mean, "std_top1": std, "n_seeds": len(finals)})
+        # each finished cell is on disk and on stdout before the next one runs
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        _write_csv(out_path, rows)
+        print(" ".join(f"{k}={v}" for k, v in label.items())
+              + f": {mean:.4f} +/- {std:.4f} ({len(finals)} seeds)", flush=True)
     print(f"wrote {out_path}")
     return EXIT_OK
 

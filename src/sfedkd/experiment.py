@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SEED_INIT, ConfigError, ExperimentConfig, derive_seed
-from .data import (Dataset, Layout, class_distribution, generate_synthetic, idx_blocks,
-                   load_idx, partition_exdir, read_idx, split_train_test,
+from .data import (Dataset, IdxFormatError, Layout, class_distribution, generate_synthetic,
+                   idx_blocks, load_idx, partition_exdir, read_idx, split_train_test,
                    synthetic_labels)
 from .engine import EvalContext, FederationState, RoundRecord, run_round
 from .model import ModelParams, init_params
@@ -68,6 +68,9 @@ def build_dataset(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
                                                      pixels.shape[1])
     if ds.test_images:
         test = load_idx(ds.test_images, ds.test_labels, n_classes=c_total)
+        if test.n_features != pixels.shape[1]:
+            raise IdxFormatError(f"{ds.test_images}: {test.n_features} pixels per image, "
+                                 f"but {ds.images} has {pixels.shape[1]}")
     return train, test
 
 

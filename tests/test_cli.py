@@ -330,6 +330,49 @@ def test_only_the_teachers_axis_checks_k_values(tmp_path, capsys, monkeypatch):
     assert not (out / "ablate_teachers.csv").exists()
 
 
+def failing_in_call(monkeypatch, n):
+    """Patch `cli.run_experiment` to raise on its n-th call (from 1; 0: never); the
+    modes of the calls made are listed in the returned list."""
+    calls, run = [], cli.run_experiment
+
+    def run_or_fail(cfg):
+        calls.append(cfg.train.mode)
+        if len(calls) == n:
+            raise ValueError(f"call {n} failed")
+        return run(cfg)
+    monkeypatch.setattr(cli, "run_experiment", run_or_fail)
+    return calls
+
+
+def test_failing_sweep_keeps_its_finished_cells(tmp_path, capsys, monkeypatch):
+    # each cell is written and printed when its seeds finish, so a failure
+    # in the second cell's first run leaves the first cell on disk and stdout
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, tiny_raw(out, mode="sfedkd", rounds=1))
+    calls = failing_in_call(monkeypatch, 3)
+    assert main(["ablate", str(cfg), "--axis", "mode", "--set", "ablate.seeds=[1,2]"]) == 2
+    assert calls == ["sfedkd", "sfedkd", "fedseq"]
+    captured = capsys.readouterr()
+    assert captured.err == "error: call 3 failed\n"
+    header, row = (out / "ablate_mode.csv").read_text().splitlines()
+    assert header == "mode,mean_top1,std_top1,n_seeds"
+    mode, mean, std, n_seeds = row.split(",")
+    assert (mode, n_seeds) == ("sfedkd", "2")
+    assert captured.out == f"mode=sfedkd: {float(mean):.4f} +/- {float(std):.4f} (2 seeds)\n"
+
+
+def test_unusable_output_dir_fails_after_the_first_cell(tmp_path, capsys, monkeypatch):
+    # the directory is made when the first cell finishes, not after the sweep
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = write_config(tmp_path, tiny_raw(blocker / "out", mode="sfedkd", rounds=1))
+    calls = failing_in_call(monkeypatch, 0)
+    assert main(["ablate", str(cfg), "--axis", "mode", "--set", "ablate.seeds=[1,2]"]) == 3
+    assert calls == ["sfedkd", "sfedkd"]
+    captured = capsys.readouterr()
+    assert captured.err.startswith("i/o error: ") and not captured.out
+
+
 def test_ablate_cell_matches_standalone_run(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, tiny_raw(out, mode="sfedkd", rounds=2))

@@ -369,6 +369,25 @@ def test_a_class_missing_from_the_train_labels_is_named(tmp_path, capsys, verb, 
     assert not captured.out and not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["run", "ablate", "inspect-partition"])
+def test_idx_test_pair_of_another_pixel_count_is_named(tmp_path, capsys, verb):
+    # 2x2 train images and a 3x3 test pair: rejected where the data is built,
+    # before any round trains, with the test file named
+    config = three_class_idx_config(tmp_path)
+    test_img, test_lab = tmp_path / "test-img", tmp_path / "test-lab"
+    test_img.write_bytes(struct.pack(">IIII", 0x00000803, 3, 3, 3) + bytes(27))
+    test_lab.write_bytes(struct.pack(">II", 0x00000801, 3) + bytes([0, 1, 2]))
+    out = tmp_path / "out"
+    args = [verb, str(config), *(["--axis", "mode"] if verb == "ablate" else [])]
+    for override in [f"dataset.test_images={test_img}", f"dataset.test_labels={test_lab}",
+                     f"output.dir={out}"]:
+        args += ["--set", override]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {test_img}: 9 pixels per image, but {tmp_path / 'img'} has 4\n"
+    assert not captured.out and not out.exists()
+
+
 @pytest.mark.parametrize("override,field", [("model.hidden=[1000000000000]", "model.hidden"),
                                             ("dataset.test_fraction=0", "dataset.test_fraction")])
 def test_inspect_partition_checks_only_the_rules_it_uses(tmp_path, capsys, override, field):
