@@ -29,7 +29,8 @@ from .selection import SelectionInstance, greedy_select, random_select
 
 @dataclass
 class FederationState:
-    """Mutable-through-replacement state between rounds (round is 1-based)."""
+    """State between rounds (round is 1-based), changed only by replacement:
+    `run_round` returns a new state and writes to no field of the old one."""
 
     round: int
     global_model: ModelParams
@@ -37,10 +38,7 @@ class FederationState:
     client_dists: dict[int, ClassDistribution]  # keyed by the clients that hold data
     master_seed: int
     candidates: list[tuple[int, ModelParams]] = field(default_factory=list)
-
-    @property
-    def n_clients(self) -> int:
-        return len(self.client_datasets)
+    history: list[np.ndarray] = field(default_factory=list)  # class-wise evaluations, oldest first
 
 
 @dataclass
@@ -62,21 +60,13 @@ class RoundRecord:
         return asdict(self)
 
 
-@dataclass
-class EvalContext:
-    """Where and how often to evaluate during a round."""
-
-    dataset: Dataset
-    granularity: str = "round"  # "round" or "client"
-    history: list[np.ndarray] = field(default_factory=list)  # class-wise, oldest first
-
-
 def sample_sequence(state: FederationState, m: int) -> list[int]:
     """Uniform ordered M-subset of clients for the current round."""
-    if m > state.n_clients:
-        raise ValueError(f"M={m} exceeds client count {state.n_clients}")
+    n = len(state.client_datasets)
+    if m > n:
+        raise ValueError(f"M={m} exceeds client count {n}")
     rng = np.random.default_rng(derive_seed(state.master_seed, SEED_SEQUENCE, state.round))
-    return [int(i) for i in rng.permutation(state.n_clients)[:m]]
+    return [int(i) for i in rng.permutation(n)[:m]]
 
 
 def collect_teachers(state: FederationState, k: int, metric: str,
@@ -138,19 +128,20 @@ def local_train(model: ModelParams, client: Dataset, ensemble: TeacherEnsemble,
     return params
 
 
-def _evaluate_round(model, record, eval_ctx):
-    record.top1, classwise = evaluate(model, eval_ctx.dataset)
-    eval_ctx.history.append(classwise)
+def _evaluate_round(model, record, eval_set, history):
+    record.top1, classwise = evaluate(model, eval_set)
+    history.append(classwise)
     record.classwise = [None if np.isnan(v) else float(v) for v in classwise]
-    if len(eval_ctx.history) >= 2:
-        record.consistency = consistency(*eval_ctx.history[-2:])
-        record.forgetting = forgetting_measure(eval_ctx.history)
+    if len(history) >= 2:
+        record.consistency = consistency(*history[-2:])
+        record.forgetting = forgetting_measure(history)
 
 
-def run_round(state: FederationState, cfg: TrainConfig,
-              eval_ctx: EvalContext | None = None) -> tuple[FederationState, RoundRecord]:
+def run_round(state: FederationState, cfg: TrainConfig, eval_set: Dataset | None = None,
+              granularity: str = "round") -> tuple[FederationState, RoundRecord]:
     """One round of any mode: sample M clients in order, train each non-empty
-    one, evaluate.
+    one, evaluate on `eval_set` into a copy of `state.history`: after the round,
+    or after each visit at `granularity` "client". It mutates no argument.
 
     Sequential modes chain: each trained client starts from the previous
     trained client's final model, and the (client id, model) pairs of the
@@ -177,7 +168,8 @@ def run_round(state: FederationState, cfg: TrainConfig,
     if ensemble.k:
         record.g_mean = (ensemble.g.sum(axis=0) / len(visits)).tolist()
         record.h_mean = (ensemble.h.sum(axis=0) / len(visits)).tolist()
-    per_visit = eval_ctx is not None and eval_ctx.granularity == "client" and not average
+    per_visit = eval_set is not None and granularity == "client" and not average
+    history = list(state.history)
     model = state.global_model
     trained: list[tuple[int, ModelParams]] = []
     for (m, cid), client, client_targets in zip(visits, clients, targets):
@@ -186,16 +178,16 @@ def run_round(state: FederationState, cfg: TrainConfig,
                             cfg, rng, client_targets)
         trained.append((cid, model))
         if per_visit:
-            _evaluate_round(model, record, eval_ctx)
+            _evaluate_round(model, record, eval_set, history)
     if not visits:
         record.note = "all sampled clients empty; round skipped"
     elif average:
         model = weighted_average([p for _, p in trained], [len(c) for c in clients])
-    if eval_ctx is not None and not (per_visit and trained):
-        _evaluate_round(model, record, eval_ctx)
+    if eval_set is not None and not (per_visit and trained):
+        _evaluate_round(model, record, eval_set, history)
 
     new_state = replace(state, round=r + 1, global_model=model,
-                        candidates=[] if average else trained)
+                        candidates=[] if average else trained, history=history)
     return new_state, record
 
 

@@ -10,7 +10,7 @@ from .config import SEED_INIT, ConfigError, ExperimentConfig, derive_seed
 from .data import (Dataset, IdxFormatError, Layout, class_distribution, generate_synthetic,
                    idx_blocks, load_idx, partition_exdir, read_idx, split_train_test,
                    synthetic_labels)
-from .engine import EvalContext, FederationState, RoundRecord, run_round
+from .engine import FederationState, RoundRecord, run_round
 from .model import ModelParams, init_params
 
 
@@ -98,11 +98,10 @@ def run_experiment(cfg: ExperimentConfig,
         raise ConfigError("dataset.test_fraction", f"{cfg.dataset.test_fraction} leaves the "
                           f"{cfg.eval.split} split empty, so no round can be evaluated")
     state = initial_state(cfg, train)
-    eval_ctx = EvalContext(eval_dataset, cfg.eval.granularity)
     records: list[RoundRecord] = []
     round_models: list[ModelParams] = []
     for _ in range(cfg.train.R):
-        state, record = run_round(state, cfg.train, eval_ctx)
+        state, record = run_round(state, cfg.train, eval_dataset, cfg.eval.granularity)
         records.append(record)
         if keep_round_models:
             round_models.append(state.global_model)

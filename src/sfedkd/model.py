@@ -100,16 +100,12 @@ def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
 
 
 def forward_cached(params: ModelParams, features: np.ndarray):
-    """Forward pass returning (logits, cache) for backprop.
-
-    The cache holds each layer's input activation plus the hidden
-    pre-activation sign masks.
-    """
+    """Forward pass returning (logits, inputs) for backprop, where inputs[i]
+    is the activation fed into layer i."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.dims[0]:
         raise ValueError(f"expected (B, {params.dims[0]}) features, got {x.shape}")
-    inputs = []      # activation fed into each layer
-    relu_masks = []  # z > 0 masks for hidden layers
+    inputs = []
     a = x
     last = params.n_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -117,19 +113,18 @@ def forward_cached(params: ModelParams, features: np.ndarray):
         a = a @ w.T
         a += b
         if i < last:
-            relu_masks.append(a > 0)
             # fmax maps NaN to 0.0 as where(a > 0, a, 0.0) does; maximum keeps NaN
             np.fmax(a, 0.0, out=a)
-    return a, (inputs, relu_masks)
+    return a, inputs
 
 
-def backprop(params: ModelParams, cache, dlogits: np.ndarray,
+def backprop(params: ModelParams, inputs: list[np.ndarray], dlogits: np.ndarray,
              out: ModelParams | None = None) -> ModelParams:
-    """Parameter gradients from a (B, C) loss gradient w.r.t. the logits.
+    """Parameter gradients from a (B, C) loss gradient w.r.t. the logits, given
+    the `inputs` of `forward_cached`.
 
     With `out` (shaped like `params`) they are written there, unchecked, and
     `out` is returned; otherwise a new, finite-checked set is."""
-    inputs, relu_masks = cache
     flat = np.empty_like(params.flat) if out is None else out.flat
     grads_w, grads_b = _views(flat, params.dims) if out is None else (out.weights, out.biases)
     delta = np.asarray(dlogits, dtype=np.float64)
@@ -138,7 +133,7 @@ def backprop(params: ModelParams, cache, dlogits: np.ndarray,
         delta.sum(axis=0, out=grads_b[i])
         if i:
             delta = delta @ params.weights[i]
-            delta *= relu_masks[i - 1]
+            delta *= inputs[i] > 0  # fmax(z, 0) > 0 iff z > 0, for -0.0 and NaN too
     return out if out is not None else ModelParams(grads_w, grads_b, flat, params.dims)
 
 

@@ -588,9 +588,9 @@ def test_eval_on_train_does_not_depend_on_row_order(monkeypatch, granularity):
     source_order = Dataset(features, labels, ds.classes)
     client_major = run_experiment(cfg)
     assert not np.array_equal(build_dataset(cfg)[0].labels, labels)
-    context = experiment.EvalContext
-    monkeypatch.setattr(experiment, "EvalContext",
-                        lambda dataset, gran: context(source_order, gran))
+    round_fn = experiment.run_round
+    monkeypatch.setattr(experiment, "run_round",
+                        lambda state, train, _, gran: round_fn(state, train, source_order, gran))
     again = run_experiment(cfg)
     assert [r.to_dict() for r in client_major.records] == [r.to_dict() for r in again.records]
 

@@ -481,7 +481,7 @@ def test_total_loss_matches_per_teacher_oracle(seed, c, k, tau, scale, coeffs, c
     (3, KDConfig(uniform_g=True, metric="JS")),
     (2, KDConfig(uniform_h=True, tau=1.0)),
 ])
-def test_round_targets_slices_match_per_client_targets(k, cfg):
+def test_kd_targets_slices_match_per_client_targets(k, cfg):
     # the ensemble weighted for a round's clients and one kd_targets pass over
     # their rows must give each client the bytes of its own teachers' forward
     # mixed with its own weights, whatever the other clients hold; a
@@ -509,7 +509,7 @@ def test_round_targets_slices_match_per_client_targets(k, cfg):
         assert alone.tobytes() == want.tobytes()
 
 
-def test_round_targets_weight_the_ensemble_for_the_clients_given():
+def test_kd_targets_weight_the_ensemble_for_the_clients_given():
     # an ensemble already weighted for one distribution is weighted again,
     # one g/h row per client, and mixes as the unweighted ensemble does
     rng = np.random.default_rng(3)
@@ -566,7 +566,7 @@ def test_kd_targets_from_logits_match_row_index_oracle_bytes(n, c, k, tau, scale
         assert got[:, c + col].tobytes() == value.tobytes(), col
 
 
-def test_round_targets_off_without_teachers_or_coefficients():
+def test_kd_targets_off_without_teachers_or_coefficients():
     # kd_targets states the off rule for every caller: no teachers, gamma and
     # beta both zero, or no clients
     rows = [(np.zeros((2, 4)), np.array([0, 1]))]

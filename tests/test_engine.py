@@ -10,14 +10,16 @@ import kernel_oracle
 import sfedkd.engine as engine
 from kernel_oracle import local_train_oracle
 from param_oracle import param_sets, weighted_average_oracle
+from sfedkd.config import resolve_config
 from sfedkd.data import (ClassDistribution, Dataset, PartitionSpec,
                          class_distribution, generate_synthetic,
                          partition_exdir_indices)
 from sfedkd.distill import KDConfig, TeacherEnsemble, kd_targets, total_loss
-from sfedkd.engine import (SEED_SHUFFLE, EvalContext, FederationState,
+from sfedkd.engine import (SEED_SHUFFLE, FederationState,
                            TrainConfig, collect_teachers, derive_seed,
                            local_train, run_round, sample_sequence,
                            weighted_average)
+from sfedkd.experiment import build_dataset, initial_state, run_experiment
 from sfedkd.model import (ModelParams, cross_entropy_grad, forward_cached,
                           backprop, init_params, params_equal, sgd_step,
                           snapshot)
@@ -396,9 +398,8 @@ def test_sequential_round_that_trains_no_client(mode):
     assert state.candidates
     for cid in sample_sequence(state, cfg.M):
         empty_client(state, cid)
-    ctx = EvalContext(generate_synthetic(10, 4, 3, 1.0, seed=5), "client")
-    idle, idle_record = run_round(state, cfg, ctx)
-    assert len(ctx.history) == 1 and idle_record.top1 is not None  # evaluated once, at the end
+    idle, idle_record = run_round(state, cfg, generate_synthetic(10, 4, 3, 1.0, seed=5), "client")
+    assert len(idle.history) == 1 and idle_record.top1 is not None  # evaluated once, at the end
     assert idle_record.teachers == [] and idle_record.g_mean == []
     assert idle_record.note == "all sampled clients empty; round skipped"
     assert idle.global_model is state.global_model
@@ -438,8 +439,7 @@ def test_record_to_dict_cleans_non_finite(tmp_path):
     from sfedkd.cli import _write_rounds_jsonl
     from sfedkd.engine import RoundRecord
     data = generate_synthetic(10, 4, 3, 1.0, seed=5)
-    _, record = run_round(small_state(), small_cfg(),
-                          EvalContext(data.subset(np.flatnonzero(data.labels != 2))))
+    _, record = run_round(small_state(), small_cfg(), data.subset(np.flatnonzero(data.labels != 2)))
     path = tmp_path / "rounds.jsonl"
     _write_rounds_jsonl(path, [record])
     classwise = json.loads(path.read_text())["classwise"]
@@ -475,18 +475,44 @@ def test_run_round_determinism():
 
 def test_run_round_evaluates_with_context():
     data = generate_synthetic(10, 4, 3, 1.0, seed=5)
-    ctx = EvalContext(data, "round")
-    state, record = run_round(small_state(), small_cfg(), ctx)
+    state, record = run_round(small_state(), small_cfg(), data, "round")
     assert record.top1 is not None
     assert len(record.classwise) == 4
-    assert len(ctx.history) == 1
-    ctx_client = EvalContext(data, "client")
-    run_round(small_state(), small_cfg(), ctx_client)
-    assert len(ctx_client.history) == 3  # one checkpoint per trained client
-    ctx_fedavg = EvalContext(data, "client")
-    _, record = run_round(small_state(), small_cfg(mode="fedavg"), ctx_fedavg)
-    assert len(ctx_fedavg.history) == 1  # fedavg: once per round
-    assert record.classwise == ctx_fedavg.history[0].tolist()
+    assert len(state.history) == 1
+    state, _ = run_round(small_state(), small_cfg(), data, "client")
+    assert len(state.history) == 3  # one checkpoint per trained client
+    state, record = run_round(small_state(), small_cfg(mode="fedavg"), data, "client")
+    assert len(state.history) == 1  # fedavg: once per round
+    assert record.classwise == state.history[0].tolist()
+
+
+@pytest.mark.parametrize("granularity", ["round", "client"])
+@pytest.mark.parametrize("mode", ["sfedkd", "fedavg"])
+def test_run_round_is_a_function_of_its_arguments(mode, granularity):
+    # the evaluation history is part of the state: a round replays from the
+    # state entering it, and chained rounds reproduce run_experiment
+    cfg = resolve_config({"master_seed": 1,
+                          "dataset": {"n_per_class": 30, "classes": 4, "features": 3,
+                                      "test_fraction": 0.3},
+                          "partition": {"N": 6, "C": 2}, "model": {"hidden": [5]},
+                          "train": {"M": 3, "K": 2, "R": 4, "E": 1, "batch_size": 8,
+                                    "mode": mode},
+                          "eval": {"granularity": granularity}})
+    train, test = build_dataset(cfg)
+    state = initial_state(cfg, train)
+    records = []
+    for _ in range(cfg.train.R):
+        history = [h.tobytes() for h in state.history]
+        a_state, a = run_round(state, cfg.train, test, granularity)
+        b_state, b = run_round(state, cfg.train, test, granularity)
+        assert [h.tobytes() for h in state.history] == history
+        assert a.to_dict() == b.to_dict()
+        assert a_state.global_model.flat.tobytes() == b_state.global_model.flat.tobytes()
+        assert [h.tobytes() for h in a_state.history] == [h.tobytes() for h in b_state.history]
+        records.append(a.to_dict())
+        state = a_state
+    assert records[-1]["forgetting"] is not None
+    assert records == [r.to_dict() for r in run_experiment(cfg).records]
 
 
 @pytest.mark.parametrize("K,kd", [
