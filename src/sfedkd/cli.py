@@ -67,10 +67,17 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
+def _output_dir(cfg: ExperimentConfig) -> Path:
+    out = Path(cfg.output.dir)  # mkdir makes it only below a directory: check before training
+    if not (nearest := next(p for p in (out, *out.parents) if p.exists())).is_dir():
+        raise NotADirectoryError(f"output.dir: {nearest} is not a directory")
+    return out
+
+
 def cmd_run(args) -> int:
     cfg = resolve_config(_load_raw(args))
+    out_dir = _output_dir(cfg)
     result = run_experiment(cfg)
-    out_dir = Path(cfg.output.dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "config.resolved.json", "w") as fh:
         json.dump(asdict(cfg), fh, indent=2)
@@ -112,7 +119,7 @@ def _ablation_cells(axis: str, cfg: ExperimentConfig):
 def cmd_ablate(args) -> int:
     raw = _load_raw(args)
     base_cfg = resolve_config(raw)
-    out_path = Path(base_cfg.output.dir) / f"ablate_{args.axis}.csv"
+    out_path = _output_dir(base_cfg) / f"ablate_{args.axis}.csv"
     rows = []
     for label, overrides in _ablation_cells(args.axis, base_cfg):
         finals = []

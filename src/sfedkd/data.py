@@ -22,9 +22,6 @@ import numpy as np
 from .config import ConfigError, PartitionSpec
 from .model import _check_labels
 
-IDX_IMAGE_MAGIC = 0x00000803
-IDX_LABEL_MAGIC = 0x00000801
-
 _MAX_ALLOCATION_ATTEMPTS = 1000
 _BLOCK_BYTES = 1 << 21  # feature bytes a source produces per block
 
@@ -211,43 +208,34 @@ def generate_synthetic(n_per_class: int, c_total: int, n_features: int,
     return layout.fill(blocks(), labels, c_total, n_features)
 
 
-def _read_be_u32(buf: bytes, offset: int, path) -> int:
-    if offset + 4 > len(buf):
+def _idx_file(path, ndim: int, what: str) -> tuple[bytes, tuple[int, ...]]:
+    """The bytes of an IDX file of unsigned bytes in `ndim` dimensions and its
+    sizes. Header: big-endian u32 magic 0x0800 + ndim, then one u32 per size."""
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    magic = int.from_bytes(buf[:4], "big")
+    if len(buf) >= 4 and magic != 0x0800 + ndim:
+        raise IdxFormatError(f"{path}: bad {what} magic 0x{magic:08x}")
+    if len(buf) < 4 + 4 * ndim:
         raise IdxFormatError(f"{path}: truncated header")
-    return struct.unpack_from(">I", buf, offset)[0]
+    return buf, struct.unpack_from(f">{ndim}I", buf, 4)
 
 
 def read_idx(images_path, labels_path,
              n_classes: int | None = None) -> tuple[np.ndarray, np.ndarray, int]:
-    """(pixels, labels, c_total) of an IDX image/label file pair, checked.
-
-    Big-endian format: image file is magic 0x00000803, count, rows, cols,
-    then unsigned pixel bytes; label file is magic 0x00000801, count, then
-    unsigned label bytes. `pixels` is the (n, rows*cols) uint8 view of the
-    image bytes. Without `n_classes`, c_total is the largest label + 1, and
-    every class below it must have a label.
+    """(pixels, labels, c_total) of an IDX pair of n x rows x cols images and
+    n labels, checked, the image file first. `pixels` is the (n, rows*cols)
+    uint8 view of the image bytes. Without `n_classes`, c_total is the largest
+    label + 1, and every class below it must have a label.
     """
-    with open(images_path, "rb") as fh:
-        img_buf = fh.read()
-    with open(labels_path, "rb") as fh:
-        lab_buf = fh.read()
-
-    magic = _read_be_u32(img_buf, 0, images_path)
-    if magic != IDX_IMAGE_MAGIC:
-        raise IdxFormatError(f"{images_path}: bad image magic 0x{magic:08x}")
-    n_images = _read_be_u32(img_buf, 4, images_path)
-    rows = _read_be_u32(img_buf, 8, images_path)
-    cols = _read_be_u32(img_buf, 12, images_path)
+    img_buf, (n_images, rows, cols) = _idx_file(images_path, 3, "image")
     if n_images * rows * cols == 0:
         raise IdxFormatError(f"{images_path}: {rows}x{cols} images, {n_images} of them, "
                              "hold no pixels")
     if len(img_buf) < 16 + n_images * rows * cols:
         raise IdxFormatError(f"{images_path}: expected {n_images * rows * cols} pixel bytes")
 
-    magic = _read_be_u32(lab_buf, 0, labels_path)
-    if magic != IDX_LABEL_MAGIC:
-        raise IdxFormatError(f"{labels_path}: bad label magic 0x{magic:08x}")
-    n_labels = _read_be_u32(lab_buf, 4, labels_path)
+    lab_buf, (n_labels,) = _idx_file(labels_path, 1, "label")
     if n_labels != n_images:
         raise IdxFormatError(f"{labels_path}: {n_images} images but {n_labels} labels")
     if len(lab_buf) < 8 + n_labels:

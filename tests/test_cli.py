@@ -150,6 +150,15 @@ def test_run_rejects_truncated_idx_file_naming_it(tmp_path, capsys):
     assert "i/o error:" in capsys.readouterr().err
 
 
+def test_run_checks_the_image_file_before_opening_the_label_file(tmp_path, capsys):
+    img = tmp_path / "img"
+    img.write_bytes(struct.pack(">II", 0x00000803, 20))  # cut after the image count
+    raw = tiny_raw(tmp_path / "out")
+    raw["dataset"] = {"kind": "idx", "images": str(img), "labels": str(tmp_path / "missing")}
+    assert main(["run", str(write_config(tmp_path, raw))]) == 2
+    assert capsys.readouterr().err == f"error: {img}: truncated header\n"
+
+
 def test_run_set_overrides(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, tiny_raw(out))
@@ -361,16 +370,38 @@ def test_failing_sweep_keeps_its_finished_cells(tmp_path, capsys, monkeypatch):
     assert captured.out == f"mode=sfedkd: {float(mean):.4f} +/- {float(std):.4f} (2 seeds)\n"
 
 
-def test_unusable_output_dir_fails_after_the_first_cell(tmp_path, capsys, monkeypatch):
-    # the directory is made when the first cell finishes, not after the sweep
+def test_unusable_output_dir_fails_before_the_first_cell(tmp_path, capsys, monkeypatch):
+    # output.dir is checked as the config resolves, so no cell runs
     blocker = tmp_path / "file"
     blocker.write_text("")
     cfg = write_config(tmp_path, tiny_raw(blocker / "out", mode="sfedkd", rounds=1))
     calls = failing_in_call(monkeypatch, 0)
     assert main(["ablate", str(cfg), "--axis", "mode", "--set", "ablate.seeds=[1,2]"]) == 3
-    assert calls == ["sfedkd", "sfedkd"]
+    assert calls == []
     captured = capsys.readouterr()
-    assert captured.err.startswith("i/o error: ") and not captured.out
+    assert captured.err == f"i/o error: output.dir: {blocker} is not a directory\n"
+    assert not captured.out and sorted(tmp_path.iterdir()) == [cfg, blocker]
+
+
+@pytest.mark.parametrize("below", ["", "out", "a/b"], ids=["file", "below_file", "two_below_file"])
+def test_run_with_unusable_output_dir_fails_before_training(tmp_path, capsys, monkeypatch,
+                                                            below):
+    # the nearest part of output.dir that exists must be a directory
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = write_config(tmp_path, tiny_raw(blocker / below))
+    calls = failing_in_call(monkeypatch, 0)
+    assert main(["run", str(cfg)]) == 3
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.err == f"i/o error: output.dir: {blocker} is not a directory\n"
+    assert not captured.out and sorted(tmp_path.iterdir()) == [cfg, blocker]
+
+
+def test_output_dir_below_new_directories_is_made(tmp_path):
+    out = tmp_path / "a" / "b" / "out"
+    assert main(["run", str(write_config(tmp_path, tiny_raw(out, rounds=1)))]) == 0
+    assert (out / "summary.csv").exists()
 
 
 def test_ablate_cell_matches_standalone_run(tmp_path):

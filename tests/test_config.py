@@ -150,6 +150,17 @@ def test_override_with_an_empty_path_segment_names_the_override(tmp_path, capsys
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("override,message", [
+    ("foo", "foo: override must look like dotted.path=value"),
+    ("train.M.x=1", "train.M.x: override path crosses a non-object"),
+])
+def test_malformed_override_is_named(tmp_path, capsys, override, message):
+    assert main(["run", str(ROOT / "configs" / "synthetic_small.json"),
+                 "--set", override, "--set", f"output.dir={tmp_path}"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("override", [
     "dataset.test_fraction=NaN", "train.eta=NaN", "train.kd.tau=NaN",
     "partition.alpha=Infinity", "train.weight_decay=-Infinity",
@@ -216,6 +227,13 @@ def test_teachers_axis_reads_solvers_from_mode_table():
         ({"K": 2, "solver": "greedy"}, ["train.K=2", "train.mode=sfedkd"]),
         ({"K": 2, "solver": "random"}, ["train.K=2", "train.mode=sfedkd_random_teachers"]),
     ]
+
+
+def test_unknown_ablation_axis_is_named():
+    # argparse choices keep an unknown axis off the command line
+    with pytest.raises(ConfigError) as exc:
+        _ablation_cells("depth", ExperimentConfig())
+    assert str(exc.value) == "axis: unknown ablation axis 'depth'"
 
 
 def test_classes_not_covered_by_partition_names_partition_c(tmp_path, capsys):

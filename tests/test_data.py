@@ -44,6 +44,45 @@ def test_dataset_invariants():
         Dataset(np.zeros((2, 2)), np.array([0, 1]), 1)  # c_total too small
 
 
+# One call per row that breaks one input rule, and the message it raises.
+BAD_DATA_INPUTS = {
+    "1-D features": (lambda: Dataset(np.zeros(2), [0, 1], 2), "features must be a 2-D array"),
+    "2-D labels": (lambda: Dataset(np.zeros((2, 1)), [[0], [1]], 2),
+                   "labels must be a 1-D array"),
+    "zero-width features": (lambda: Dataset(np.zeros((2, 0)), [0, 1], 2),
+                            "feature dimension must be positive"),
+    "bounds from 1": (lambda: Dataset(np.zeros((2, 1)), [0, 1], 2, client_bounds=[1, 2]),
+                      "client bounds must rise from 0 to 2"),
+    "bounds short of n": (lambda: Dataset(np.zeros((2, 1)), [0, 1], 2, client_bounds=[0, 1]),
+                          "client bounds must rise from 0 to 2"),
+    "falling bounds": (lambda: Dataset(np.zeros((2, 1)), [0, 1], 2,
+                                       client_bounds=[0, 2, 1, 2]),
+                       "client bounds must rise from 0 to 2"),
+    "2-D class distribution": (lambda: ClassDistribution([[0.5, 0.5]]),
+                               "proportions must be a 1-D vector"),
+    "proportions summing to 0.6": (lambda: largest_remainder_counts([0.3, 0.3], 10),
+                                   "proportions do not sum to 1"),
+    "partition of no labels": (
+        lambda: partition_exdir(np.array([], dtype=np.int64), 2, PartitionSpec(N=2, C=1, seed=0)),
+        "cannot partition an empty dataset"),
+    "partition without a seed": (
+        lambda: partition_exdir(np.array([0, 1]), 2, PartitionSpec(N=2, C=1, seed=None)),
+        "partition seed is unset; resolve_config derives it from master_seed"),
+    "test fraction 0": (lambda: split_train_test(np.array([0, 1]), 2, 0.0, seed=0),
+                        "test_fraction must lie in (0, 1)"),
+    "test fraction 1": (lambda: split_train_test(np.array([0, 1]), 2, 1.0, seed=0),
+                        "test_fraction must lie in (0, 1)"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_DATA_INPUTS)
+def test_bad_data_input_raises_its_message(case):
+    call, message = BAD_DATA_INPUTS[case]
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_dataset_clients_are_views():
     ds = Dataset(np.arange(12.0).reshape(6, 2), [0, 1, 1, 0, 1, 0], 2,
                  client_bounds=np.array([0, 2, 2, 6]))
@@ -154,6 +193,20 @@ def test_load_idx_wrong_magic(tmp_path):
     lab_path.write_bytes(idx_label_bytes([0]))
     with pytest.raises(IdxFormatError):
         load_idx(img_path, lab_path)
+
+
+@pytest.mark.parametrize("swapped,message", [
+    ("img", "bad image magic 0x00000801"),
+    ("lab", "bad label magic 0x00000803"),
+])
+def test_load_idx_names_a_magic_meant_for_the_other_file(tmp_path, swapped, message):
+    # a magic is 0x0800 + the file's dimension count: 3 for images, 1 for labels
+    img_path, lab_path = tmp_path / "img", tmp_path / "lab"
+    img_path.write_bytes(idx_image_bytes([[[0]]], magic=0x801 if swapped == "img" else 0x803))
+    lab_path.write_bytes(idx_label_bytes([0], magic=0x803 if swapped == "lab" else 0x801))
+    with pytest.raises(IdxFormatError) as exc:
+        load_idx(img_path, lab_path)
+    assert str(exc.value) == f"{tmp_path / swapped}: {message}"
 
 
 def test_load_idx_count_mismatch(tmp_path):

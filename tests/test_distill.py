@@ -315,6 +315,50 @@ def test_ensemble_weight_validation():
                         g=np.array([0.5, 0.6]))
 
 
+Z3 = np.zeros((2, 3))
+LABELS = np.array([0, 1])
+ENSEMBLE = make_ensemble()
+
+# (arguments, message) of nckd_loss and tckd_loss alike
+BAD_KD_LOSS_ARGS = {
+    "tau 0": ((Z3, [Z3], LABELS, [1.0], 0.0), "tau must be positive"),
+    "labels of another length": ((Z3, [Z3], np.array([0, 1, 2]), [1.0], 1.0),
+                                 "targets must match the batch size"),
+    "teacher of another shape": ((Z3, [np.zeros((2, 4))], LABELS, [1.0], 1.0),
+                                 "teacher logits must match student logits shape"),
+    "two weights for one teacher": ((Z3, [Z3], LABELS, [0.5, 0.5], 1.0),
+                                    "need one weight per teacher"),
+}
+
+# One call per row that breaks one input rule, and the message it raises.
+BAD_DISTILL_INPUTS = {
+    "misaligned ensemble": (lambda: TeacherEnsemble(ENSEMBLE.teachers, ENSEMBLE.dists[:1],
+                                                    ENSEMBLE.client_ids),
+                            "teachers, dists, and client_ids must align"),
+    "g of 3 weights for 2 teachers": (
+        lambda: TeacherEnsemble(ENSEMBLE.teachers, ENSEMBLE.dists, ENSEMBLE.client_ids,
+                                g=np.full(3, 1 / 3)),
+        "g must have one weight per teacher"),
+    "epsilon 0": (lambda: teacher_weights(ENSEMBLE.dists, ENSEMBLE.dists[0], "L1", 0.0),
+                  "epsilon must be positive"),
+    **{f"{loss.__name__}: {case}": (lambda loss=loss, args=args: loss(*args), message)
+       for loss in (nckd_loss, tckd_loss) for case, (args, message) in BAD_KD_LOSS_ARGS.items()},
+}
+
+
+@pytest.mark.parametrize("case", BAD_DISTILL_INPUTS)
+def test_bad_distill_input_raises_its_message(case):
+    call, message = BAD_DISTILL_INPUTS[case]
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("loss", [nckd_loss, tckd_loss])
+def test_kd_loss_without_teachers_is_zero(loss):
+    assert loss(Z3, [], LABELS, [], 1.0) == 0.0
+
+
 def test_with_weights_uniform_toggles():
     ens = make_ensemble(k=3)
     student = dist(0.1, 0.1, 0.8)

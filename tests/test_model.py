@@ -52,6 +52,28 @@ def test_params_shape_chain_validated():
                     [np.zeros(3), np.zeros(4)])
 
 
+# One call per row that breaks one input rule, and the message it raises.
+BAD_MODEL_INPUTS = {
+    "two weights, one bias": (lambda: ModelParams([np.zeros((2, 3)), np.zeros((1, 2))],
+                                                  [np.zeros(2)]),
+                              "weights and biases must be non-empty and aligned"),
+    "1-D weight": (lambda: ModelParams([np.zeros(3)], [np.zeros(3)]),
+                   "layer 0: bad shapes (3,) / (3,)"),
+    "zero dim": (lambda: init_params((3, 0, 2), seed=0), "all dims must be positive"),
+    "negative weight decay": (lambda: sgd_step(init_params((3, 2), 0), init_params((3, 2), 1),
+                                               0.1, weight_decay=-1e-4),
+                              "weight_decay must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_MODEL_INPUTS)
+def test_bad_model_input_raises_its_message(case):
+    call, message = BAD_MODEL_INPUTS[case]
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_params_are_views_of_one_flat_buffer():
     p = ModelParams([np.arange(6.0).reshape(3, 2), np.ones((1, 3))],
                     [np.full(3, -1.0), np.array([7.0])])
