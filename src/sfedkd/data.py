@@ -26,11 +26,6 @@ _MAX_ALLOCATION_ATTEMPTS = 1000
 _BLOCK_BYTES = 1 << 21  # feature bytes a source produces per block
 
 
-class IdxFormatError(ValueError):
-    """A malformed IDX file: bad magic, truncated, no pixels, a label count
-    unlike the image count, or bad labels. The message names the file."""
-
-
 @dataclass
 class Dataset:
     """Labeled feature vectors with a fixed class count.
@@ -161,7 +156,10 @@ def _block_rows(n_features: int) -> int:
 
 def synthetic_labels(n_per_class: int, c_total: int) -> np.ndarray:
     """The labels of `generate_synthetic`, in source order."""
-    return np.repeat(np.arange(c_total), n_per_class)
+    labels = np.repeat(np.arange(c_total), n_per_class)
+    if len(labels) != c_total * n_per_class:  # numpy's arange is empty from 2**63 - 1 on
+        raise ValueError(f"{c_total} x {n_per_class} labels do not fit an array")
+    return labels
 
 
 def generate_synthetic(n_per_class: int, c_total: int, n_features: int,
@@ -215,9 +213,9 @@ def _idx_file(path, ndim: int, what: str) -> tuple[bytes, tuple[int, ...]]:
         buf = fh.read()
     magic = int.from_bytes(buf[:4], "big")
     if len(buf) >= 4 and magic != 0x0800 + ndim:
-        raise IdxFormatError(f"{path}: bad {what} magic 0x{magic:08x}")
+        raise ConfigError(str(path), f"bad {what} magic 0x{magic:08x}")
     if len(buf) < 4 + 4 * ndim:
-        raise IdxFormatError(f"{path}: truncated header")
+        raise ConfigError(str(path), "truncated header")
     return buf, struct.unpack_from(f">{ndim}I", buf, 4)
 
 
@@ -230,16 +228,16 @@ def read_idx(images_path, labels_path,
     """
     img_buf, (n_images, rows, cols) = _idx_file(images_path, 3, "image")
     if n_images * rows * cols == 0:
-        raise IdxFormatError(f"{images_path}: {rows}x{cols} images, {n_images} of them, "
-                             "hold no pixels")
+        raise ConfigError(str(images_path), f"{rows}x{cols} images, {n_images} of them, "
+                          "hold no pixels")
     if len(img_buf) < 16 + n_images * rows * cols:
-        raise IdxFormatError(f"{images_path}: expected {n_images * rows * cols} pixel bytes")
+        raise ConfigError(str(images_path), f"expected {n_images * rows * cols} pixel bytes")
 
     lab_buf, (n_labels,) = _idx_file(labels_path, 1, "label")
     if n_labels != n_images:
-        raise IdxFormatError(f"{labels_path}: {n_images} images but {n_labels} labels")
+        raise ConfigError(str(labels_path), f"{n_images} images but {n_labels} labels")
     if len(lab_buf) < 8 + n_labels:
-        raise IdxFormatError(f"{labels_path}: expected {n_labels} label bytes")
+        raise ConfigError(str(labels_path), f"expected {n_labels} label bytes")
 
     pixels = np.frombuffer(img_buf, dtype=np.uint8, count=n_images * rows * cols, offset=16)
     labels = np.frombuffer(lab_buf, dtype=np.uint8, count=n_labels, offset=8).astype(np.int64)
@@ -247,15 +245,15 @@ def read_idx(images_path, labels_path,
     try:
         _check_labels(labels, c_total)
     except ValueError as exc:
-        raise IdxFormatError(f"{labels_path}: {exc}") from None
+        raise ConfigError(str(labels_path), str(exc)) from None
     if c_total < 2 and n_classes is None:
-        raise IdxFormatError(f"{labels_path}: every label is 0, so the file holds one class; "
-                             "at least 2 are needed")
+        raise ConfigError(str(labels_path), "every label is 0, so the file holds one class; "
+                          "at least 2 are needed")
     if n_classes is None:
         missing = np.flatnonzero(np.bincount(labels) == 0)
         if len(missing):
-            raise IdxFormatError(f"{labels_path}: no sample has label {missing[0]}, though "
-                                 f"the labels run up to {c_total - 1}")
+            raise ConfigError(str(labels_path), f"no sample has label {missing[0]}, though "
+                              f"the labels run up to {c_total - 1}")
     return pixels.reshape(n_images, rows * cols), labels, c_total
 
 

@@ -7,9 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SEED_INIT, ConfigError, ExperimentConfig, derive_seed
-from .data import (Dataset, IdxFormatError, Layout, class_distribution, generate_synthetic,
-                   idx_blocks, load_idx, partition_exdir, read_idx, split_train_test,
-                   synthetic_labels)
+from .data import (Dataset, Layout, class_distribution, generate_synthetic, idx_blocks,
+                   load_idx, partition_exdir, read_idx, split_train_test, synthetic_labels)
 from .engine import FederationState, RoundRecord, run_round
 from .model import ModelParams, init_params
 
@@ -51,12 +50,13 @@ def build_dataset(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     set is empty when there are no test rows."""
     ds = cfg.dataset
     if ds.kind == "synthetic":
-        # the labels fit once n_per_class does; then features overflow
+        # the larger of classes and n_per_class overflows the labels first; then features
         size = f"{ds.classes} classes x {ds.n_per_class} x {ds.features}"
         try:
             labels = synthetic_labels(ds.n_per_class, ds.classes)
-        except (MemoryError, ValueError):
-            raise _too_big("dataset.n_per_class", size) from None
+        except (MemoryError, ValueError, OverflowError):
+            big = "classes" if ds.classes > ds.n_per_class else "n_per_class"
+            raise _too_big(f"dataset.{big}", size) from None
         layout = _layout(cfg, labels, ds.classes)
         try:
             return generate_synthetic(ds.n_per_class, ds.classes, ds.features, ds.spread,
@@ -69,8 +69,8 @@ def build_dataset(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     if ds.test_images:
         test = load_idx(ds.test_images, ds.test_labels, n_classes=c_total)
         if test.n_features != pixels.shape[1]:
-            raise IdxFormatError(f"{ds.test_images}: {test.n_features} pixels per image, "
-                                 f"but {ds.images} has {pixels.shape[1]}")
+            raise ConfigError(str(ds.test_images), f"{test.n_features} pixels per image, "
+                              f"but {ds.images} has {pixels.shape[1]}")
     return train, test
 
 

@@ -144,7 +144,7 @@ def test_run_rejects_truncated_idx_file_naming_it(tmp_path, capsys):
     raw["dataset"] = {"kind": "idx", "images": str(img), "labels": str(lab)}
     cfg = write_config(tmp_path, raw)
     assert main(["run", str(cfg)]) == 2
-    assert f"error: {img}: expected 80 pixel bytes" in capsys.readouterr().err
+    assert f"config error: {img}: expected 80 pixel bytes" in capsys.readouterr().err
     img.unlink()
     assert main(["run", str(cfg)]) == 3
     assert "i/o error:" in capsys.readouterr().err
@@ -156,7 +156,7 @@ def test_run_checks_the_image_file_before_opening_the_label_file(tmp_path, capsy
     raw = tiny_raw(tmp_path / "out")
     raw["dataset"] = {"kind": "idx", "images": str(img), "labels": str(tmp_path / "missing")}
     assert main(["run", str(write_config(tmp_path, raw))]) == 2
-    assert capsys.readouterr().err == f"error: {img}: truncated header\n"
+    assert capsys.readouterr().err == f"config error: {img}: truncated header\n"
 
 
 def test_run_set_overrides(tmp_path):

@@ -265,13 +265,27 @@ def test_empty_evaluation_split_exits_2_naming_test_fraction(tmp_path, capsys):
 def test_oversized_synthetic_data_exits_2_naming_n_per_class(tmp_path, capsys):
     # 10 x 10**12 labels exceed any address space, so numpy refuses them
     # with MemoryError before it allocates anything; 10 x 10**18 overflows
-    # numpy's dimension arithmetic, which raises ValueError instead
-    for n_per_class in (10**12, 10**18):
+    # numpy's dimension arithmetic, which raises ValueError instead, and
+    # 2**63 and 2**64 do not fit a C long, which raises OverflowError
+    for n_per_class in (10**12, 10**18, 2**63, 2**64):
         assert main(["run", str(ROOT / "configs" / "synthetic_small.json"),
                      "--set", f"dataset.n_per_class={n_per_class}",
                      "--set", f"output.dir={tmp_path}"]) == 2
         assert f"config error: dataset.n_per_class: 10 classes x {n_per_class} x 8 float64 " \
             "values are too many to allocate" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("verb", ["run", "inspect-partition"])
+def test_oversized_class_count_exits_2_naming_classes(tmp_path, capsys, verb):
+    # 10**11 labels raise MemoryError; from 2**63 - 1 on numpy's arange is
+    # empty rather than an error, and the split then looped over every class
+    for classes in (10**11, 2**63 - 1, 2**63):
+        assert main([verb, str(ROOT / "configs" / "synthetic_small.json"),
+                     "--set", f"dataset.classes={classes}",
+                     "--set", f"output.dir={tmp_path}"]) == 2
+        assert capsys.readouterr().err == f"config error: dataset.classes: {classes} classes " \
+            "x 200 x 8 float64 values are too many to allocate\n"
         assert not any(tmp_path.iterdir())
 
 
@@ -369,7 +383,7 @@ def test_set_up_failure_exits_2_naming_its_field(tmp_path, capsys, case, verb):
 @pytest.mark.parametrize("verb", ["run", "ablate", "inspect-partition"])
 @pytest.mark.parametrize("labels,overrides,message", [
     # labels 0 and 2 only: the file counts 3 classes, and class 1 has no sample
-    ([0, 2] * 15, [], "error: {lab}: no sample has label 1, though the labels run up to 2"),
+    ([0, 2] * 15, [], "config error: {lab}: no sample has label 1, though the labels run up to 2"),
     # the one sample of class 2 goes to the test split
     ([0, 1] * 15 + [2], ["dataset.test_fraction=0.6"],
      "config error: dataset.test_fraction: 0.6 leaves class 2 no train rows"),
@@ -402,7 +416,8 @@ def test_idx_test_pair_of_another_pixel_count_is_named(tmp_path, capsys, verb):
         args += ["--set", override]
     assert main(args) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: {test_img}: 9 pixels per image, but {tmp_path / 'img'} has 4\n"
+    assert captured.err == \
+        f"config error: {test_img}: 9 pixels per image, but {tmp_path / 'img'} has 4\n"
     assert not captured.out and not out.exists()
 
 

@@ -15,10 +15,9 @@ from data_oracle import (build_clients_oracle, generate_synthetic_oracle,
                          partition_exdir_indices_oracle, split_train_test_oracle)
 from sfedkd import data, experiment
 from sfedkd.config import ConfigError, resolve_config
-from sfedkd.data import (ClassDistribution, Dataset, IdxFormatError, PartitionSpec,
-                         class_distribution, generate_synthetic,
-                         largest_remainder_counts, load_idx, partition_exdir,
-                         partition_exdir_indices, split_train_test)
+from sfedkd.data import (ClassDistribution, Dataset, PartitionSpec, class_distribution,
+                         generate_synthetic, largest_remainder_counts, load_idx,
+                         partition_exdir, partition_exdir_indices, split_train_test)
 from sfedkd.experiment import build_dataset, initial_state, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -187,11 +186,11 @@ def test_load_idx_wrong_magic(tmp_path):
     img_path.write_bytes(idx_image_bytes([[[0]]]))
     # image magic in the label file is a format error
     lab_path.write_bytes(idx_label_bytes([0], magic=0x00000803))
-    with pytest.raises(IdxFormatError):
+    with pytest.raises(ConfigError):
         load_idx(img_path, lab_path)
     img_path.write_bytes(idx_image_bytes([[[0]]], magic=0x00000801))
     lab_path.write_bytes(idx_label_bytes([0]))
-    with pytest.raises(IdxFormatError):
+    with pytest.raises(ConfigError):
         load_idx(img_path, lab_path)
 
 
@@ -204,7 +203,7 @@ def test_load_idx_names_a_magic_meant_for_the_other_file(tmp_path, swapped, mess
     img_path, lab_path = tmp_path / "img", tmp_path / "lab"
     img_path.write_bytes(idx_image_bytes([[[0]]], magic=0x801 if swapped == "img" else 0x803))
     lab_path.write_bytes(idx_label_bytes([0], magic=0x803 if swapped == "lab" else 0x801))
-    with pytest.raises(IdxFormatError) as exc:
+    with pytest.raises(ConfigError) as exc:
         load_idx(img_path, lab_path)
     assert str(exc.value) == f"{tmp_path / swapped}: {message}"
 
@@ -213,7 +212,7 @@ def test_load_idx_count_mismatch(tmp_path):
     img_path, lab_path = tmp_path / "img", tmp_path / "lab"
     img_path.write_bytes(idx_image_bytes(np.zeros((3, 1, 1), dtype=np.uint8)))
     lab_path.write_bytes(idx_label_bytes([0, 1]))
-    with pytest.raises(IdxFormatError, match=re.escape(f"{lab_path}: 3 images but 2 labels")):
+    with pytest.raises(ConfigError, match=re.escape(f"{lab_path}: 3 images but 2 labels")):
         load_idx(img_path, lab_path)
 
 
@@ -221,7 +220,7 @@ def test_load_idx_truncated(tmp_path):
     img_path, lab_path = tmp_path / "img", tmp_path / "lab"
     img_path.write_bytes(idx_image_bytes(np.zeros((2, 2, 2), dtype=np.uint8))[:-3])
     lab_path.write_bytes(idx_label_bytes([0, 1]))
-    with pytest.raises(IdxFormatError, match=re.escape(f"{img_path}: expected 8 pixel bytes")):
+    with pytest.raises(ConfigError, match=re.escape(f"{img_path}: expected 8 pixel bytes")):
         load_idx(img_path, lab_path)
 
 
@@ -229,7 +228,7 @@ def test_load_idx_rejects_pixelless_images(tmp_path):
     img_path, lab_path = tmp_path / "img", tmp_path / "lab"
     img_path.write_bytes(struct.pack(">IIII", 0x00000803, 2, 0, 5))
     lab_path.write_bytes(idx_label_bytes([0, 1]))
-    with pytest.raises(IdxFormatError, match=re.escape(f"{img_path}: 0x5 images")):
+    with pytest.raises(ConfigError, match=re.escape(f"{img_path}: 0x5 images")):
         load_idx(img_path, lab_path)
 
 
@@ -237,7 +236,7 @@ def test_load_idx_rejects_label_outside_class_count(tmp_path):
     img_path, lab_path = tmp_path / "img", tmp_path / "lab"
     img_path.write_bytes(idx_image_bytes(np.zeros((2, 1, 1), dtype=np.uint8)))
     lab_path.write_bytes(idx_label_bytes([0, 3]))
-    with pytest.raises(IdxFormatError, match=re.escape(f"{lab_path}: label 3 outside [0, 3)")):
+    with pytest.raises(ConfigError, match=re.escape(f"{lab_path}: label 3 outside [0, 3)")):
         load_idx(img_path, lab_path, n_classes=3)
     assert load_idx(img_path, lab_path, n_classes=4).c_total == 4
 
@@ -248,7 +247,7 @@ def test_load_idx_rejects_single_class_labels(tmp_path):
     img_path, lab_path = tmp_path / "img", tmp_path / "lab"
     img_path.write_bytes(idx_image_bytes(np.zeros((2, 1, 1), dtype=np.uint8)))
     lab_path.write_bytes(idx_label_bytes([0, 0]))
-    with pytest.raises(IdxFormatError, match=re.escape(f"{lab_path}: every label is 0")):
+    with pytest.raises(ConfigError, match=re.escape(f"{lab_path}: every label is 0")):
         load_idx(img_path, lab_path)
     assert load_idx(img_path, lab_path, n_classes=2).c_total == 2
 
@@ -259,7 +258,7 @@ def test_load_idx_rejects_zero_images(tmp_path, side):
     img_path, lab_path = tmp_path / "img", tmp_path / "lab"
     img_path.write_bytes(struct.pack(">IIII", 0x00000803, 0, side, side))
     lab_path.write_bytes(idx_label_bytes([]))
-    with pytest.raises(IdxFormatError,
+    with pytest.raises(ConfigError,
                        match=re.escape(f"{img_path}: {side}x{side} images, 0 of them")):
         load_idx(img_path, lab_path)
 
@@ -282,8 +281,9 @@ def test_load_idx_truncated_at_every_offset(tmp_path, n_classes):
         for cut in range(len(IDX_PAIR[which])):
             pair = list(IDX_PAIR)
             pair[which] = pair[which][:cut]
-            with pytest.raises(IdxFormatError):
+            with pytest.raises(ConfigError) as exc:
                 load_idx_bytes(tmp_path, pair, n_classes)
+            assert exc.value.field in (str(tmp_path / "img"), str(tmp_path / "lab"))
 
 
 @st.composite
@@ -304,10 +304,11 @@ def flipped_idx_pairs(draw):
 @example(pair=(struct.pack(">IIII", 0x00000803, 0, 2**32 - 1, 2**32 - 1),
                idx_label_bytes([])), n_classes=None)
 def test_load_idx_fuzz_raises_only_idx_errors(tmp_path_factory, pair, n_classes):
+    tmp_dir = tmp_path_factory.mktemp("idx")
     try:
-        load_idx_bytes(tmp_path_factory.mktemp("idx"), pair, n_classes)
-    except IdxFormatError:
-        pass
+        load_idx_bytes(tmp_dir, pair, n_classes)
+    except ConfigError as exc:
+        assert exc.field in (str(tmp_dir / "img"), str(tmp_dir / "lab"))
 
 
 # ----------------------------------------------------- largest remainder
@@ -331,11 +332,6 @@ def test_partition_one_class_per_client_degenerate():
     assert sorted(map(tuple, map(sorted, label_sets))) == [(0,), (1,)]
     sizes = sorted(len(p) for p in parts)
     assert sizes == [4, 6]
-
-
-def sorted_rows(ds):
-    rows = [ds.features[i].tobytes() + bytes([ds.labels[i]]) for i in range(len(ds))]
-    return sorted(rows)
 
 
 def test_partition_disjoint_cover():

@@ -11,8 +11,9 @@ import struct
 import numpy as np
 import pytest
 
-from sfedkd.data import (ClassDistribution, Dataset, IdxFormatError, PartitionSpec,
-                         partition_exdir, read_idx, split_train_test)
+from sfedkd.config import ConfigError
+from sfedkd.data import (ClassDistribution, Dataset, PartitionSpec, partition_exdir, read_idx,
+                         split_train_test)
 from sfedkd.distill import (TeacherEnsemble, discrepancy, nckd_loss, tckd_loss,
                             teacher_weights)
 from sfedkd.model import cross_entropy_grad, init_params, label_index
@@ -48,7 +49,7 @@ def test_idx_label_outside_class_count_keeps_type_and_path(tmp_path, bad):
     img, lab = tmp_path / "img", tmp_path / "lab"
     img.write_bytes(struct.pack(">IIII", 0x00000803, 3, 1, 1) + bytes(3))
     lab.write_bytes(struct.pack(">II", 0x00000801, 3) + bytes([0, bad, 1]))
-    with pytest.raises(IdxFormatError, match=re.escape(f"{lab}: label {bad} outside [0, {C})")):
+    with pytest.raises(ConfigError, match=re.escape(f"{lab}: label {bad} outside [0, {C})")):
         read_idx(img, lab, n_classes=C)
 
 
