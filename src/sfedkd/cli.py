@@ -109,7 +109,7 @@ def _ablation_cells(axis: str, cfg: ExperimentConfig):
             raise ConfigError("ablate.k_values",
                               f"teacher counts must not exceed train.M={cfg.train.M}")
         return [({"K": k, "solver": solver}, [f"train.K={k}", f"train.mode={mode}"])
-                for k in cfg.ablate.k_values for mode, solver in MODES.items() if solver]
+                for k in cfg.ablate.k_values for mode, (solver, _) in MODES.items() if solver]
     if axis == "mode":
         return [({"mode": m}, [f"train.mode={m}"])
                 for m in ("sfedkd", "fedseq", "fedavg")]

@@ -24,9 +24,10 @@ import numpy as np
 
 METRICS = ("L1", "L2", "KL", "JS")
 
-# Each mode's teacher solver; a mode with none trains without distillation.
-MODES = {"sfedkd": "greedy", "fedseq": None, "fedavg": None,
-         "sfedkd_random_teachers": "random"}
+# Each mode's (teacher solver, averages): a mode with no solver trains without
+# distillation, and one that averages trains each client from the global model.
+MODES = {"sfedkd": ("greedy", False), "fedseq": (None, False), "fedavg": (None, True),
+         "sfedkd_random_teachers": ("random", False)}
 
 # sub-seed purpose tags; see derive_seed
 SEED_INIT = 1

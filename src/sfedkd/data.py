@@ -163,19 +163,15 @@ def synthetic_labels(n_per_class: int, c_total: int) -> np.ndarray:
 
 
 def generate_synthetic(n_per_class: int, c_total: int, n_features: int,
-                       spread: float, seed: int,
-                       layout: Layout | None = None) -> Dataset | tuple[Dataset, Dataset]:
+                       spread: float, seed: int, layout: Layout) -> tuple[Dataset, Dataset]:
     """Gaussian-blob classification data with one blob per class.
 
     Class means sit evenly spaced on a circle of radius 5 in the first two
     coordinates (remaining coordinates zero-mean); every coordinate gets
     isotropic noise with standard deviation `spread`. Samples are drawn
     class by class, in row blocks, so the source order is class-ordered.
-    Deterministic per seed.
-
-    Without a layout, returns the whole set in source order as one Dataset.
-    With one, each drawn row goes straight to its place, and the (train,
-    test) pair of `Layout.fill` is returned.
+    Deterministic per seed. Each drawn row goes straight to its place in
+    `layout`, and the (train, test) pair of `Layout.fill` is returned.
     """
     if n_per_class < 1:
         raise ValueError("n_per_class must be at least 1")
@@ -201,8 +197,6 @@ def generate_synthetic(n_per_class: int, c_total: int, n_features: int,
             block += means[labels[start:start + step]]
             yield block
 
-    if layout is None:
-        return Layout(np.arange(len(labels))).fill(blocks(), labels, c_total, n_features)[0]
     return layout.fill(blocks(), labels, c_total, n_features)
 
 

@@ -154,10 +154,9 @@ def run_round(state: FederationState, cfg: TrainConfig, eval_set: Dataset | None
     noted as skipped, in every mode.
     """
     r = state.round
-    average = cfg.mode == "fedavg"
+    solver, average = MODES[cfg.mode]
     visits = [(m, cid) for m, cid in enumerate(sample_sequence(state, cfg.M))
               if len(state.client_datasets[cid])]
-    solver = MODES[cfg.mode]
     ensemble = (collect_teachers(state, cfg.K, cfg.kd.metric, solver) if solver and visits
                 else TeacherEnsemble.empty())
 

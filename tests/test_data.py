@@ -15,9 +15,10 @@ from data_oracle import (build_clients_oracle, generate_synthetic_oracle,
                          partition_exdir_indices_oracle, split_train_test_oracle)
 from sfedkd import data, experiment
 from sfedkd.config import ConfigError, resolve_config
-from sfedkd.data import (ClassDistribution, Dataset, PartitionSpec, class_distribution,
+from sfedkd.data import (ClassDistribution, Dataset, Layout, PartitionSpec, class_distribution,
                          generate_synthetic, largest_remainder_counts, load_idx,
-                         partition_exdir, partition_exdir_indices, split_train_test)
+                         partition_exdir, partition_exdir_indices, split_train_test,
+                         synthetic_labels)
 from sfedkd.experiment import build_dataset, initial_state, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,7 +105,7 @@ def test_dataset_subset_and_len():
 # ------------------------------------------------------- generate_synthetic
 
 def test_synthetic_counts_and_labels():
-    ds = generate_synthetic(10, 3, 2, 1.0, seed=7)
+    ds = generate_synthetic(10, 3, 2, 1.0, 7, Layout(np.arange(30)))[0]
     assert len(ds) == 30
     assert ds.n_features == 2
     counts = np.bincount(ds.labels, minlength=3)
@@ -112,11 +113,11 @@ def test_synthetic_counts_and_labels():
 
 
 def test_synthetic_determinism():
-    a = generate_synthetic(10, 3, 2, 1.0, seed=7)
-    b = generate_synthetic(10, 3, 2, 1.0, seed=7)
+    a = generate_synthetic(10, 3, 2, 1.0, 7, Layout(np.arange(30)))[0]
+    b = generate_synthetic(10, 3, 2, 1.0, 7, Layout(np.arange(30)))[0]
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
-    c = generate_synthetic(10, 3, 2, 1.0, seed=8)
+    c = generate_synthetic(10, 3, 2, 1.0, 8, Layout(np.arange(30)))[0]
     assert not np.array_equal(a.features, c.features)
 
 
@@ -124,7 +125,8 @@ def test_synthetic_determinism():
     dict(n_per_class=0), dict(c_total=1), dict(n_features=1), dict(spread=0.0),
 ])
 def test_synthetic_rejects_bad_args(bad):
-    kwargs = dict(n_per_class=5, c_total=3, n_features=2, spread=1.0, seed=0)
+    kwargs = dict(n_per_class=5, c_total=3, n_features=2, spread=1.0, seed=0,
+                  layout=Layout(np.arange(15)))
     kwargs.update(bad)
     with pytest.raises(ValueError):
         generate_synthetic(**kwargs)
@@ -138,7 +140,7 @@ def test_synthetic_rejects_bad_args(bad):
 @example(n=20, c=10, f=784, spread=2.5, seed=7, block=3 * 784 * 8)
 def test_synthetic_matches_per_class_oracle(n, c, f, spread, seed, block):
     with mock.patch.object(data, "_BLOCK_BYTES", block):
-        ds = generate_synthetic(n, c, f, spread, seed)
+        ds = generate_synthetic(n, c, f, spread, seed, Layout(np.arange(n * c)))[0]
     features, labels = generate_synthetic_oracle(n, c, f, spread, seed)
     assert ds.features.shape == features.shape
     assert ds.features.tobytes() == features.tobytes()
@@ -147,12 +149,19 @@ def test_synthetic_matches_per_class_oracle(n, c, f, spread, seed, block):
 
 def test_synthetic_linear_probe_separable():
     # at spread 0.3 the blobs are nearly disjoint; a multinomial logistic
-    # probe serves as the independent oracle for separability
-    sklearn = pytest.importorskip("sklearn.linear_model")
-    ds = generate_synthetic(100, 10, 2, 0.3, seed=1)
-    probe = sklearn.LogisticRegression(max_iter=2000)
-    probe.fit(ds.features, ds.labels)
-    assert probe.score(ds.features, ds.labels) > 0.9
+    # probe serves as the independent oracle for separability: fitted here by
+    # full-batch gradient descent on standardized features with a bias column
+    ds = generate_synthetic(100, 10, 2, 0.3, 1, Layout(np.arange(1000)))[0]
+    x = (ds.features - ds.features.mean(axis=0)) / ds.features.std(axis=0)
+    x = np.hstack([x, np.ones((len(x), 1))])
+    onehot = np.eye(10)[ds.labels]
+    w = np.zeros((3, 10))
+    for _ in range(500):  # step size 1
+        z = x @ w
+        p = np.exp(z - z.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        w -= x.T @ (p - onehot) / len(x)
+    assert np.mean((x @ w).argmax(axis=1) == ds.labels) > 0.9
 
 
 # ------------------------------------------------------------------- IDX
@@ -337,7 +346,7 @@ def test_partition_one_class_per_client_degenerate():
 def test_partition_disjoint_cover():
     # order is a permutation grouped by client, ascending within a client,
     # and its client slices are the index arrays of partition_exdir_indices
-    labels = generate_synthetic(20, 5, 3, 1.0, seed=3).labels
+    labels = synthetic_labels(20, 5)
     spec = PartitionSpec(N=7, C=2, alpha=0.5, seed=5)
     order, bounds = partition_exdir(labels, 5, spec)
     assert np.array_equal(np.sort(order), np.arange(len(labels)))
@@ -348,25 +357,25 @@ def test_partition_disjoint_cover():
 
 
 def test_partition_class_budget():
-    labels = generate_synthetic(30, 6, 3, 1.0, seed=4).labels
+    labels = synthetic_labels(30, 6)
     for p in partition_exdir_indices(labels, 6, PartitionSpec(N=9, C=2, alpha=0.3, seed=6)):
         assert len(set(labels[p].tolist())) <= 2
 
 
 def test_partition_determinism():
-    ds = generate_synthetic(15, 4, 3, 1.0, seed=9)
+    labels = synthetic_labels(15, 4)
     spec = PartitionSpec(N=6, C=2, alpha=0.7, seed=21)
-    a = partition_exdir_indices(ds.labels, ds.c_total, spec)
-    b = partition_exdir_indices(ds.labels, ds.c_total, spec)
+    a = partition_exdir_indices(labels, 4, spec)
+    b = partition_exdir_indices(labels, 4, spec)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_partition_reference_oracle():
     # independent reimplementation of the documented sampling recipe,
     # consuming the rng stream in the same order
-    ds = generate_synthetic(40, 10, 2, 1.0, seed=100)
+    labels = synthetic_labels(40, 10)
     spec = PartitionSpec(N=20, C=2, alpha=0.5, seed=3)
-    parts = partition_exdir_indices(ds.labels, ds.c_total, spec)
+    parts = partition_exdir_indices(labels, 10, spec)
 
     rng = np.random.default_rng(3)
     for _ in range(1000):
@@ -377,7 +386,7 @@ def test_partition_reference_oracle():
     expected = [np.zeros(10, dtype=int) for _ in range(20)]
     for c in range(10):
         share = rng.dirichlet(np.full(len(holders[c]), 0.5))
-        class_idx = np.flatnonzero(ds.labels == c)
+        class_idx = np.flatnonzero(labels == c)
         rng.shuffle(class_idx)
         raw = share * len(class_idx)
         counts = np.floor(raw).astype(int)
@@ -388,7 +397,7 @@ def test_partition_reference_oracle():
             expected[n][c] = cnt
 
     for n in range(20):
-        got = np.bincount(ds.labels[parts[n]], minlength=10)
+        got = np.bincount(labels[parts[n]], minlength=10)
         assert np.array_equal(got, expected[n]), f"client {n}: {got} != {expected[n]}"
 
 
@@ -519,7 +528,7 @@ def test_class_distribution_validation():
 # ------------------------------------------------------- train/test split
 
 def test_split_train_test_stratified():
-    labels = generate_synthetic(20, 4, 3, 1.0, seed=13).labels
+    labels = synthetic_labels(20, 4)
     train, test = split_train_test(labels, 4, 0.25, seed=1)
     assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(len(labels)))
     assert np.all(np.diff(train) > 0) and np.all(np.diff(test) > 0)

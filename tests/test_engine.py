@@ -11,7 +11,7 @@ import sfedkd.engine as engine
 from kernel_oracle import local_train_oracle
 from param_oracle import param_sets, weighted_average_oracle
 from sfedkd.config import resolve_config
-from sfedkd.data import (ClassDistribution, Dataset, PartitionSpec,
+from sfedkd.data import (ClassDistribution, Dataset, Layout, PartitionSpec,
                          class_distribution, generate_synthetic,
                          partition_exdir_indices)
 from sfedkd.distill import KDConfig, TeacherEnsemble, kd_targets, total_loss
@@ -26,7 +26,8 @@ from sfedkd.model import (ModelParams, cross_entropy_grad, forward_cached,
 
 
 def small_state(n_clients=6, c_total=4, seed=0, n_per_class=12):
-    data = generate_synthetic(n_per_class, c_total, 3, 1.0, seed=seed)
+    data = generate_synthetic(n_per_class, c_total, 3, 1.0, seed,
+                              Layout(np.arange(n_per_class * c_total)))[0]
     parts = [data.subset(idx) for idx in partition_exdir_indices(
         data.labels, c_total, PartitionSpec(N=n_clients, C=2, alpha=0.5, seed=seed))]
     dists = {n: class_distribution(p) for n, p in enumerate(parts) if len(p)}
@@ -398,7 +399,8 @@ def test_sequential_round_that_trains_no_client(mode):
     assert state.candidates
     for cid in sample_sequence(state, cfg.M):
         empty_client(state, cid)
-    idle, idle_record = run_round(state, cfg, generate_synthetic(10, 4, 3, 1.0, seed=5), "client")
+    eval_set = generate_synthetic(10, 4, 3, 1.0, 5, Layout(np.arange(40)))[0]
+    idle, idle_record = run_round(state, cfg, eval_set, "client")
     assert len(idle.history) == 1 and idle_record.top1 is not None  # evaluated once, at the end
     assert idle_record.teachers == [] and idle_record.g_mean == []
     assert idle_record.note == "all sampled clients empty; round skipped"
@@ -438,7 +440,7 @@ def test_record_to_dict_cleans_non_finite(tmp_path):
     import json
     from sfedkd.cli import _write_rounds_jsonl
     from sfedkd.engine import RoundRecord
-    data = generate_synthetic(10, 4, 3, 1.0, seed=5)
+    data = generate_synthetic(10, 4, 3, 1.0, 5, Layout(np.arange(40)))[0]
     _, record = run_round(small_state(), small_cfg(), data.subset(np.flatnonzero(data.labels != 2)))
     path = tmp_path / "rounds.jsonl"
     _write_rounds_jsonl(path, [record])
@@ -474,7 +476,7 @@ def test_run_round_determinism():
 
 
 def test_run_round_evaluates_with_context():
-    data = generate_synthetic(10, 4, 3, 1.0, seed=5)
+    data = generate_synthetic(10, 4, 3, 1.0, 5, Layout(np.arange(40)))[0]
     state, record = run_round(small_state(), small_cfg(), data, "round")
     assert record.top1 is not None
     assert len(record.classwise) == 4
