@@ -128,30 +128,21 @@ def local_train(model: ModelParams, client: Dataset, ensemble: TeacherEnsemble,
     return params
 
 
-def _evaluate_round(model, record, eval_set, history):
-    record.top1, classwise = evaluate(model, eval_set)
-    history.append(classwise)
-    record.classwise = [None if np.isnan(v) else float(v) for v in classwise]
-    if len(history) >= 2:
-        record.consistency = consistency(*history[-2:])
-        record.forgetting = forgetting_measure(history)
-
-
 def run_round(state: FederationState, cfg: TrainConfig, eval_set: Dataset | None = None,
               granularity: str = "round") -> tuple[FederationState, RoundRecord]:
     """One round of any mode: sample M clients in order, train each non-empty
-    one, evaluate on `eval_set` into a copy of `state.history`: after the round,
-    or after each visit at `granularity` "client". It mutates no argument.
+    one, then evaluate on `eval_set`, if given, into a copy of `state.history`:
+    the final model, or at `granularity` "client" each trained visit's model in
+    order. Consistency and forgetting are computed once. It mutates no argument.
 
-    Sequential modes chain: each trained client starts from the previous
-    trained client's final model, and the (client id, model) pairs of the
-    trained clients, each model as `local_train` returned it, are the teacher
-    candidates of round r+1; no model is written after its visit. fedavg
-    trains each client from the global model without teachers and averages
-    the results by client size, in sequence order; it keeps no candidates and
-    evaluates once per round at any granularity, as does a round whose sampled
-    clients are all empty: it picks no teachers, keeps the global model and is
-    noted as skipped, in every mode.
+    Sequential modes chain: each trained client starts from the previous one's
+    model, and the (client id, model) pairs of the trained clients, each model
+    as `local_train` returned it, are the teacher candidates of round r+1; no
+    model is written after its visit. fedavg trains each client from the global
+    model without teachers, averages the results by client size in sequence
+    order, keeps no candidates and evaluates only the average; a round whose
+    sampled clients are all empty picks no teachers, keeps and evaluates the
+    global model and is noted as skipped, in every mode.
     """
     r = state.round
     solver, average = MODES[cfg.mode]
@@ -167,8 +158,6 @@ def run_round(state: FederationState, cfg: TrainConfig, eval_set: Dataset | None
     if ensemble.k:
         record.g_mean = (ensemble.g.sum(axis=0) / len(visits)).tolist()
         record.h_mean = (ensemble.h.sum(axis=0) / len(visits)).tolist()
-    per_visit = eval_set is not None and granularity == "client" and not average
-    history = list(state.history)
     model = state.global_model
     trained: list[tuple[int, ModelParams]] = []
     for (m, cid), client, client_targets in zip(visits, clients, targets):
@@ -176,14 +165,20 @@ def run_round(state: FederationState, cfg: TrainConfig, eval_set: Dataset | None
         model = local_train(state.global_model if average else model, client, ensemble,
                             cfg, rng, client_targets)
         trained.append((cid, model))
-        if per_visit:
-            _evaluate_round(model, record, eval_set, history)
     if not visits:
         record.note = "all sampled clients empty; round skipped"
     elif average:
         model = weighted_average([p for _, p in trained], [len(c) for c in clients])
-    if eval_set is not None and not (per_visit and trained):
-        _evaluate_round(model, record, eval_set, history)
+    history = list(state.history)
+    if eval_set is not None:
+        per_visit = granularity == "client" and not average
+        for checkpoint in [p for _, p in trained[:-1] if per_visit] + [model]:
+            record.top1, classwise = evaluate(checkpoint, eval_set)
+            history.append(classwise)
+        record.classwise = [None if np.isnan(v) else float(v) for v in classwise]
+        if len(history) >= 2:
+            record.consistency = consistency(*history[-2:])
+            record.forgetting = forgetting_measure(history)
 
     new_state = replace(state, round=r + 1, global_model=model,
                         candidates=[] if average else trained, history=history)

@@ -20,6 +20,7 @@ from sfedkd.engine import (SEED_SHUFFLE, FederationState,
                            local_train, run_round, sample_sequence,
                            weighted_average)
 from sfedkd.experiment import build_dataset, initial_state, run_experiment
+from sfedkd.metrics import consistency, evaluate, forgetting_measure
 from sfedkd.model import (ModelParams, cross_entropy_grad, forward_cached,
                           backprop, init_params, params_equal, sgd_step,
                           snapshot)
@@ -483,6 +484,15 @@ def test_run_round_evaluates_with_context():
     assert len(state.history) == 1
     state, _ = run_round(small_state(), small_cfg(), data, "client")
     assert len(state.history) == 3  # one checkpoint per trained client
+    # the next round evaluates each model it trained, in visit order, and
+    # reads its record from the last of them and the whole history
+    new_state, record = run_round(state, small_cfg(), data, "client")
+    assert len(new_state.candidates) >= 2
+    assert [h.tobytes() for h in new_state.history[3:]] == [
+        evaluate(p, data)[1].tobytes() for _, p in new_state.candidates]
+    assert record.top1 == evaluate(new_state.global_model, data)[0]
+    assert record.consistency == consistency(*new_state.history[-2:])
+    assert record.forgetting == forgetting_measure(new_state.history)
     state, record = run_round(small_state(), small_cfg(mode="fedavg"), data, "client")
     assert len(state.history) == 1  # fedavg: once per round
     assert record.classwise == state.history[0].tolist()

@@ -47,7 +47,8 @@ DIR/<case>/. `--compare DIR` prints one line per case instead: "identical",
 or else, per file that differs, the max ULP distance of `model_final.bin`'s
 parameters, the max |diff| per numeric key of `rounds.jsonl` and whether
 its teacher lists match, and for the other files (CSV and stdout) the max
-|diff| over their numbers. It exits 1 when any case is not identical.
+|diff| over their numbers. A last line counts them: "N of M cases
+identical". It exits 1 when any case is not identical.
 """
 
 import argparse
@@ -283,5 +284,7 @@ if __name__ == "__main__":
     os.environ.update(dict.fromkeys(THREAD_VARS, "1"))  # before sfedkd loads numpy
     matrix = Matrix(args.save, args.compare)
     run(matrix)
+    if args.compare:
+        print(f"{matrix.cases - matrix.differ} of {matrix.cases} cases identical", flush=True)
     if matrix.differ:
         sys.exit(f"{matrix.differ} of {matrix.cases} cases differ from {args.compare}")
