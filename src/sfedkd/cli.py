@@ -8,8 +8,9 @@ Verbs:
   select             teacher selection on a CSV of class distributions
   inspect-partition  print per-client class histograms for a config
 
-Exit codes: 0 success, 2 invalid config (with the dotted field path) or
-malformed input file (with its path), 3 I/O failure.
+Exit codes: 0 success, 2 invalid config (with the dotted field path), malformed
+input file (with its path) or, for now, diverged training (printed as
+"error: ..."; ROADMAP item 2 gives it its own code), 3 I/O failure.
 """
 
 from __future__ import annotations

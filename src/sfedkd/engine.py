@@ -47,8 +47,8 @@ class RoundRecord:
 
     round: int
     mode: str
-    top1: float | None = None
-    classwise: list | None = None  # per class; None where the evaluation set lacks it
+    top1: float
+    classwise: list  # per class; None where the evaluation set lacks it
     consistency: float | None = None
     forgetting: float | None = None
     teachers: list[int] = field(default_factory=list)
@@ -69,8 +69,7 @@ def sample_sequence(state: FederationState, m: int) -> list[int]:
     return [int(i) for i in rng.permutation(n)[:m]]
 
 
-def collect_teachers(state: FederationState, k: int, metric: str,
-                     solver: str = "greedy") -> TeacherEnsemble:
+def collect_teachers(state: FederationState, k: int, metric: str, solver: str) -> TeacherEnsemble:
     """Teacher ensemble drawn from the models the previous round ended with.
 
     Candidates are `state.candidates`, the (client id, model) pair of each
@@ -128,12 +127,12 @@ def local_train(model: ModelParams, client: Dataset, ensemble: TeacherEnsemble,
     return params
 
 
-def run_round(state: FederationState, cfg: TrainConfig, eval_set: Dataset | None = None,
-              granularity: str = "round") -> tuple[FederationState, RoundRecord]:
+def run_round(state: FederationState, cfg: TrainConfig, eval_set: Dataset,
+              granularity: str) -> tuple[FederationState, RoundRecord]:
     """One round of any mode: sample M clients in order, train each non-empty
-    one, then evaluate on `eval_set`, if given, into a copy of `state.history`:
-    the final model, or at `granularity` "client" each trained visit's model in
-    order. Consistency and forgetting are computed once. It mutates no argument.
+    one, then evaluate on `eval_set` into a copy of `state.history`: the final
+    model, or at `granularity` "client" each trained visit's model in order.
+    The record is built once, after evaluation. It mutates no argument.
 
     Sequential modes chain: each trained client starts from the previous one's
     model, and the (client id, model) pairs of the trained clients, each model
@@ -150,14 +149,9 @@ def run_round(state: FederationState, cfg: TrainConfig, eval_set: Dataset | None
               if len(state.client_datasets[cid])]
     ensemble = (collect_teachers(state, cfg.K, cfg.kd.metric, solver) if solver and visits
                 else TeacherEnsemble.empty())
-
-    record = RoundRecord(round=r, mode=cfg.mode, teachers=list(ensemble.client_ids))
     ensemble = ensemble.with_weights([state.client_dists[c] for _, c in visits], cfg.kd)
     clients = [state.client_datasets[c] for _, c in visits]
     targets = kd_targets(ensemble, [(c.features, c.labels) for c in clients], cfg.kd)
-    if ensemble.k:
-        record.g_mean = (ensemble.g.sum(axis=0) / len(visits)).tolist()
-        record.h_mean = (ensemble.h.sum(axis=0) / len(visits)).tolist()
     model = state.global_model
     trained: list[tuple[int, ModelParams]] = []
     for (m, cid), client, client_targets in zip(visits, clients, targets):
@@ -165,21 +159,22 @@ def run_round(state: FederationState, cfg: TrainConfig, eval_set: Dataset | None
         model = local_train(state.global_model if average else model, client, ensemble,
                             cfg, rng, client_targets)
         trained.append((cid, model))
-    if not visits:
-        record.note = "all sampled clients empty; round skipped"
-    elif average:
+    if average and visits:
         model = weighted_average([p for _, p in trained], [len(c) for c in clients])
     history = list(state.history)
-    if eval_set is not None:
-        per_visit = granularity == "client" and not average
-        for checkpoint in [p for _, p in trained[:-1] if per_visit] + [model]:
-            record.top1, classwise = evaluate(checkpoint, eval_set)
-            history.append(classwise)
-        record.classwise = [None if np.isnan(v) else float(v) for v in classwise]
-        if len(history) >= 2:
-            record.consistency = consistency(*history[-2:])
-            record.forgetting = forgetting_measure(history)
-
+    per_visit = granularity == "client" and not average
+    for checkpoint in [p for _, p in trained[:-1] if per_visit] + [model]:
+        top1, classwise = evaluate(checkpoint, eval_set)
+        history.append(classwise)
+    g_mean, h_mean = ([(w.sum(axis=0) / len(visits)).tolist() for w in (ensemble.g, ensemble.h)]
+                      if ensemble.k else ([], []))
+    record = RoundRecord(
+        round=r, mode=cfg.mode, top1=top1,
+        classwise=[None if np.isnan(v) else float(v) for v in classwise],
+        consistency=consistency(*history[-2:]) if len(history) >= 2 else None,
+        forgetting=forgetting_measure(history) if len(history) >= 2 else None,
+        teachers=list(ensemble.client_ids), g_mean=g_mean, h_mean=h_mean,
+        note="" if visits else "all sampled clients empty; round skipped")
     new_state = replace(state, round=r + 1, global_model=model,
                         candidates=[] if average else trained, history=history)
     return new_state, record

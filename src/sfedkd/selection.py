@@ -24,7 +24,7 @@ BRUTE_FORCE_MAX_CANDIDATES = 20
 class SelectionInstance:
     candidate_dists: list[ClassDistribution]
     K: int
-    metric: str = "L1"
+    metric: str
 
     def __post_init__(self):
         _check_k(self.K, len(self.candidate_dists))

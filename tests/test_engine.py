@@ -10,7 +10,7 @@ import kernel_oracle
 import sfedkd.engine as engine
 from kernel_oracle import local_train_oracle
 from param_oracle import param_sets, weighted_average_oracle
-from sfedkd.config import resolve_config
+from sfedkd.config import MODES, resolve_config
 from sfedkd.data import (ClassDistribution, Dataset, Layout, PartitionSpec,
                          class_distribution, generate_synthetic,
                          partition_exdir_indices)
@@ -24,6 +24,9 @@ from sfedkd.metrics import consistency, evaluate, forgetting_measure
 from sfedkd.model import (ModelParams, cross_entropy_grad, forward_cached,
                           backprop, init_params, params_equal, sgd_step,
                           snapshot)
+
+
+EVAL_SET = generate_synthetic(10, 4, 3, 1.0, 5, Layout(np.arange(40)))[0]
 
 
 def small_state(n_clients=6, c_total=4, seed=0, n_per_class=12):
@@ -90,15 +93,15 @@ def test_sequence_uniform_client_frequency():
 
 def test_collect_teachers_round_one_empty():
     state = small_state()
-    ens = collect_teachers(state, 2, "KL")
+    ens = collect_teachers(state, 2, "KL", "greedy")
     assert ens.k == 0
 
 
 def test_collect_teachers_all_when_k_equals_m():
     state = small_state()
     cfg = small_cfg(mode="fedseq")
-    state, _ = run_round(state, cfg)
-    ens = collect_teachers(state, 3, "KL")
+    state, _ = run_round(state, cfg, EVAL_SET, "round")
+    ens = collect_teachers(state, 3, "KL", "greedy")
     assert ens.k == 3
     assert sorted(ens.client_ids) == sorted(cid for cid, _ in state.candidates)
     for teacher in ens.teachers:
@@ -121,7 +124,7 @@ def test_collect_teachers_one_hot_coverage():
         client_dists=dists, master_seed=0,
         candidates=[(cid, snapshot(model)) for cid in range(c)],
     )
-    ens = collect_teachers(state, c, "L1")
+    ens = collect_teachers(state, c, "L1", "greedy")
     assert ens.k == c
     agg = sum(d.proportions for d in ens.dists)
     assert np.allclose(agg / agg.sum(), np.full(c, 1 / c))
@@ -131,15 +134,15 @@ def test_collect_teachers_skips_empty_clients():
     # a sampled empty client trains nothing, so it is no candidate and no teacher
     state = small_state()
     empty_client(state, 1)
-    state, _ = run_round(state, small_cfg(M=6))
+    state, _ = run_round(state, small_cfg(M=6), EVAL_SET, "round")
     assert sorted(cid for cid, _ in state.candidates) == [0, 2, 3, 4, 5]
-    ens = collect_teachers(state, 6, "KL")
+    ens = collect_teachers(state, 6, "KL", "greedy")
     assert ens.k == 5
     assert 1 not in ens.client_ids
     # a candidate built by hand for an empty client has no distribution
     state.candidates = [(0, state.global_model), (1, state.global_model)]
     with pytest.raises(KeyError):
-        run_round(state, small_cfg(M=6))
+        run_round(state, small_cfg(M=6), EVAL_SET, "round")
 
 
 # ------------------------------------------------------------ local_train
@@ -341,13 +344,13 @@ def test_local_train_rejects_empty_client():
 def test_round_one_modes_agree():
     cfg_kd = small_cfg(mode="sfedkd")
     cfg_seq = small_cfg(mode="fedseq")
-    s_kd, _ = run_round(small_state(), cfg_kd)
-    s_seq, _ = run_round(small_state(), cfg_seq)
+    s_kd, _ = run_round(small_state(), cfg_kd, EVAL_SET, "round")
+    s_seq, _ = run_round(small_state(), cfg_seq, EVAL_SET, "round")
     assert params_equal(s_kd.global_model, s_seq.global_model)
 
 
 def test_run_round_state_contract():
-    state, record = run_round(small_state(), small_cfg())
+    state, record = run_round(small_state(), small_cfg(), EVAL_SET, "round")
     assert state.round == 2
     assert len(state.candidates) == 3
     assert record.round == 1
@@ -358,7 +361,7 @@ def test_run_round_sequential_causality_replay():
     # client m must start from client m-1's snapshot, bit-exactly
     cfg = small_cfg(mode="fedseq", E=2, batch_size=4)
     start = small_state()
-    state, _ = run_round(start, cfg)
+    state, _ = run_round(start, cfg, EVAL_SET, "round")
     model = start.global_model
     want = []
     for m, cid in enumerate(sample_sequence(start, cfg.M)):
@@ -383,7 +386,7 @@ def test_run_round_keeps_the_models_local_train_returns():
     for _ in range(3):
         held = [p for _, p in state.candidates] + [state.global_model]
         held_bytes = [p.flat.tobytes() for p in held]
-        state, _ = run_round(state, cfg)
+        state, _ = run_round(state, cfg, EVAL_SET, "round")
         assert [p.flat.tobytes() for p in held] == held_bytes
         assert 0 not in [cid for cid, _ in state.candidates]
         assert state.global_model is state.candidates[-1][1]
@@ -396,20 +399,19 @@ def test_sequential_round_that_trains_no_client(mode):
     # granularity and leaves no candidates, so the next round has no teachers
     # and trains as fedseq does
     cfg = small_cfg(M=2, mode=mode)
-    state, _ = run_round(small_state(seed=3), cfg)
+    state, _ = run_round(small_state(seed=3), cfg, EVAL_SET, "round")
     assert state.candidates
     for cid in sample_sequence(state, cfg.M):
         empty_client(state, cid)
-    eval_set = generate_synthetic(10, 4, 3, 1.0, 5, Layout(np.arange(40)))[0]
-    idle, idle_record = run_round(state, cfg, eval_set, "client")
-    assert len(idle.history) == 1 and idle_record.top1 is not None  # evaluated once, at the end
+    idle, idle_record = run_round(state, cfg, EVAL_SET, "client")
+    assert len(idle.history) == len(state.history) + 1  # evaluated once, at the end
     assert idle_record.teachers == [] and idle_record.g_mean == []
     assert idle_record.note == "all sampled clients empty; round skipped"
     assert idle.global_model is state.global_model
     assert idle.candidates == []
     assert any(len(idle.client_datasets[cid]) for cid in sample_sequence(idle, cfg.M))
-    kd_state, record = run_round(idle, cfg)
-    seq_state, _ = run_round(idle, small_cfg(M=2, mode="fedseq"))
+    kd_state, record = run_round(idle, cfg, EVAL_SET, "round")
+    seq_state, _ = run_round(idle, small_cfg(M=2, mode="fedseq"), EVAL_SET, "round")
     assert record.teachers == [] and kd_state.candidates
     assert kd_state.global_model.flat.tobytes() == seq_state.global_model.flat.tobytes()
 
@@ -417,9 +419,9 @@ def test_sequential_round_that_trains_no_client(mode):
 def test_run_round_teacher_provenance():
     cfg = small_cfg()
     state = small_state()
-    state, _ = run_round(state, cfg)
+    state, _ = run_round(state, cfg, EVAL_SET, "round")
     prev_snapshots = [p for _, p in state.candidates]
-    ens = collect_teachers(state, cfg.K, cfg.kd.metric)
+    ens = collect_teachers(state, cfg.K, cfg.kd.metric, "greedy")
     for teacher in ens.teachers:
         assert any(params_equal(teacher, s) for s in prev_snapshots)
 
@@ -427,8 +429,8 @@ def test_run_round_teacher_provenance():
 def test_run_round_records_teachers_and_weights():
     cfg = small_cfg()
     state = small_state()
-    state, _ = run_round(state, cfg)
-    state, record = run_round(state, cfg)
+    state, _ = run_round(state, cfg, EVAL_SET, "round")
+    state, record = run_round(state, cfg, EVAL_SET, "round")
     assert len(record.teachers) == 2
     assert len(record.g_mean) == 2
     assert abs(sum(record.g_mean) - 1.0) < 1e-9
@@ -441,61 +443,65 @@ def test_record_to_dict_cleans_non_finite(tmp_path):
     import json
     from sfedkd.cli import _write_rounds_jsonl
     from sfedkd.engine import RoundRecord
-    data = generate_synthetic(10, 4, 3, 1.0, 5, Layout(np.arange(40)))[0]
-    _, record = run_round(small_state(), small_cfg(), data.subset(np.flatnonzero(data.labels != 2)))
+    eval_set = EVAL_SET.subset(np.flatnonzero(EVAL_SET.labels != 2))
+    _, record = run_round(small_state(), small_cfg(), eval_set, "round")
     path = tmp_path / "rounds.jsonl"
     _write_rounds_jsonl(path, [record])
     classwise = json.loads(path.read_text())["classwise"]
     assert [v is None for v in classwise] == [False, False, True, False]
     with pytest.raises(ValueError, match="not JSON compliant"):
-        _write_rounds_jsonl(path, [RoundRecord(round=1, mode="fedseq", top1=float("nan"))])
+        _write_rounds_jsonl(path, [RoundRecord(round=1, mode="fedseq", top1=float("nan"),
+                                                   classwise=[])])
 
 
 def test_record_to_dict_keys_follow_field_order():
     # rounds.jsonl is written in this key order, so its bytes depend on it
     from sfedkd.engine import RoundRecord
-    assert list(RoundRecord(round=1, mode="fedseq").to_dict()) == [
+    assert list(RoundRecord(round=1, mode="fedseq", top1=0.5, classwise=[]).to_dict()) == [
         "round", "mode", "top1", "classwise", "consistency", "forgetting",
         "teachers", "g_mean", "h_mean", "note"]
 
 
 def test_fedavg_round_keeps_no_teacher_candidates():
-    state, _ = run_round(small_state(), small_cfg(mode="fedavg"))
+    state, _ = run_round(small_state(), small_cfg(mode="fedavg"), EVAL_SET, "round")
     assert state.round == 2
     assert state.candidates == []
-    assert collect_teachers(state, 2, "KL").k == 0
+    assert collect_teachers(state, 2, "KL", "greedy").k == 0
 
 
 def test_run_round_determinism():
     cfg = small_cfg()
     a, b = small_state(), small_state()
     for _ in range(3):
-        a, rec_a = run_round(a, cfg)
-        b, rec_b = run_round(b, cfg)
+        a, rec_a = run_round(a, cfg, EVAL_SET, "round")
+        b, rec_b = run_round(b, cfg, EVAL_SET, "round")
         assert rec_a.to_dict() == rec_b.to_dict()
     assert params_equal(a.global_model, b.global_model)
 
 
-def test_run_round_evaluates_with_context():
-    data = generate_synthetic(10, 4, 3, 1.0, 5, Layout(np.arange(40)))[0]
-    state, record = run_round(small_state(), small_cfg(), data, "round")
-    assert record.top1 is not None
-    assert len(record.classwise) == 4
-    assert len(state.history) == 1
-    state, _ = run_round(small_state(), small_cfg(), data, "client")
-    assert len(state.history) == 3  # one checkpoint per trained client
-    # the next round evaluates each model it trained, in visit order, and
-    # reads its record from the last of them and the whole history
-    new_state, record = run_round(state, small_cfg(), data, "client")
-    assert len(new_state.candidates) >= 2
-    assert [h.tobytes() for h in new_state.history[3:]] == [
-        evaluate(p, data)[1].tobytes() for _, p in new_state.candidates]
-    assert record.top1 == evaluate(new_state.global_model, data)[0]
+@pytest.mark.parametrize("granularity", ["round", "client"])
+@pytest.mark.parametrize("mode", MODES)
+def test_run_round_evaluates_with_context(mode, granularity):
+    # a round evaluates after training: under "client" a sequential mode
+    # evaluates each model it trained, in visit order, and any other round
+    # its final model once; the record reads the last evaluation and the
+    # whole history
+    cfg = small_cfg(mode=mode)
+    state, _ = run_round(small_state(), cfg, EVAL_SET, granularity)
+    new_state, record = run_round(state, cfg, EVAL_SET, granularity)
+    visits = [cid for cid in sample_sequence(state, cfg.M) if len(state.client_datasets[cid])]
+    if granularity == "client" and mode != "fedavg":
+        assert len(visits) >= 2 and [cid for cid, _ in new_state.candidates] == visits
+        checkpoints = [p for _, p in new_state.candidates]
+    else:
+        checkpoints = [new_state.global_model]
+    added = new_state.history[len(state.history):]
+    assert [h.tobytes() for h in added] == [evaluate(p, EVAL_SET)[1].tobytes()
+                                            for p in checkpoints]
+    assert record.top1 == evaluate(new_state.global_model, EVAL_SET)[0]
+    assert record.classwise == added[-1].tolist()
     assert record.consistency == consistency(*new_state.history[-2:])
     assert record.forgetting == forgetting_measure(new_state.history)
-    state, record = run_round(small_state(), small_cfg(mode="fedavg"), data, "client")
-    assert len(state.history) == 1  # fedavg: once per round
-    assert record.classwise == state.history[0].tolist()
 
 
 @pytest.mark.parametrize("granularity", ["round", "client"])
@@ -543,9 +549,9 @@ def test_run_round_matches_per_client_teacher_pass(K, kd):
     state = small_state()
     empty_client(state, 2)
     cfg = small_cfg(M=6, K=K, E=2, batch_size=4, kd=kd)
-    state, _ = run_round(state, cfg)
-    ensemble = collect_teachers(state, K, kd.metric)
-    new_state, record = run_round(state, cfg)
+    state, _ = run_round(state, cfg, EVAL_SET, "round")
+    ensemble = collect_teachers(state, K, kd.metric, "greedy")
+    new_state, record = run_round(state, cfg, EVAL_SET, "round")
     assert 2 in sample_sequence(state, cfg.M)
     model = state.global_model
     g_sum, h_sum, want = np.zeros(K), np.zeros(K), []
@@ -571,8 +577,8 @@ def test_sfedkd_with_zero_coefficients_reduces_to_fedseq():
     cfg_seq = small_cfg(mode="fedseq")
     a, b = small_state(), small_state()
     for _ in range(4):
-        a, _ = run_round(a, cfg_kd)
-        b, _ = run_round(b, cfg_seq)
+        a, _ = run_round(a, cfg_kd, EVAL_SET, "round")
+        b, _ = run_round(b, cfg_seq, EVAL_SET, "round")
         assert params_equal(a.global_model, b.global_model)
 
 
@@ -627,7 +633,7 @@ def test_fedavg_round_runs_and_averages():
     # shuffle seed of its position; the local models average by client size
     cfg = small_cfg(mode="fedavg", E=2, batch_size=4)
     start = small_state()
-    state, record = run_round(start, cfg)
+    state, record = run_round(start, cfg, EVAL_SET, "round")
     locals_, sizes = [], []
     for m, cid in enumerate(sample_sequence(start, cfg.M)):
         client = start.client_datasets[cid]
@@ -647,15 +653,16 @@ def test_fedavg_round_runs_and_averages():
 
 def test_fedavg_round_skips_when_all_sampled_clients_empty():
     c = 4
-    empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), c)
-    model = init_params((2, c), seed=1)
+    empty = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), c)  # EVAL_SET's shape
+    model = init_params((3, c), seed=1)
     state = FederationState(
         round=1, global_model=model,
         client_datasets=[empty] * 3,
         client_dists={},
         master_seed=3,
     )
-    new_state, record = run_round(state, small_cfg(mode="fedavg", M=2, K=1))
+    new_state, record = run_round(state, small_cfg(mode="fedavg", M=2, K=1), EVAL_SET,
+                                  "round")
     assert record.note == "all sampled clients empty; round skipped"
     assert params_equal(new_state.global_model, model)
     assert new_state.candidates == []

@@ -178,7 +178,7 @@ def test_objective_matches_class_distribution_oracle(case, metric, data):
 
 def test_greedy_checks_every_trial_aggregate():
     cands = dists([0.5, 0.5], [0.5, 0.5])
-    inst = SelectionInstance(cands, K=2)
+    inst = SelectionInstance(cands, K=2, metric="L1")
     cands[1].proportions = np.array([1.5, -0.5])  # mutated after validation
     with pytest.raises(ValueError, match="non-negative"):
         greedy_select(inst)

@@ -108,8 +108,8 @@ def test_valid_distributions_pass_every_caller():
 UNEQUAL = [ClassDistribution([0.5, 0.5]), ClassDistribution([0.2, 0.3, 0.5])]
 
 SET_CALLERS = {
-    "SelectionInstance": lambda ds: SelectionInstance(ds, 1),
-    "greedy_select": lambda ds: greedy_select(SelectionInstance(ds, 1)),
+    "SelectionInstance": lambda ds: SelectionInstance(ds, 1, "L1"),
+    "greedy_select": lambda ds: greedy_select(SelectionInstance(ds, 1, "L1")),
     "discrepancy": lambda ds: discrepancy(ds[0], ds[1], "L1"),
     "teacher_weights": lambda ds: teacher_weights(ds[:1], ds[1], "L1", 1e-4),
     "teacher_weights rows": lambda ds: teacher_weights(ds[:1], ds[1:], "L1", 1e-4),
@@ -128,7 +128,8 @@ def test_distribution_set_needs_one_length_and_no_empty(caller, dists, message):
 # --------------------------------------------- teacher count in [1, m]
 
 COUNT_CALLERS = {
-    "SelectionInstance": lambda m, k: SelectionInstance([ClassDistribution([0.5, 0.5])] * m, k),
+    "SelectionInstance": lambda m, k: SelectionInstance([ClassDistribution([0.5, 0.5])] * m, k,
+                                                        "L1"),
     "random_select": lambda m, k: random_select(m, k, seed=0),
 }
 
