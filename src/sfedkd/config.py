@@ -135,9 +135,7 @@ class DatasetConfig(_Block):
     classes: int = option(10, ge=2)
     features: int = option(16, ge=2)
     spread: float = option(2.5, gt=0)
-    seed: int | None = option(None, ge=0)        # derived from master_seed when None
     test_fraction: float = option(0.2, ge=0, lt=1)
-    split_seed: int | None = option(None, ge=0)  # derived from master_seed when None
     images: str | None = None                    # IDX paths (kind == "idx")
     labels: str | None = None
     test_images: str | None = None
@@ -267,14 +265,10 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 
 
 def resolve_config(raw: dict) -> ExperimentConfig:
-    """Fill defaults, check every field, derive unset seeds, then check the
-    rules that span fields; the rules on the data are checked where it is built."""
+    """Fill defaults, check every field, derive an unset partition seed, then check
+    the rules that span fields; the rules on the data are checked where it is built."""
     cfg = _build(ExperimentConfig, raw)
     ds, part, train = cfg.dataset, cfg.partition, cfg.train
-    if ds.seed is None:
-        ds.seed = derive_seed(cfg.master_seed, SEED_DATA)
-    if ds.split_seed is None:
-        ds.split_seed = derive_seed(cfg.master_seed, SEED_SPLIT)
     if part.seed is None:
         part.seed = derive_seed(cfg.master_seed, SEED_PARTITION)
     if cfg.ablate.seeds is None:

@@ -49,12 +49,12 @@ class RoundRecord:
     mode: str
     top1: float
     classwise: list  # per class; None where the evaluation set lacks it
-    consistency: float | None = None
-    forgetting: float | None = None
-    teachers: list[int] = field(default_factory=list)
-    g_mean: list[float] = field(default_factory=list)
-    h_mean: list[float] = field(default_factory=list)
-    note: str = ""
+    consistency: float | None
+    forgetting: float | None
+    teachers: list[int]
+    g_mean: list[float]
+    h_mean: list[float]
+    note: str
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SEED_INIT, ConfigError, ExperimentConfig, derive_seed
+from .config import SEED_DATA, SEED_INIT, SEED_SPLIT, ConfigError, ExperimentConfig, derive_seed
 from .data import (Dataset, Layout, class_distribution, generate_synthetic, idx_blocks,
                    load_idx, partition_exdir, read_idx, split_train_test, synthetic_labels)
 from .engine import FederationState, RoundRecord, run_round
@@ -27,7 +27,7 @@ def _layout(cfg: ExperimentConfig, labels: np.ndarray, c_total: int) -> Layout:
     train_rows, test_rows = np.arange(len(labels)), np.empty(0, dtype=np.int64)
     if ds.test_fraction > 0 and not (ds.kind == "idx" and ds.test_images):
         train_rows, test_rows = split_train_test(labels, c_total, ds.test_fraction,
-                                                 ds.split_seed)
+                                                 derive_seed(cfg.master_seed, SEED_SPLIT))
         if not len(train_rows):
             raise ConfigError("dataset.test_fraction", f"{ds.test_fraction} leaves no train rows")
         missing = np.flatnonzero(np.bincount(labels[train_rows], minlength=c_total) == 0)
@@ -60,7 +60,7 @@ def build_dataset(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
         layout = _layout(cfg, labels, ds.classes)
         try:
             return generate_synthetic(ds.n_per_class, ds.classes, ds.features, ds.spread,
-                                      ds.seed, layout=layout)
+                                      derive_seed(cfg.master_seed, SEED_DATA), layout=layout)
         except (MemoryError, ValueError):
             raise _too_big("dataset.features", size) from None
     pixels, labels, c_total = read_idx(ds.images, ds.labels)
@@ -77,7 +77,7 @@ def build_dataset(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 def initial_state(cfg: ExperimentConfig, train: Dataset) -> FederationState:
     """Round 1 of a federation whose clients are the views `train.clients()`."""
     parts = train.clients()
-    dims = (train.n_features, *cfg.hidden, train.c_total)
+    dims = (train.n_features, *cfg.model.hidden, train.c_total)
     try:
         model = init_params(dims, derive_seed(cfg.master_seed, SEED_INIT))
     except (MemoryError, ValueError):

@@ -10,6 +10,7 @@ bytes from both.
 
 import numpy as np
 
+from sfedkd.config import SEED_DATA, SEED_SPLIT, derive_seed
 from sfedkd.data import largest_remainder_counts
 
 
@@ -85,7 +86,8 @@ def build_clients_oracle(cfg):
     if ds.kind == "synthetic":
         c_total = ds.classes
         features, labels = generate_synthetic_oracle(ds.n_per_class, c_total, ds.features,
-                                                     ds.spread, ds.seed)
+                                                     ds.spread,
+                                                     derive_seed(cfg.master_seed, SEED_DATA))
     else:
         features, labels = load_idx_oracle(ds.images, ds.labels)
         c_total = int(labels.max()) + 1
@@ -93,7 +95,7 @@ def build_clients_oracle(cfg):
     if ds.test_images:
         test = load_idx_oracle(ds.test_images, ds.test_labels)
     elif ds.test_fraction > 0:
-        (features, labels), test = split_train_test_oracle(features, labels, c_total,
-                                                           ds.test_fraction, ds.split_seed)
+        (features, labels), test = split_train_test_oracle(
+            features, labels, c_total, ds.test_fraction, derive_seed(cfg.master_seed, SEED_SPLIT))
     parts = partition_exdir_indices_oracle(labels, c_total, cfg.partition)
     return [(features[idx], labels[idx]) for idx in parts], test

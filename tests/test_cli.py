@@ -14,8 +14,8 @@ import pytest
 from data_oracle import build_clients_oracle
 from sfedkd import cli
 from sfedkd.cli import main
-from sfedkd.config import (ConfigError, ExperimentConfig, apply_overrides,
-                           load_raw_config, resolve_config)
+from sfedkd.config import (SEED_PARTITION, ConfigError, ExperimentConfig, apply_overrides,
+                           derive_seed, load_raw_config, resolve_config)
 from sfedkd.model import load_params
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -96,6 +96,9 @@ def test_resolved_config_reproduces_run(tmp_path):
     cfg2 = write_config(tmp_path, resolved, "resolved.json")
     assert main(["run", str(cfg2)]) == 0
     assert (out_a / "rounds.jsonl").read_bytes() == (out_b / "rounds.jsonl").read_bytes()
+    assert (out_a / "model_final.bin").read_bytes() == (out_b / "model_final.bin").read_bytes()
+    # a resolved config resolves to itself: nothing is derived twice or dropped
+    assert json.loads((out_b / "config.resolved.json").read_text()) == resolved
 
 
 def test_run_rejects_k_exceeding_m(tmp_path, capsys):
@@ -510,9 +513,10 @@ def test_config_defaults_and_derived_seeds(tmp_path):
     assert cfg.train.kd.beta == 3.0
     assert cfg.train.kd.metric == "KL"
     assert cfg.train.weight_decay == 1e-4
-    assert cfg.dataset.seed >= 0
-    assert cfg.partition.seed >= 0
-    # explicit seeds are honored verbatim
+    # the data and split seeds are not settable: they always derive from master_seed
+    assert not {"seed", "split_seed"} & set(asdict(cfg)["dataset"])
+    assert cfg.partition.seed == derive_seed(cfg.master_seed, SEED_PARTITION)
+    # an explicit partition seed is honored verbatim
     raw2 = dict(raw, partition=dict(raw["partition"], seed=77))
     assert resolve_config(raw2).partition.seed == 77
 

@@ -19,17 +19,17 @@ from sfedkd.experiment import build_dataset, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# One bad value per row, on top of the defaults. Each row was rejected at
-# the same dotted path before the declarations moved onto the dataclasses.
-# A list-valued row's test id carries its position, so rows are replaced in
-# place rather than deleted.
+# One bad value per row, on top of the defaults. A list-valued row's test id
+# carries its position, so rows are replaced in place rather than deleted: the
+# places of the removed dataset.seed and dataset.split_seed rows hold rows of
+# other fields.
 REJECTED = [
     # wrong type
     ("master_seed", "0"), ("master_seed", 1.5),
     ("dataset.kind", 5), ("dataset.name", 5), ("dataset.n_per_class", "x"),
     ("dataset.classes", 2.0), ("dataset.features", "x"), ("dataset.spread", "x"),
-    ("dataset.seed", "x"), ("dataset.seed", 1.5), ("dataset.test_fraction", "x"),
-    ("dataset.split_seed", "x"),
+    ("partition.seed", 1.5), ("partition.seed", 2.0), ("dataset.test_fraction", "x"),
+    ("partition.seed", "1"),
     ("partition.N", "x"), ("partition.C", 1.5), ("partition.alpha", "x"),
     ("partition.seed", "x"),
     ("model.hidden", 32), ("model.hidden", "x"), ("model.hidden", [1.5]),
@@ -45,8 +45,8 @@ REJECTED = [
     ("ablate.k_values", "x"), ("ablate.k_values", [1.5]),
     # bool where a number belongs
     ("master_seed", True), ("dataset.n_per_class", True), ("dataset.classes", True),
-    ("dataset.features", True), ("dataset.spread", True), ("dataset.seed", True),
-    ("dataset.test_fraction", False), ("dataset.split_seed", True),
+    ("dataset.features", True), ("dataset.spread", True), ("partition.seed", True),
+    ("dataset.test_fraction", False), ("master_seed", False),
     ("partition.N", True), ("partition.C", True), ("partition.alpha", True),
     ("partition.seed", False), ("model.hidden", [True]),
     ("train.M", True), ("train.K", True), ("train.R", True), ("train.E", True),
@@ -56,9 +56,9 @@ REJECTED = [
     # out of bound or not a listed choice
     ("master_seed", -1), ("dataset.kind", "csv"), ("dataset.n_per_class", 0),
     ("dataset.classes", 1), ("dataset.features", 1), ("dataset.spread", 0),
-    ("dataset.spread", -1.0), ("dataset.seed", -1), ("dataset.test_fraction", -0.1),
+    ("dataset.spread", -1.0), ("dataset.n_per_class", -1), ("dataset.test_fraction", -0.1),
     ("dataset.test_fraction", 1), ("dataset.test_fraction", 1.5),
-    ("dataset.split_seed", -1),
+    ("partition.N", -1),
     ("partition.N", 0), ("partition.C", 0), ("partition.alpha", 0),
     ("partition.seed", -1), ("model.hidden", []), ("model.hidden", [0]),
     ("model.hidden", [16, -1]),
@@ -82,9 +82,20 @@ REJECTED_ELSEWHERE = [
     ("dataset.kind", "idx", "dataset.images"),           # no IDX paths
 ]
 
+# Rows of the removed dataset.seed and dataset.split_seed fields: whatever
+# the value, the key itself is rejected, at its own path. Appended after the
+# other rows so the list-valued rows keep their positional ids.
+REMOVED_FIELDS = [
+    ("dataset.seed", "x"), ("dataset.seed", 1.5), ("dataset.split_seed", "x"),
+    ("dataset.seed", True), ("dataset.split_seed", True),
+    ("dataset.seed", -1), ("dataset.split_seed", -1),
+]
+
 UNKNOWN = ["color", "dataset.color", "partition.color", "model.color",
            "train.color", "train.kd.color", "eval.color", "output.color",
-           "ablate.color"]
+           "ablate.color",
+           # removed fields, still set by a config.resolved.json of an earlier version
+           "dataset.seed", "dataset.split_seed"]
 
 
 def raw_with(path, value):
@@ -92,7 +103,8 @@ def raw_with(path, value):
 
 
 @pytest.mark.parametrize("path,value,field",
-                         [(p, v, p) for p, v in REJECTED] + REJECTED_ELSEWHERE)
+                         [(p, v, p) for p, v in REJECTED] + REJECTED_ELSEWHERE
+                         + [(p, v, p) for p, v in REMOVED_FIELDS])
 def test_bad_value_rejected_at_its_path(path, value, field):
     # the set-up of a run: every row fails before the first round
     with pytest.raises(ConfigError) as exc:

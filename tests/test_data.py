@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from data_oracle import (build_clients_oracle, generate_synthetic_oracle,
                          partition_exdir_indices_oracle, split_train_test_oracle)
 from sfedkd import data, experiment
-from sfedkd.config import ConfigError, resolve_config
+from sfedkd.config import SEED_DATA, SEED_SPLIT, ConfigError, derive_seed, resolve_config
 from sfedkd.data import (ClassDistribution, Dataset, Layout, PartitionSpec, class_distribution,
                          generate_synthetic, largest_remainder_counts, load_idx,
                          partition_exdir, partition_exdir_indices, split_train_test,
@@ -640,9 +640,10 @@ def test_eval_on_train_does_not_depend_on_row_order(monkeypatch, granularity):
     cfg = resolve_config(raw)
     ds = cfg.dataset
     features, labels = generate_synthetic_oracle(ds.n_per_class, ds.classes, ds.features,
-                                                 ds.spread, ds.seed)
-    (features, labels), _ = split_train_test_oracle(features, labels, ds.classes,
-                                                     ds.test_fraction, ds.split_seed)
+                                                 ds.spread,
+                                                 derive_seed(cfg.master_seed, SEED_DATA))
+    (features, labels), _ = split_train_test_oracle(features, labels, ds.classes, ds.test_fraction,
+                                                     derive_seed(cfg.master_seed, SEED_SPLIT))
     source_order = Dataset(features, labels, ds.classes)
     client_major = run_experiment(cfg)
     assert not np.array_equal(build_dataset(cfg)[0].labels, labels)

@@ -451,13 +451,17 @@ def test_record_to_dict_cleans_non_finite(tmp_path):
     assert [v is None for v in classwise] == [False, False, True, False]
     with pytest.raises(ValueError, match="not JSON compliant"):
         _write_rounds_jsonl(path, [RoundRecord(round=1, mode="fedseq", top1=float("nan"),
-                                                   classwise=[])])
+                                                   classwise=[], consistency=None,
+                                                   forgetting=None, teachers=[], g_mean=[],
+                                                   h_mean=[], note="")])
 
 
 def test_record_to_dict_keys_follow_field_order():
     # rounds.jsonl is written in this key order, so its bytes depend on it
     from sfedkd.engine import RoundRecord
-    assert list(RoundRecord(round=1, mode="fedseq", top1=0.5, classwise=[]).to_dict()) == [
+    record = RoundRecord(round=1, mode="fedseq", top1=0.5, classwise=[], consistency=None,
+                         forgetting=None, teachers=[], g_mean=[], h_mean=[], note="")
+    assert list(record.to_dict()) == [
         "round", "mode", "top1", "classwise", "consistency", "forgetting",
         "teachers", "g_mean", "h_mean", "note"]
 
