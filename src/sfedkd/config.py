@@ -165,7 +165,6 @@ class KDConfig(_Block):
     gamma: float = option(1.0, ge=0)
     beta: float = option(3.0, ge=0)
     metric: str = option("KL", choices=METRICS)
-    epsilon: float = option(1e-4, ge=1e-300)  # keeps K / epsilon finite
     uniform_g: bool = False    # ablation: replace g with uniform weights
     uniform_h: bool = False    # ablation: replace h with uniform weights
 
@@ -178,7 +177,6 @@ class TrainConfig(_Block):
     E: int = option(5, ge=1)   # local epochs
     batch_size: int = option(64, ge=1)
     eta: float = option(0.01, gt=0)
-    weight_decay: float = option(1e-4, ge=0)
     mode: str = option("sfedkd", choices=MODES)
     kd: KDConfig = field(default_factory=KDConfig)
 
@@ -276,6 +274,9 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     if cfg.ablate.k_values is None:
         cfg.ablate.k_values = [train.K]
 
+    paths = [n for n in ("images", "labels", "test_images", "test_labels") if getattr(ds, n)]
+    if ds.kind == "synthetic" and paths:
+        raise ConfigError(f"dataset.{paths[0]}", "only read when dataset.kind is idx")
     if ds.kind == "idx" and not (ds.images and ds.labels):
         raise ConfigError("dataset.images", "idx datasets need images and labels paths")
     if bool(ds.test_images) != bool(ds.test_labels):

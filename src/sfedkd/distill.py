@@ -28,6 +28,7 @@ from .model import (ModelParams, backprop, cross_entropy_grad,
 
 # additive smoothing applied before KL/JS so exact zeros stay finite
 SMOOTH_EPS = 1e-6
+H_EPSILON = 1e-4  # added to each distance in the h weights: a teacher at distance 0 stays finite
 
 
 @dataclass
@@ -65,7 +66,7 @@ class TeacherEnsemble:
         """Ensemble specialized for one student distribution or a list (a g/h row each)."""
         if self.k == 0:
             return self
-        g, h = teacher_weights(self.dists, student_dist, cfg.metric, cfg.epsilon)
+        g, h = teacher_weights(self.dists, student_dist, cfg.metric, H_EPSILON)
         if cfg.uniform_g:
             g = np.full(g.shape, 1.0 / self.k)
         if cfg.uniform_h:

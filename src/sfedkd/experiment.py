@@ -25,7 +25,7 @@ def _layout(cfg: ExperimentConfig, labels: np.ndarray, c_total: int) -> Layout:
     are given), then the partition of the train labels, grouped by client."""
     ds = cfg.dataset
     train_rows, test_rows = np.arange(len(labels)), np.empty(0, dtype=np.int64)
-    if ds.test_fraction > 0 and not (ds.kind == "idx" and ds.test_images):
+    if ds.test_fraction > 0 and not ds.test_images:
         train_rows, test_rows = split_train_test(labels, c_total, ds.test_fraction,
                                                  derive_seed(cfg.master_seed, SEED_SPLIT))
         if not len(train_rows):

@@ -13,6 +13,7 @@ import numpy as np
 
 from sfedkd.data import class_distribution
 from sfedkd.distill import kd_targets
+from sfedkd.engine import WEIGHT_DECAY
 from sfedkd.model import ModelParams, backprop, forward_cached, sgd_step
 
 
@@ -136,7 +137,7 @@ def local_train_oracle(model, client, ensemble, cfg, rng, targets=None):
             _, grads = step_loss_oracle(params, client.features[idx], client.labels[idx],
                                         ensemble, cfg.kd,
                                         None if targets is None else targets[idx])
-            params = sgd_step(params, grads, cfg.eta, cfg.weight_decay)
+            params = sgd_step(params, grads, cfg.eta, WEIGHT_DECAY)
     return params
 
 

@@ -16,6 +16,8 @@ from sfedkd import cli
 from sfedkd.cli import main
 from sfedkd.config import (SEED_PARTITION, ConfigError, ExperimentConfig, apply_overrides,
                            derive_seed, load_raw_config, resolve_config)
+from sfedkd.distill import H_EPSILON
+from sfedkd.engine import WEIGHT_DECAY
 from sfedkd.model import load_params
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -512,7 +514,10 @@ def test_config_defaults_and_derived_seeds(tmp_path):
     assert cfg.train.kd.gamma == 1.0
     assert cfg.train.kd.beta == 3.0
     assert cfg.train.kd.metric == "KL"
-    assert cfg.train.weight_decay == 1e-4
+    # weight decay and the h-weight epsilon are constants, not settable
+    assert "weight_decay" not in asdict(cfg)["train"]
+    assert "epsilon" not in asdict(cfg)["train"]["kd"]
+    assert WEIGHT_DECAY == H_EPSILON == 1e-4
     # the data and split seeds are not settable: they always derive from master_seed
     assert not {"seed", "split_seed"} & set(asdict(cfg)["dataset"])
     assert cfg.partition.seed == derive_seed(cfg.master_seed, SEED_PARTITION)

@@ -21,8 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # One bad value per row, on top of the defaults. A list-valued row's test id
 # carries its position, so rows are replaced in place rather than deleted: the
-# places of the removed dataset.seed and dataset.split_seed rows hold rows of
-# other fields.
+# places of the rows of removed fields hold rows of other fields.
 REJECTED = [
     # wrong type
     ("master_seed", "0"), ("master_seed", 1.5),
@@ -34,10 +33,10 @@ REJECTED = [
     ("partition.seed", "x"),
     ("model.hidden", 32), ("model.hidden", "x"), ("model.hidden", [1.5]),
     ("train.M", "x"), ("train.K", 1.5), ("train.R", "x"), ("train.E", "x"),
-    ("train.batch_size", 64.0), ("train.eta", "x"), ("train.weight_decay", "x"),
+    ("train.batch_size", 64.0), ("train.eta", "x"), ("train.eta", "0.01"),
     ("train.mode", 5),
     ("train.kd.tau", "x"), ("train.kd.gamma", "x"), ("train.kd.beta", [1]),
-    ("train.kd.metric", 5), ("train.kd.epsilon", "x"), ("train.kd.uniform_g", 1),
+    ("train.kd.metric", 5), ("train.kd.tau", "4"), ("train.kd.uniform_g", 1),
     ("train.kd.uniform_g", "yes"), ("train.kd.uniform_h", 0),
     ("eval.granularity", 5), ("eval.split", 5),
     ("output.dir", 5), ("output.dir", True), ("output.dir", ["x"]),
@@ -50,9 +49,9 @@ REJECTED = [
     ("partition.N", True), ("partition.C", True), ("partition.alpha", True),
     ("partition.seed", False), ("model.hidden", [True]),
     ("train.M", True), ("train.K", True), ("train.R", True), ("train.E", True),
-    ("train.batch_size", True), ("train.eta", True), ("train.weight_decay", False),
+    ("train.batch_size", True), ("train.eta", True), ("train.eta", False),
     ("train.kd.tau", True), ("train.kd.gamma", True), ("train.kd.beta", True),
-    ("train.kd.epsilon", True), ("ablate.seeds", [True]), ("ablate.k_values", [True]),
+    ("train.kd.gamma", False), ("ablate.seeds", [True]), ("ablate.k_values", [True]),
     # out of bound or not a listed choice
     ("master_seed", -1), ("dataset.kind", "csv"), ("dataset.n_per_class", 0),
     ("dataset.classes", 1), ("dataset.features", 1), ("dataset.spread", 0),
@@ -64,9 +63,9 @@ REJECTED = [
     ("model.hidden", [16, -1]),
     ("train.M", 0), ("train.K", 0), ("train.R", 0), ("train.E", 0),
     ("train.batch_size", 0), ("train.eta", 0), ("train.eta", -0.01),
-    ("train.weight_decay", -1e-4), ("train.mode", "fedprox"),
+    ("train.kd.gamma", -1e-4), ("train.mode", "fedprox"),
     ("train.kd.tau", 0), ("train.kd.gamma", -1), ("train.kd.beta", -0.5),
-    ("train.kd.metric", "cosine"), ("train.kd.epsilon", 0),
+    ("train.kd.metric", "cosine"), ("train.kd.tau", -4.0),
     ("eval.granularity", "epoch"), ("eval.split", "val"),
     ("train.kd.metric", "kl"), ("ablate.seeds", []), ("ablate.seeds", [0, -1]),
     ("ablate.k_values", []), ("ablate.k_values", [0]),
@@ -74,7 +73,7 @@ REJECTED = [
     ("train.K", 11), ("train.M", 101),
     # rules on the data, checked where the data is built
     ("partition.C", 11), ("dataset.test_fraction", 0), ("dataset.test_fraction", 0.999),
-    ("partition.alpha", 1e308), ("train.kd.epsilon", 5e-324),
+    ("partition.alpha", 1e308),
 ]
 
 # Rows whose error names another field than the one set.
@@ -82,20 +81,23 @@ REJECTED_ELSEWHERE = [
     ("dataset.kind", "idx", "dataset.images"),           # no IDX paths
 ]
 
-# Rows of the removed dataset.seed and dataset.split_seed fields: whatever
-# the value, the key itself is rejected, at its own path. Appended after the
-# other rows so the list-valued rows keep their positional ids.
+# Rows of removed fields: whatever the value, the key itself is rejected, at
+# its own path. Appended after the other rows so the list-valued rows keep
+# their positional ids.
 REMOVED_FIELDS = [
     ("dataset.seed", "x"), ("dataset.seed", 1.5), ("dataset.split_seed", "x"),
     ("dataset.seed", True), ("dataset.split_seed", True),
     ("dataset.seed", -1), ("dataset.split_seed", -1),
+    ("train.weight_decay", "x"), ("train.weight_decay", False), ("train.weight_decay", -1e-4),
+    ("train.kd.epsilon", "x"), ("train.kd.epsilon", True), ("train.kd.epsilon", 0),
+    ("train.kd.epsilon", 5e-324),
 ]
 
 UNKNOWN = ["color", "dataset.color", "partition.color", "model.color",
            "train.color", "train.kd.color", "eval.color", "output.color",
            "ablate.color",
            # removed fields, still set by a config.resolved.json of an earlier version
-           "dataset.seed", "dataset.split_seed"]
+           "dataset.seed", "dataset.split_seed", "train.weight_decay", "train.kd.epsilon"]
 
 
 def raw_with(path, value):
@@ -175,7 +177,7 @@ def test_malformed_override_is_named(tmp_path, capsys, override, message):
 
 @pytest.mark.parametrize("override", [
     "dataset.test_fraction=NaN", "train.eta=NaN", "train.kd.tau=NaN",
-    "partition.alpha=Infinity", "train.weight_decay=-Infinity",
+    "partition.alpha=Infinity", "train.kd.gamma=-Infinity",
     "train.eta=1" + "0" * 400,  # an int too large for a float
 ])
 def test_non_finite_number_rejected_with_its_path(tmp_path, capsys, override):
@@ -214,6 +216,16 @@ def test_half_idx_test_pair_names_the_missing_field(given, missing):
     full = {**IDX, "test_images": "t10k-images", "test_labels": "t10k-labels",
             "test_fraction": 0}
     assert resolve_config({"dataset": full}).dataset.test_labels == "t10k-labels"
+
+
+@pytest.mark.parametrize("path", sorted(IDX_PATHS))
+def test_idx_path_with_synthetic_data_exits_2(tmp_path, capsys, path):
+    # the synthetic generator would ignore the file, so the run is refused
+    out = tmp_path / "out"
+    assert main(["run", str(SMALL), "--set", f"{path}=/x", "--set", f"output.dir={out}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {path}: only read when dataset.kind is idx\n"
+    assert not captured.out and not out.exists()
 
 
 @pytest.mark.parametrize("make,field", [
@@ -365,8 +377,6 @@ SET_UP_FAILURES = {
                           "dataset.test_fraction: 0.999 leaves no train rows"),
     "dirichlet_draw_of_zeros": (["partition.alpha=1e308"],
                                 "partition.alpha: the Dirichlet draw over the "),
-    "epsilon_below_bound": (["train.kd.epsilon=5e-324"],
-                            "train.kd.epsilon: must be >= 1e-300, got 5e-324"),
     # the N x classes table is allocated before the first class draw
     "partition_n_too_big": (["partition.N=1000000000000"],
                             "partition.N: 1000000000000 clients x 10 classes are too many "
@@ -443,10 +453,10 @@ def test_inspect_partition_checks_only_the_rules_it_uses(tmp_path, capsys, overr
     assert len(capsys.readouterr().out.splitlines()) == 20
 
 
-def test_epsilon_at_its_bound_trains(tmp_path):
+def test_teacher_at_distance_zero_trains(tmp_path):
     # every client trains every round, so a client meets its own previous
-    # model as a teacher at distance 0; at epsilon=5e-324 its 1/epsilon
-    # overflowed (a RuntimeWarning, so a failure here)
+    # model as a teacher at distance 0, where H_EPSILON keeps its h weight
+    # finite (an overflow is a RuntimeWarning, so a failure here)
     assert main(["run", str(SMALL), "--set", "partition.N=5", "--set", "partition.C=4",
-                 "--set", "train.M=5", "--set", "train.R=4", "--set", "train.kd.epsilon=1e-300",
+                 "--set", "train.M=5", "--set", "train.R=4",
                  "--set", f"output.dir={tmp_path}"]) == 0

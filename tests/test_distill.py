@@ -375,8 +375,6 @@ def test_kdconfig_validation():
     with pytest.raises(ValueError):
         KDConfig(tau=0.0)
     with pytest.raises(ValueError):
-        KDConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
         KDConfig(gamma=-1.0)
     with pytest.raises(ValueError):
         KDConfig(metric="manhattan")

@@ -47,8 +47,7 @@ def empty_client(state, cid):
 
 
 def small_cfg(**kw):
-    base = dict(M=3, K=2, R=2, E=1, batch_size=8, eta=0.1, weight_decay=0.0,
-                kd=KDConfig(), mode="sfedkd")
+    base = dict(M=3, K=2, R=2, E=1, batch_size=8, eta=0.1, kd=KDConfig(), mode="sfedkd")
     base.update(kw)
     return TrainConfig(**base)
 
@@ -158,7 +157,7 @@ def plain_ce_loop(model, client, cfg, rng):
             logits, cache = forward_cached(params, client.features[idx])
             _, dlogits = cross_entropy_grad(logits, client.labels[idx])
             grads = backprop(params, cache, dlogits)
-            params = sgd_step(params, grads, cfg.eta, cfg.weight_decay)
+            params = sgd_step(params, grads, cfg.eta, engine.WEIGHT_DECAY)
     return params
 
 
@@ -263,8 +262,7 @@ def local_train_cases(draw):
     kd = KDConfig(tau=draw(st.sampled_from([1.0, 4.0])), gamma=gamma, beta=beta)
     cfg = small_cfg(E=draw(st.sampled_from([1, 3])),
                     batch_size=draw(st.one_of(st.integers(1, 16), st.integers(n, n + 8))),
-                    eta=draw(st.sampled_from([0.05, 0.5])),
-                    weight_decay=draw(st.sampled_from([0.0, 1e-3, 0.3])), kd=kd)
+                    eta=draw(st.sampled_from([0.05, 0.5])), kd=kd)
     return init_params(dims, seed), client, ensemble, cfg, seed
 
 
