@@ -6,8 +6,8 @@ line with `--set dotted.path=value`. Each field is declared once, on the
 dataclass of its block: its type annotation, its default and its bound or
 choice list. Constructing a block checks every field against those
 declarations, whether the block comes from JSON or is built in Python.
-Errors carry the dotted field path of the offending entry. configs/schema.json
-restates the declarations for readers; a test keeps the two equal.
+Errors carry the dotted field path of the offending entry. These declarations,
+with the comments on them, are the reference for every config field.
 
 This module imports nothing from the package, so data, distill and engine
 take their config blocks and seed helpers from here.
@@ -131,14 +131,15 @@ class _Block:
 class DatasetConfig(_Block):
     kind: str = option("synthetic", choices=("synthetic", "idx"))
     name: str = "synthetic"                      # a label; only config.resolved.json has it
+    # n_per_class, classes, features and spread are read only by synthetic data
     n_per_class: int = option(150, ge=1)
     classes: int = option(10, ge=2)
     features: int = option(16, ge=2)
-    spread: float = option(2.5, gt=0)
-    test_fraction: float = option(0.2, ge=0, lt=1)
+    spread: float = option(2.5, gt=0)            # noise std per coordinate: <=1 separable, >=3 hard
+    test_fraction: float = option(0.2, ge=0, lt=1)  # stratified held-out share; 0: no split
     images: str | None = None                    # IDX paths (kind == "idx")
     labels: str | None = None
-    test_images: str | None = None
+    test_images: str | None = None               # a test pair; then test_fraction is ignored
     test_labels: str | None = None
 
 
@@ -148,20 +149,21 @@ class PartitionSpec(_Block):
 
     N: int = option(100, ge=1)
     C: int = option(2, ge=1)
-    alpha: float = option(0.5, gt=0)
+    alpha: float = option(0.5, gt=0)  # smaller is more heterogeneous
     seed: int | None = option(None, ge=0)  # derived from master_seed when None
 
 
 @dataclass
 class ModelConfig(_Block):
-    hidden: list[int] = option([32], ge=1, nonempty=True)
+    hidden: list[int] = option([32], ge=1, nonempty=True)  # dims (features, *hidden, classes)
 
 
 @dataclass
 class KDConfig(_Block):
-    """Distillation knobs; gamma weights the non-target term, beta the target term."""
+    """Distillation knobs; gamma weights the non-target term, beta the target term, and
+    metric is the class-distribution distance that teacher weights and selection use."""
 
-    tau: float = option(4.0, gt=0)
+    tau: float = option(4.0, gt=0)  # distillation temperature; the default 4.0 is assumed
     gamma: float = option(1.0, ge=0)
     beta: float = option(3.0, ge=0)
     metric: str = option("KL", choices=METRICS)
@@ -176,7 +178,7 @@ class TrainConfig(_Block):
     R: int = option(60, ge=1)  # rounds
     E: int = option(5, ge=1)   # local epochs
     batch_size: int = option(64, ge=1)
-    eta: float = option(0.01, gt=0)
+    eta: float = option(0.01, gt=0)  # SGD learning rate
     mode: str = option("sfedkd", choices=MODES)
     kd: KDConfig = field(default_factory=KDConfig)
 
@@ -188,6 +190,7 @@ class TrainConfig(_Block):
 
 @dataclass
 class EvalConfig(_Block):
+    # checkpoint cadence of the consistency and forgetting traces
     granularity: str = option("round", choices=("round", "client"))
     split: str = option("test", choices=("test", "train"))
 
@@ -205,7 +208,7 @@ class AblateConfig(_Block):
 
 @dataclass
 class ExperimentConfig(_Block):
-    master_seed: int = option(0, ge=0)
+    master_seed: int = option(0, ge=0)  # root of every random stream
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     partition: PartitionSpec = field(default_factory=PartitionSpec)
     model: ModelConfig = field(default_factory=ModelConfig)

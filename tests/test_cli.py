@@ -4,8 +4,7 @@ import shlex
 import struct
 import subprocess
 import sys
-import types
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -524,44 +523,6 @@ def test_config_defaults_and_derived_seeds(tmp_path):
     # an explicit partition seed is honored verbatim
     raw2 = dict(raw, partition=dict(raw["partition"], seed=77))
     assert resolve_config(raw2).partition.seed == 77
-
-
-# schema keyword for each rule an `option` declaration can carry
-SCHEMA_RULES = {"ge": "minimum", "gt": "exclusiveMinimum", "lt": "exclusiveMaximum",
-                "choices": "enum", "nonempty": "minItems"}
-SCHEMA_TYPES = {int: "integer", float: "number", bool: "boolean", str: "string"}
-
-
-def schema_type(tp):
-    if isinstance(tp, types.UnionType):
-        return [schema_type(tp.__args__[0]), "null"]
-    return "array" if getattr(tp, "__origin__", None) is list else SCHEMA_TYPES[tp]
-
-
-def test_schema_defaults_match_config_defaults():
-    """Every schema field, in order, and its default, type, bound and enum
-    equal the declaration on the config dataclasses."""
-    schema = json.loads((Path(__file__).parents[1] / "configs" / "schema.json").read_text())
-
-    def check(node, defaults, cls, path):
-        props = node["properties"]
-        # the order is the key order config.resolved.json is written in
-        assert list(props) == list(defaults) == [f.name for f in fields(cls)], path
-        for f in fields(cls):
-            sub, where = props[f.name], f"{path}{f.name}"
-            if is_dataclass(f.type):
-                check(sub, defaults[f.name], f.type, f"{where}.")
-                continue
-            if "default" in sub:
-                assert sub["default"] == defaults[f.name], where
-            if "type" in sub:
-                assert sub["type"] == schema_type(f.type), where
-            stated = {**sub.get("items", {}), **sub}
-            declared = {SCHEMA_RULES[rule]: list(value) if rule == "choices" else value
-                        for rule, value in f.metadata.items()}  # nonempty=True == minItems 1
-            assert {k: stated[k] for k in SCHEMA_RULES.values() if k in stated} == declared, where
-
-    check(schema, asdict(ExperimentConfig()), ExperimentConfig, "")
 
 
 def test_config_validation_paths():

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from sfedkd.cli import _ablation_cells, main
-from sfedkd.config import ConfigError, ExperimentConfig, apply_overrides, resolve_config
+from sfedkd.config import (ConfigError, ExperimentConfig, apply_overrides, load_raw_config,
+                           resolve_config)
 from sfedkd.data import PartitionSpec
 from sfedkd.distill import KDConfig
 from sfedkd.engine import TrainConfig
@@ -19,9 +20,7 @@ from sfedkd.experiment import build_dataset, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# One bad value per row, on top of the defaults. A list-valued row's test id
-# carries its position, so rows are replaced in place rather than deleted: the
-# places of the rows of removed fields hold rows of other fields.
+# One bad value per row, on top of the defaults.
 REJECTED = [
     # wrong type
     ("master_seed", "0"), ("master_seed", 1.5),
@@ -82,8 +81,7 @@ REJECTED_ELSEWHERE = [
 ]
 
 # Rows of removed fields: whatever the value, the key itself is rejected, at
-# its own path. Appended after the other rows so the list-valued rows keep
-# their positional ids.
+# its own path.
 REMOVED_FIELDS = [
     ("dataset.seed", "x"), ("dataset.seed", 1.5), ("dataset.split_seed", "x"),
     ("dataset.seed", True), ("dataset.split_seed", True),
@@ -104,9 +102,12 @@ def raw_with(path, value):
     return apply_overrides({}, [f"{path}={json.dumps(value)}"])
 
 
+# pytest would name a list value by its position; its JSON names it by value
 @pytest.mark.parametrize("path,value,field",
                          [(p, v, p) for p, v in REJECTED] + REJECTED_ELSEWHERE
-                         + [(p, v, p) for p, v in REMOVED_FIELDS])
+                         + [(p, v, p) for p, v in REMOVED_FIELDS],
+                         ids=lambda v: (json.dumps(v, separators=(",", ":"))
+                                        if isinstance(v, list) else None))
 def test_bad_value_rejected_at_its_path(path, value, field):
     # the set-up of a run: every row fails before the first round
     with pytest.raises(ConfigError) as exc:
@@ -134,6 +135,12 @@ IDX_PATHS = {"dataset.images", "dataset.labels", "dataset.test_images", "dataset
 
 def test_rejection_table_covers_every_field():
     assert {path for path, _ in REJECTED} | IDX_PATHS == set(leaf_paths(asdict(ExperimentConfig())))
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.name)
+def test_every_shipped_config_resolves(path):
+    # a key of a removed field, or any other unknown key, would fail here
+    resolve_config(load_raw_config(path))
 
 
 @pytest.mark.parametrize("raw,field", [
