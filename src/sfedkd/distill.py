@@ -273,7 +273,7 @@ def total_loss(params: ModelParams, features: np.ndarray, labels: np.ndarray,
     """
     logits, cache = forward_cached(params, features)
     lin = label_index(labels, logits.shape[1], check=out is None)
-    loss, dlogits = cross_entropy_grad(logits, labels, lin)
+    loss, dlogits = cross_entropy_grad(logits, lin)
     if targets is None:
         targets = kd_targets(ensemble, [(features, labels)], cfg)[0]
     if targets is not None:

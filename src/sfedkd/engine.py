@@ -26,8 +26,6 @@ from .metrics import consistency, evaluate, forgetting_measure
 from .model import ModelParams, label_index, sgd_step, snapshot
 from .selection import SelectionInstance, greedy_select, random_select
 
-WEIGHT_DECAY = 1e-4  # L2 decay of every SGD step; sgd_step exempts the biases
-
 
 @dataclass
 class FederationState:
@@ -125,7 +123,7 @@ def local_train(model: ModelParams, client: Dataset, ensemble: TeacherEnsemble,
             batch = slice(start, start + cfg.batch_size)
             total_loss(params, features[batch], labels[batch], ensemble, cfg.kd,
                        None if targets is None else epoch_targets[batch], out=grads)
-            sgd_step(params, grads, cfg.eta, WEIGHT_DECAY, out=params)
+            sgd_step(params, grads, cfg.eta, out=params)
     return params
 
 

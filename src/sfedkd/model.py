@@ -3,8 +3,8 @@
 Hidden layers use ReLU, the output layer is linear, and everything is
 float64. Parameters live in one float64 buffer laid out as the checkpoint
 body. No function mutates an input except through an explicit `out=`:
-`backprop` and `sgd_step` return new parameter sets unless given one to
-write into. Otherwise the kernels (forward, backprop, softmax,
+`sgd_step` always writes into one, and `backprop` returns a new gradient
+set unless given one. Otherwise the kernels (forward, backprop, softmax,
 cross-entropy) work in place only on temporaries they allocate themselves.
 """
 
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _CKPT_MAGIC = b"MLPW"
+WEIGHT_DECAY = 1e-4  # L2 decay of every SGD step; sgd_step exempts the biases
 
 
 @functools.cache
@@ -164,15 +165,10 @@ def label_index(labels: np.ndarray, n_classes: int, check: bool = True) -> np.nd
     return np.arange(len(labels)) * n_classes + labels
 
 
-def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray,
-                       lin: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Cross-entropy and its gradient w.r.t. the logits (batch-mean reduction).
-
-    `lin`, the labels' `label_index`, is taken as given; without it the labels
-    are checked and indexed here."""
+def cross_entropy_grad(logits: np.ndarray, lin: np.ndarray) -> tuple[float, np.ndarray]:
+    """Cross-entropy and its gradient w.r.t. the logits (batch-mean reduction),
+    given `lin`, the labels' `label_index`, which is taken as checked."""
     logits = np.atleast_2d(np.ascontiguousarray(logits, dtype=np.float64))  # `lin` is C-order
-    if lin is None:
-        lin = label_index(labels, logits.shape[1])
     logp = log_softmax(logits)
     flat = logp.reshape(-1)
     loss = float(-flat[lin].sum() / len(lin))
@@ -183,32 +179,28 @@ def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray,
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, eta: float,
-             weight_decay: float = 0.0, out: ModelParams | None = None) -> ModelParams:
-    """w <- w - eta * (grad + weight_decay * w); biases skip the decay.
+             out: ModelParams) -> ModelParams:
+    """w <- w - eta * (grad + WEIGHT_DECAY * w); biases skip the decay.
 
-    With `out` (shaped like `params`, which it may be) the result is written
-    there and `out` is returned; either way it is checked to be finite."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if weight_decay < 0:
-        raise ValueError("weight_decay must be non-negative")
+    The result is written to `out` (shaped like `params`, which it may be),
+    checked to be finite, and `out` is returned."""
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     if params.dims != grads.dims:
         raise ValueError("gradient shapes do not match parameters")
-    t = _decay_mask(params.dims, weight_decay, math.copysign(1.0, weight_decay)) * params.flat
+    t = _decay_mask(params.dims) * params.flat
     t += grads.flat
     t *= eta
-    if out is None:
-        return ModelParams.from_flat(np.subtract(params.flat, t, out=t), params.dims)
     _check_finite(np.subtract(params.flat, t, out=out.flat))
     return out
 
 
 @functools.cache
-def _decay_mask(dims: tuple[int, ...], weight_decay: float, sign: float) -> np.ndarray:
-    """weight_decay on weight entries and 0 on biases, so that sgd_step's biases
-    stay bit-equal to b - eta * grad; `sign` keys -0.0 apart from 0.0."""
+def _decay_mask(dims: tuple[int, ...]) -> np.ndarray:
+    """WEIGHT_DECAY on weight entries and 0 on biases, so that sgd_step's
+    biases stay bit-equal to b - eta * grad."""
     sizes = [s.stop - s.start for layer in _layout(dims) for s in layer[:2]]
-    return np.repeat([weight_decay, 0.0] * len(_layout(dims)), sizes)
+    return np.repeat([WEIGHT_DECAY, 0.0] * len(_layout(dims)), sizes)
 
 
 def snapshot(params: ModelParams) -> ModelParams:

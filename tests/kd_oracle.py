@@ -8,7 +8,7 @@ per sample; the tests compare the two.
 
 import numpy as np
 
-from sfedkd.model import backprop, cross_entropy_grad, forward, forward_cached
+from sfedkd.model import backprop, cross_entropy_grad, forward, forward_cached, label_index
 
 
 def _masked_log_softmax(logits: np.ndarray, targets: np.ndarray, tau: float) -> np.ndarray:
@@ -84,7 +84,7 @@ def _tckd_terms(student_logits, teacher_logits, targets, h, tau):
 def total_loss_oracle(params, features, labels, ensemble, cfg):
     """Cross-entropy plus gamma * NCKD plus beta * TCKD, per teacher."""
     logits, cache = forward_cached(params, features)
-    loss, dlogits = cross_entropy_grad(logits, labels)
+    loss, dlogits = cross_entropy_grad(logits, label_index(labels, logits.shape[1]))
     if ensemble is not None and ensemble.k > 0 and (cfg.gamma > 0 or cfg.beta > 0):
         targets = np.asarray(labels, dtype=np.int64)
         t_logits = [forward(t, features) for t in ensemble.teachers]

@@ -11,10 +11,10 @@ tests compare the two byte for byte.
 
 import numpy as np
 
+from param_oracle import sgd_step_oracle
 from sfedkd.data import class_distribution
 from sfedkd.distill import kd_targets
-from sfedkd.engine import WEIGHT_DECAY
-from sfedkd.model import ModelParams, backprop, forward_cached, sgd_step
+from sfedkd.model import WEIGHT_DECAY, ModelParams, backprop, forward_cached
 
 
 def forward_cached_oracle(params: ModelParams, features: np.ndarray):
@@ -137,7 +137,7 @@ def local_train_oracle(model, client, ensemble, cfg, rng, targets=None):
             _, grads = step_loss_oracle(params, client.features[idx], client.labels[idx],
                                         ensemble, cfg.kd,
                                         None if targets is None else targets[idx])
-            params = sgd_step(params, grads, cfg.eta, WEIGHT_DECAY)
+            params = sgd_step_oracle(params, grads, cfg.eta, WEIGHT_DECAY)
     return params
 
 

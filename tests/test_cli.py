@@ -16,8 +16,7 @@ from sfedkd.cli import main
 from sfedkd.config import (SEED_PARTITION, ConfigError, ExperimentConfig, apply_overrides,
                            derive_seed, load_raw_config, resolve_config)
 from sfedkd.distill import H_EPSILON
-from sfedkd.engine import WEIGHT_DECAY
-from sfedkd.model import load_params
+from sfedkd.model import WEIGHT_DECAY, load_params
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -572,7 +571,8 @@ def run_in_subprocess(out_dir, threads, *overrides):
     """`sfedkd run` on synthetic_small in a fresh interpreter with `threads`
     BLAS threads; returns the bytes of rounds.jsonl and model_final.bin."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
         env[var] = str(threads)
     cmd = [sys.executable, "-m", "sfedkd.cli", "run", str(ROOT / "configs" / "synthetic_small.json"),
            "--set", f"output.dir={out_dir}"]

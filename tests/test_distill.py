@@ -11,7 +11,7 @@ from sfedkd.distill import (KDConfig, TeacherEnsemble, discrepancy, kd_targets,
                             mix_teachers, nckd_loss, tckd_loss,
                             teacher_weights, total_loss)
 from sfedkd.model import (ModelParams, backprop, cross_entropy_grad, forward,
-                          forward_cached, init_params)
+                          forward_cached, init_params, label_index)
 
 from kd_oracle import total_loss_oracle
 from kernel_oracle import kd_targets_from_logits_oracle
@@ -384,7 +384,7 @@ def test_kdconfig_validation():
 
 def ce_reference(params, X, y):
     logits, cache = forward_cached(params, X)
-    loss, dlogits = cross_entropy_grad(logits, y)
+    loss, dlogits = cross_entropy_grad(logits, label_index(y, logits.shape[1]))
     return loss, backprop(params, cache, dlogits)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import kernel_oracle
 import sfedkd.engine as engine
 from kernel_oracle import local_train_oracle
-from param_oracle import param_sets, weighted_average_oracle
+from param_oracle import param_sets, sgd_step_oracle, weighted_average_oracle
 from sfedkd.config import MODES, resolve_config
 from sfedkd.data import (ClassDistribution, Dataset, Layout, PartitionSpec,
                          class_distribution, generate_synthetic,
@@ -21,8 +21,8 @@ from sfedkd.engine import (SEED_SHUFFLE, FederationState,
                            weighted_average)
 from sfedkd.experiment import build_dataset, initial_state, run_experiment
 from sfedkd.metrics import consistency, evaluate, forgetting_measure
-from sfedkd.model import (ModelParams, cross_entropy_grad, forward_cached,
-                          backprop, init_params, params_equal, sgd_step,
+from sfedkd.model import (WEIGHT_DECAY, ModelParams, backprop, cross_entropy_grad,
+                          forward_cached, init_params, label_index, params_equal,
                           snapshot)
 
 
@@ -155,9 +155,10 @@ def plain_ce_loop(model, client, cfg, rng):
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             logits, cache = forward_cached(params, client.features[idx])
-            _, dlogits = cross_entropy_grad(logits, client.labels[idx])
+            _, dlogits = cross_entropy_grad(logits, label_index(client.labels[idx],
+                                                                logits.shape[1]))
             grads = backprop(params, cache, dlogits)
-            params = sgd_step(params, grads, cfg.eta, engine.WEIGHT_DECAY)
+            params = sgd_step_oracle(params, grads, cfg.eta, WEIGHT_DECAY)
     return params
 
 
@@ -246,8 +247,9 @@ def test_local_train_first_step_loss_matches_total_loss_with_teachers():
 def local_train_cases(draw):
     """A client, a model, K in {0, 1, 3} teachers and a train config drawn over
     the shapes local_train treats differently: one or several epochs, a batch
-    covering the client or leaving a partial last batch, C=2, weight decay
-    on or off, KD on or off (gamma = beta = 0) and tau 1 or 4."""
+    covering the client or leaving a partial last batch, C=2, no, one or two
+    hidden layers, eta 0.05 or 0.5, KD on or off (gamma = beta = 0), NCKD or
+    TCKD alone, and tau 1 or 4."""
     c = draw(st.sampled_from([2, 3, 5]))
     n, f = draw(st.integers(1, 40)), draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2**16))
@@ -304,8 +306,8 @@ def test_local_train_trains_a_private_copy():
 @pytest.mark.parametrize("k", [0, 2])
 def test_local_train_fails_at_the_oracle_step(case, k):
     # the per-step oracle fails in backprop on a non-finite gradient (eta=1e300
-    # from step 2, a NaN feature in its first batch), and in sgd_step on an
-    # overflowing update (eta=1e308); local_train, whose gradients go to its
+    # from step 2, a NaN feature in its first batch), and in its update on an
+    # overflowing step (eta=1e308); local_train, whose gradients go to its
     # buffer unchecked, fails in sgd_step at the same step, with the same
     # gradients before it
     state = small_state(n_per_class=40)

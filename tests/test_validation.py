@@ -16,7 +16,7 @@ from sfedkd.data import (ClassDistribution, Dataset, PartitionSpec, partition_ex
                          split_train_test)
 from sfedkd.distill import (TeacherEnsemble, discrepancy, nckd_loss, tckd_loss,
                             teacher_weights)
-from sfedkd.model import cross_entropy_grad, init_params, label_index
+from sfedkd.model import init_params, label_index
 from sfedkd.selection import (SelectionInstance, aggregate_objective, brute_force_select,
                               greedy_select, random_select)
 
@@ -31,7 +31,6 @@ LABEL_CALLERS = {
     "partition_exdir": lambda y: partition_exdir(np.array(y), C, SPEC),
     "split_train_test": lambda y: split_train_test(np.array(y), C, 0.5, seed=0),
     "label_index": lambda y: label_index(y, C),
-    "cross_entropy_grad": lambda y: cross_entropy_grad(Z, y),
     "nckd_loss": lambda y: nckd_loss(Z, [Z], y, [1.0], 2.0),
     "tckd_loss": lambda y: tckd_loss(Z, [Z], y, [1.0], 2.0),
 }
