@@ -113,7 +113,7 @@ def local_train(model: ModelParams, client: Dataset, ensemble: TeacherEnsemble,
         ensemble = ensemble.with_weights(class_distribution(client), cfg.kd)
         (targets,) = kd_targets(ensemble, [(client.features, client.labels)], cfg.kd)
     params = snapshot(model)
-    grads = ModelParams.from_flat(np.zeros_like(model.flat), model.dims)
+    grads = ModelParams(np.zeros_like(model.flat), model.dims)
     n = len(client)
     for _ in range(cfg.E):
         order = rng.permutation(n)
@@ -193,4 +193,4 @@ def weighted_average(params_list: list[ModelParams], weights) -> ModelParams:
     avg = np.zeros_like(params_list[0].flat)
     for coeff, params in zip(w, params_list):
         avg += coeff * params.flat
-    return ModelParams.from_flat(avg, params_list[0].dims)
+    return ModelParams(avg, params_list[0].dims)

@@ -1,11 +1,11 @@
 """Small MLP classifier with explicit forward pass and analytic gradients.
 
 Hidden layers use ReLU, the output layer is linear, and everything is
-float64. Parameters live in one float64 buffer laid out as the checkpoint
-body. No function mutates an input except through an explicit `out=`:
-`sgd_step` always writes into one, and `backprop` returns a new gradient
-set unless given one. Otherwise the kernels (forward, backprop, softmax,
-cross-entropy) work in place only on temporaries they allocate themselves.
+float64. A parameter set is `ModelParams(flat, dims)`: one float64 buffer laid
+out as the checkpoint body, with per-layer views. No function mutates an input
+except through an explicit `out=`: `sgd_step` always writes into one, and
+`backprop` returns a new gradient set unless given one. Otherwise the kernels
+work in place only on temporaries they allocate themselves.
 """
 
 from __future__ import annotations
@@ -42,36 +42,24 @@ def _check_finite(flat: np.ndarray) -> None:
         raise ValueError("parameters must be finite")
 
 
+def _size(dims) -> int:  # the number of float64 values that `dims` lays out
+    return sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
+
+
 @dataclass(eq=False)
 class ModelParams:
-    """Ordered (weight, bias) pairs; weights[i] is (out_i, in_i). Both are
-    writable views into `flat`, which holds per layer the row-major weight
-    matrix, then the bias vector; in-place edits reach `flat`."""
+    """`flat` holds per layer the row-major weight matrix, then the bias vector, as `dims`
+    lays out; weights[i] (out_i, in_i) and biases[i] are writable views of it, not copies."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    flat: np.ndarray | None = None   # given only with views of it (from_flat)
-    dims: tuple[int, ...] | None = None
+    flat: np.ndarray
+    dims: tuple[int, ...]
 
     def __post_init__(self):
-        if self.flat is None:
-            if len(self.weights) != len(self.biases) or not self.weights:
-                raise ValueError("weights and biases must be non-empty and aligned")
-            for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-                if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-                    raise ValueError(f"layer {i}: bad shapes {w.shape} / {b.shape}")
-                if i and w.shape[1] != self.weights[i - 1].shape[0]:
-                    raise ValueError(f"layer {i}: input dim {w.shape[1]} does not chain")
-            self.dims = (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
-            self.flat = np.concatenate([a.ravel() for pair in zip(self.weights, self.biases)
-                                        for a in pair], dtype=np.float64)
-            self.weights, self.biases = _views(self.flat, self.dims)
+        if self.flat.dtype != np.float64 or self.flat.shape != (_size(self.dims),):
+            raise ValueError(f"dims {self.dims} lay out {_size(self.dims)} float64 values, "
+                             f"got {self.flat.size} {self.flat.dtype} in shape {self.flat.shape}")
+        self.weights, self.biases = _views(self.flat, self.dims)
         _check_finite(self.flat)
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, dims: tuple[int, ...]) -> ModelParams:
-        """Parameters viewing `flat` (float64, checkpoint body order) without a copy."""
-        return cls(*_views(flat, dims), flat, dims)
 
     @property
     def n_layers(self) -> int:
@@ -79,19 +67,18 @@ class ModelParams:
 
 
 def init_params(dims, seed: int) -> ModelParams:
-    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
+    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, drawn layer by layer; zero biases."""
     dims = tuple(int(d) for d in dims)
     if len(dims) < 2:
         raise ValueError("dims needs an input and an output size")
     if any(d < 1 for d in dims):
         raise ValueError("all dims must be positive")
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return ModelParams(weights, biases)
+    params = ModelParams(np.zeros(_size(dims)), dims)
+    for w in params.weights:
+        bound = 1.0 / np.sqrt(w.shape[1])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -135,7 +122,7 @@ def backprop(params: ModelParams, inputs: list[np.ndarray], dlogits: np.ndarray,
         if i:
             delta = delta @ params.weights[i]
             delta *= inputs[i] > 0  # fmax(z, 0) > 0 iff z > 0, for -0.0 and NaN too
-    return out if out is not None else ModelParams(grads_w, grads_b, flat, params.dims)
+    return out if out is not None else ModelParams(flat, params.dims)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -205,7 +192,7 @@ def _decay_mask(dims: tuple[int, ...]) -> np.ndarray:
 
 def snapshot(params: ModelParams) -> ModelParams:
     """Deep, independent copy; safe to keep while the source keeps training."""
-    return ModelParams.from_flat(params.flat.copy(), params.dims)
+    return ModelParams(params.flat.copy(), params.dims)
 
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:
@@ -233,11 +220,9 @@ def load_params(path) -> ModelParams:
         raise ValueError(f"{path}: bad dims count {n_dims} for a {len(buf)}-byte file")
     dims = struct.unpack_from(f"<{n_dims}q", buf, 12)
     offset = 12 + 8 * n_dims
-    size = offset + 8 * sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
-    if min(dims) < 1 or size != len(buf):
+    if min(dims) < 1 or offset + 8 * _size(dims) != len(buf):
         raise ValueError(f"{path}: header dims do not match a {len(buf)}-byte file")
-    flat = np.frombuffer(buf, dtype="<f8", offset=offset).astype(np.float64)
     try:
-        return ModelParams.from_flat(flat, dims)
+        return ModelParams(np.frombuffer(buf, dtype="<f8", offset=offset).astype(np.float64), dims)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -11,7 +11,7 @@ tests compare the two byte for byte.
 
 import numpy as np
 
-from param_oracle import sgd_step_oracle
+from param_oracle import params_of, sgd_step_oracle
 from sfedkd.data import class_distribution
 from sfedkd.distill import kd_targets
 from sfedkd.model import WEIGHT_DECAY, ModelParams, backprop, forward_cached
@@ -43,7 +43,7 @@ def backprop_oracle(params: ModelParams, cache, dlogits: np.ndarray) -> ModelPar
         grads_b[i] = np.sum(delta, axis=0)
         if i:
             delta = (delta @ params.weights[i]) * relu_masks[i - 1]
-    return ModelParams(grads_w, grads_b)
+    return params_of(grads_w, grads_b)
 
 
 def log_softmax_oracle(logits: np.ndarray, tau: float = 1.0) -> np.ndarray:

@@ -3,7 +3,7 @@
 `sfedkd.model.sgd_step` and `sfedkd.engine.weighted_average` each run once
 over the flat parameter buffer. These are the straightforward per-layer
 loops they replaced; the tests compare the two byte for byte. `param_sets`
-draws their inputs.
+draws their inputs, and `params_of` packs per-layer arrays into a set.
 """
 
 import numpy as np
@@ -16,6 +16,13 @@ VALUES = st.one_of(st.sampled_from([0.0, -0.0]),
                    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
 
 
+def params_of(weights, biases) -> ModelParams:
+    """The parameter set of per-layer (out, in) weight and (out,) bias arrays."""
+    dims = (weights[0].shape[1], *(w.shape[0] for w in weights))
+    return ModelParams(np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair],
+                                      dtype=np.float64), dims)
+
+
 @st.composite
 def param_sets(draw, count: int) -> list[ModelParams]:
     """`count` parameter sets of one shape with 1-3 hidden layers."""
@@ -23,7 +30,7 @@ def param_sets(draw, count: int) -> list[ModelParams]:
             draw(st.integers(1, 4)))
     size = sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
     flat = st.lists(VALUES, min_size=size, max_size=size)
-    return [ModelParams.from_flat(np.array(draw(flat)), dims) for _ in range(count)]
+    return [ModelParams(np.array(draw(flat)), dims) for _ in range(count)]
 
 
 def sgd_step_oracle(params: ModelParams, grads: ModelParams, eta: float,
@@ -31,7 +38,7 @@ def sgd_step_oracle(params: ModelParams, grads: ModelParams, eta: float,
     """w <- w - eta * (grad + weight_decay * w); biases skip the decay."""
     new_w = [w - eta * (g + weight_decay * w) for w, g in zip(params.weights, grads.weights)]
     new_b = [b - eta * g for b, g in zip(params.biases, grads.biases)]
-    return ModelParams(new_w, new_b)
+    return params_of(new_w, new_b)
 
 
 def weighted_average_oracle(params_list: list[ModelParams], weights) -> ModelParams:
@@ -44,4 +51,4 @@ def weighted_average_oracle(params_list: list[ModelParams], weights) -> ModelPar
         for i in range(params.n_layers):
             avg_w[i] += coeff * params.weights[i]
             avg_b[i] += coeff * params.biases[i]
-    return ModelParams(avg_w, avg_b)
+    return params_of(avg_w, avg_b)

@@ -15,6 +15,7 @@ from sfedkd.model import (ModelParams, backprop, cross_entropy_grad, forward,
 
 from kd_oracle import total_loss_oracle
 from kernel_oracle import kd_targets_from_logits_oracle
+from param_oracle import params_of
 from selection_oracle import teacher_weights_oracle
 
 
@@ -444,7 +445,7 @@ def test_total_loss_training_step_returns_no_loss(k, tau, gamma, beta):
     cfg = KDConfig(tau=tau, gamma=gamma, beta=beta)
     ens = (make_ensemble(k=k, seed=k).with_weights(dist(0.2, 0.3, 0.5), cfg) if k
            else TeacherEnsemble.empty())
-    out = ModelParams.from_flat(np.zeros_like(p.flat), p.dims)
+    out = ModelParams(np.zeros_like(p.flat), p.dims)
     out.flat.fill(np.nan)
     loss, grads = total_loss(p, X, y, ens, cfg, out=out)
     assert loss is None and grads is out
@@ -494,8 +495,8 @@ def test_total_loss_matches_per_teacher_oracle(seed, c, k, tau, scale, coeffs, c
 
     def net(s):
         p = init_params((3, 6, c), seed=s)
-        return ModelParams(p.weights[:-1] + [scale * p.weights[-1]],
-                           p.biases[:-1] + [scale * rng.standard_normal(c)])
+        return params_of(p.weights[:-1] + [scale * p.weights[-1]],
+                         p.biases[:-1] + [scale * rng.standard_normal(c)])
 
     student = net(seed)
     teachers = [student if clone and i == 0 else net(seed + 1 + i) for i in range(k)]

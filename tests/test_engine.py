@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import kernel_oracle
 import sfedkd.engine as engine
 from kernel_oracle import local_train_oracle
-from param_oracle import param_sets, sgd_step_oracle, weighted_average_oracle
+from param_oracle import param_sets, params_of, sgd_step_oracle, weighted_average_oracle
 from sfedkd.config import MODES, resolve_config
 from sfedkd.data import (ClassDistribution, Dataset, Layout, PartitionSpec,
                          class_distribution, generate_synthetic,
@@ -21,9 +21,8 @@ from sfedkd.engine import (SEED_SHUFFLE, FederationState,
                            weighted_average)
 from sfedkd.experiment import build_dataset, initial_state, run_experiment
 from sfedkd.metrics import consistency, evaluate, forgetting_measure
-from sfedkd.model import (WEIGHT_DECAY, ModelParams, backprop, cross_entropy_grad,
-                          forward_cached, init_params, label_index, params_equal,
-                          snapshot)
+from sfedkd.model import (WEIGHT_DECAY, backprop, cross_entropy_grad, forward_cached,
+                          init_params, label_index, params_equal, snapshot)
 
 
 EVAL_SET = generate_synthetic(10, 4, 3, 1.0, 5, Layout(np.arange(40)))[0]
@@ -595,8 +594,8 @@ def test_weighted_average_identity():
 
 
 def test_weighted_average_hand_arithmetic():
-    p = ModelParams([np.array([[1.0]])], [np.array([2.0])])
-    q = ModelParams([np.array([[3.0]])], [np.array([6.0])])
+    p = params_of([np.array([[1.0]])], [np.array([2.0])])
+    q = params_of([np.array([[3.0]])], [np.array([6.0])])
     even = weighted_average([p, q], [1, 1])
     assert even.weights[0][0, 0] == pytest.approx(2.0)
     skew = weighted_average([p, q], [1, 3])

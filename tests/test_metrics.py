@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernel_oracle import evaluate_oracle, forgetting_measure_oracle
+from param_oracle import params_of
 from sfedkd.data import Dataset
 from sfedkd.metrics import consistency, evaluate, forgetting_measure
-from sfedkd.model import ModelParams
 
 
 def logit_passthrough(c):
     """Single identity layer: features are used directly as logits."""
-    return ModelParams([np.eye(c)], [np.zeros(c)])
+    return params_of([np.eye(c)], [np.zeros(c)])
 
 
 def dataset_from_logits(logits, labels):
@@ -23,7 +23,7 @@ def dataset_from_logits(logits, labels):
 
 def test_evaluate_constant_predictor():
     # bias strongly favors class 0 regardless of input
-    params = ModelParams([np.zeros((2, 2))], [np.array([5.0, 0.0])])
+    params = params_of([np.zeros((2, 2))], [np.array([5.0, 0.0])])
     ds = dataset_from_logits(np.zeros((4, 2)), [0, 0, 1, 1])
     top1, classwise = evaluate(params, ds)
     assert top1 == 0.5

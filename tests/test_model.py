@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from kernel_oracle import (backprop_oracle, cross_entropy_grad_oracle,
                            forward_cached_oracle, log_softmax_oracle)
-from param_oracle import param_sets, sgd_step_oracle
+from param_oracle import param_sets, params_of, sgd_step_oracle
 from sfedkd.model import (WEIGHT_DECAY, ModelParams, backprop, cross_entropy_grad, forward,
                           forward_cached, init_params, label_index, load_params,
                           log_softmax, params_equal, save_params, sgd_step, snapshot)
@@ -39,17 +39,23 @@ def test_init_weight_range():
         assert not b.any()
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("dims", [(3, 2), (4, 6, 3), (5, 4, 3, 2)],
+                         ids=lambda dims: "x".join(map(str, dims)))
+def test_init_matches_per_layer_draws_bytes(dims, seed):
+    # one uniform draw per layer, in layer order, then zero biases
+    rng = np.random.default_rng(seed)
+    weights = [rng.uniform(-1 / np.sqrt(i), 1 / np.sqrt(i), (o, i))
+               for i, o in zip(dims[:-1], dims[1:])]
+    want = params_of(weights, [np.zeros(o) for o in dims[1:]])
+    assert init_params(dims, seed).flat.tobytes() == want.flat.tobytes()
+
+
 def test_init_rejects_bad_dims():
     with pytest.raises(ValueError):
         init_params((3,), seed=0)
     with pytest.raises(ValueError):
         init_params((), seed=0)
-
-
-def test_params_shape_chain_validated():
-    with pytest.raises(ValueError):
-        ModelParams([np.zeros((3, 2)), np.zeros((4, 5))],
-                    [np.zeros(3), np.zeros(4)])
 
 
 def ce(logits, labels):
@@ -59,20 +65,20 @@ def ce(logits, labels):
 
 def step_into(params, grads, eta):
     """`sgd_step` into a new buffer shaped like `params`."""
-    return sgd_step(params, grads, eta, ModelParams.from_flat(np.zeros_like(params.flat),
-                                                              params.dims))
+    return sgd_step(params, grads, eta, ModelParams(np.zeros_like(params.flat), params.dims))
 
 
 P, G = init_params((3, 2), 0), init_params((3, 2), 1)
-OUT = ModelParams.from_flat(np.full_like(P.flat, 7.0), P.dims)  # no rejected step writes it
+OUT = ModelParams(np.full_like(P.flat, 7.0), P.dims)  # no rejected step writes it
 
 # One call per row that breaks one input rule, and the message it raises.
 BAD_MODEL_INPUTS = {
-    "two weights, one bias": (lambda: ModelParams([np.zeros((2, 3)), np.zeros((1, 2))],
-                                                  [np.zeros(2)]),
-                              "weights and biases must be non-empty and aligned"),
-    "1-D weight": (lambda: ModelParams([np.zeros(3)], [np.zeros(3)]),
-                   "layer 0: bad shapes (3,) / (3,)"),
+    "buffer too long": (lambda: ModelParams(np.zeros(10), (3, 2)),
+                        "dims (3, 2) lay out 8 float64 values, got 10 float64 in shape (10,)"),
+    "buffer too short": (lambda: ModelParams(np.zeros(6), (3, 2)),
+                         "dims (3, 2) lay out 8 float64 values, got 6 float64 in shape (6,)"),
+    "int64 buffer": (lambda: ModelParams(np.zeros(8, dtype=np.int64), (3, 2)),
+                     "dims (3, 2) lay out 8 float64 values, got 8 int64 in shape (8,)"),
     "zero dim": (lambda: init_params((3, 0, 2), seed=0), "all dims must be positive"),
     "negative eta": (lambda: sgd_step(P, G, -0.1, OUT),
                      "eta must be positive and finite, got -0.1"),
@@ -92,10 +98,11 @@ def test_bad_model_input_raises_its_message(case):
 
 
 def test_params_are_views_of_one_flat_buffer():
-    p = ModelParams([np.arange(6.0).reshape(3, 2), np.ones((1, 3))],
-                    [np.full(3, -1.0), np.array([7.0])])
-    assert p.dims == (2, 3, 1)
-    assert p.flat.tolist() == [0, 1, 2, 3, 4, 5, -1, -1, -1, 1, 1, 1, 7]
+    flat = np.array([0, 1, 2, 3, 4, 5, -1, -1, -1, 1, 1, 1, 7.0])
+    p = ModelParams(flat, (2, 3, 1))
+    assert p.flat is flat   # wrapped, not copied
+    assert [w.tolist() for w in p.weights] == [[[0, 1], [2, 3], [4, 5]], [[1, 1, 1]]]
+    assert [b.tolist() for b in p.biases] == [[-1, -1, -1], [7]]
     for a in p.weights + p.biases:
         assert np.shares_memory(a, p.flat)
     p.weights[1][0, 2] = 5.0   # in-place edits reach the buffer
@@ -105,15 +112,15 @@ def test_params_are_views_of_one_flat_buffer():
 def test_every_construction_rejects_non_finite():
     p = init_params((3, 4, 2), seed=0)
     with pytest.raises(ValueError, match="parameters must be finite"):
-        ModelParams([np.full((2, 2), np.nan)], [np.zeros(2)])
+        params_of([np.full((2, 2), np.nan)], [np.zeros(2)])
     bad = p.flat.copy()
     bad[-1] = np.inf
     with pytest.raises(ValueError, match="parameters must be finite"):
-        ModelParams.from_flat(bad, p.dims)
+        ModelParams(bad, p.dims)
     _, cache = forward_cached(p, np.ones((2, 3)))
     with pytest.raises(ValueError, match="parameters must be finite"):
         backprop(p, cache, np.full((2, 2), np.nan))
-    huge = ModelParams.from_flat(np.full_like(p.flat, 1e300), p.dims)
+    huge = ModelParams(np.full_like(p.flat, 1e300), p.dims)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="parameters must be finite"):
         step_into(p, huge, 1e10)
 
@@ -121,14 +128,13 @@ def test_every_construction_rejects_non_finite():
 # --------------------------------------------------------------- forward
 
 def test_forward_zero_params():
-    p = ModelParams([np.zeros((3, 2)), np.zeros((4, 3))],
-                    [np.zeros(3), np.zeros(4)])
+    p = params_of([np.zeros((3, 2)), np.zeros((4, 3))], [np.zeros(3), np.zeros(4)])
     out = forward(p, np.array([[1.0, -2.0]]))
     assert np.array_equal(out, np.zeros((1, 4)))
 
 
 def test_forward_identity_single_layer():
-    p = ModelParams([np.eye(2)], [np.zeros(2)])
+    p = params_of([np.eye(2)], [np.zeros(2)])
     out = forward(p, np.array([[2.0, -1.0]]))
     assert np.allclose(out, [[2.0, -1.0]])
 
@@ -246,7 +252,7 @@ def net_and_batch(draw, values=FEATURES):
 
 
 # hidden pre-activations x * 1 + b are -0.0, 0.0, NaN, ±inf and ±subnormal
-RELU_EDGES = (ModelParams([np.ones((2, 1)), np.ones((1, 2))], [np.array([-0.0, 0.0]), np.zeros(1)]),
+RELU_EDGES = (params_of([np.ones((2, 1)), np.ones((1, 2))], [np.array([-0.0, 0.0]), np.zeros(1)]),
               np.array([[-0.0], [0.0], [np.nan], [np.inf], [-np.inf], [5e-324], [-5e-324]]))
 
 
@@ -278,7 +284,7 @@ def test_backprop_matches_oracle_bytes(case, data):
     got = backprop(params, cache, dlogits)
     assert dlogits.tobytes() == before
     assert got.flat.tobytes() == backprop_oracle(params, oracle_cache, dlogits).flat.tobytes()
-    out = ModelParams.from_flat(np.full_like(params.flat, 7.0), params.dims)
+    out = ModelParams(np.full_like(params.flat, 7.0), params.dims)
     assert backprop(params, cache, dlogits, out) is out
     assert out.flat.tobytes() == got.flat.tobytes()
 
@@ -337,22 +343,21 @@ def test_label_index_checks_unless_told_not_to():
 
 def test_sgd_zero_grads_identity():
     p = init_params((3, 2), seed=0)
-    zero = ModelParams([np.zeros_like(w) for w in p.weights],
-                       [np.zeros_like(b) for b in p.biases])
+    zero = ModelParams(np.zeros_like(p.flat), p.dims)
     # identity once the decay is under half an ulp; otherwise the decay alone
     assert params_equal(step_into(p, zero, 1e-300), p)
     assert params_equal(step_into(p, zero, 0.1), sgd_step_oracle(p, zero, 0.1, WEIGHT_DECAY))
 
 
 def test_sgd_scalar_arithmetic():
-    p = ModelParams([np.array([[1.0]])], [np.array([0.0])])
-    g = ModelParams([np.array([[0.5]])], [np.array([0.0])])
+    p = params_of([np.array([[1.0]])], [np.array([0.0])])
+    g = params_of([np.array([[0.5]])], [np.array([0.0])])
     assert step_into(p, g, 0.1).weights[0][0, 0] == pytest.approx(0.94999, abs=1e-12)
 
 
 def test_sgd_bias_skips_weight_decay():
-    p = ModelParams([np.array([[1.0]])], [np.array([1.0])])
-    zero = ModelParams([np.array([[0.0]])], [np.array([0.0])])
+    p = params_of([np.array([[1.0]])], [np.array([1.0])])
+    zero = params_of([np.array([[0.0]])], [np.array([0.0])])
     out = step_into(p, zero, 0.1)
     assert out.weights[0][0, 0] == 1.0 - 0.1 * WEIGHT_DECAY
     assert out.biases[0][0] == 1.0
@@ -366,8 +371,8 @@ def test_sgd_step_matches_per_layer_oracle_bytes(pair, eta):
     params, grads = pair
     want = sgd_step_oracle(params, grads, eta, WEIGHT_DECAY)
     before = params.flat.tobytes(), grads.flat.tobytes()
-    other = ModelParams.from_flat(np.zeros_like(params.flat), params.dims)
-    own = ModelParams.from_flat(params.flat.copy(), params.dims)
+    other = ModelParams(np.zeros_like(params.flat), params.dims)
+    own = ModelParams(params.flat.copy(), params.dims)
     assert sgd_step(params, grads, eta, other) is other
     assert sgd_step(own, grads, eta, own) is own
     assert other.flat.tobytes() == own.flat.tobytes() == want.flat.tobytes()
