@@ -144,13 +144,19 @@ class DatasetConfig(_Block):
 
 
 @dataclass
-class PartitionSpec(_Block):
+class PartitionConfig(_Block):
     """Extended-Dirichlet partition parameters: N clients, C classes each."""
 
     N: int = option(100, ge=1)
     C: int = option(2, ge=1)
     alpha: float = option(0.5, gt=0)  # smaller is more heterogeneous
-    seed: int | None = option(None, ge=0)  # derived from master_seed when None
+
+
+@dataclass
+class PartitionSpec(PartitionConfig):
+    """One partition draw: the config plus the seed, which a run derives from master_seed."""
+
+    seed: int = field(kw_only=True, metadata={"ge": 0})
 
 
 @dataclass
@@ -210,7 +216,7 @@ class AblateConfig(_Block):
 class ExperimentConfig(_Block):
     master_seed: int = option(0, ge=0)  # root of every random stream
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    partition: PartitionSpec = field(default_factory=PartitionSpec)
+    partition: PartitionConfig = field(default_factory=PartitionConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
@@ -266,12 +272,10 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 
 
 def resolve_config(raw: dict) -> ExperimentConfig:
-    """Fill defaults, check every field, derive an unset partition seed, then check
-    the rules that span fields; the rules on the data are checked where it is built."""
+    """Fill defaults, check every field, then the rules that span fields. The rules on
+    the data are checked where it is built, and each seed is derived where it is used."""
     cfg = _build(ExperimentConfig, raw)
     ds, part, train = cfg.dataset, cfg.partition, cfg.train
-    if part.seed is None:
-        part.seed = derive_seed(cfg.master_seed, SEED_PARTITION)
     if cfg.ablate.seeds is None:
         cfg.ablate.seeds = [cfg.master_seed]
     if cfg.ablate.k_values is None:

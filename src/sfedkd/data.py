@@ -317,8 +317,6 @@ def partition_exdir(labels: np.ndarray, c_total: int,
     if spec.N * spec.C < c_total:
         raise ConfigError("partition.C",
                           f"N*C={spec.N * spec.C} cannot cover all {c_total} classes")
-    if spec.seed is None:
-        raise ValueError("partition seed is unset; resolve_config derives it from master_seed")
 
     try:  # allocated before the draws, so an N too large for it fails at once
         holds = np.empty((spec.N, c_total), dtype=bool)  # holds[n, c]: client n draws class c

@@ -190,7 +190,9 @@ def weighted_average(params_list: list[ModelParams], weights) -> ModelParams:
     if len(w) != len(params_list) or (w < 0).any() or not 0 < total < np.inf:
         raise ValueError("weights must be finite and non-negative with a positive, finite sum")
     w = w / total
-    avg = np.zeros_like(params_list[0].flat)
+    dims, avg = params_list[0].dims, np.zeros_like(params_list[0].flat)
     for coeff, params in zip(w, params_list):
+        if params.dims != dims:
+            raise ValueError(f"cannot average dims {dims} with dims {params.dims}")
         avg += coeff * params.flat
-    return ModelParams(avg, params_list[0].dims)
+    return ModelParams(avg, dims)

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import SEED_DATA, SEED_INIT, SEED_SPLIT, ConfigError, ExperimentConfig, derive_seed
+from .config import (SEED_DATA, SEED_INIT, SEED_PARTITION, SEED_SPLIT, ConfigError,
+                     ExperimentConfig, PartitionSpec, derive_seed)
 from .data import (Dataset, Layout, class_distribution, generate_synthetic, idx_blocks,
                    load_idx, partition_exdir, read_idx, split_train_test, synthetic_labels)
 from .engine import FederationState, RoundRecord, run_round
@@ -34,7 +35,8 @@ def _layout(cfg: ExperimentConfig, labels: np.ndarray, c_total: int) -> Layout:
         if len(missing):
             raise ConfigError("dataset.test_fraction",
                               f"{ds.test_fraction} leaves class {missing[0]} no train rows")
-    order, bounds = partition_exdir(labels[train_rows], c_total, cfg.partition)
+    spec = PartitionSpec(**asdict(cfg.partition), seed=derive_seed(cfg.master_seed, SEED_PARTITION))
+    order, bounds = partition_exdir(labels[train_rows], c_total, spec)
     return Layout(train_rows[order], bounds, test_rows)
 
 

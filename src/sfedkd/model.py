@@ -21,9 +21,16 @@ _CKPT_MAGIC = b"MLPW"
 WEIGHT_DECAY = 1e-4  # L2 decay of every SGD step; sgd_step exempts the biases
 
 
-@functools.cache
-def _layout(dims: tuple[int, ...]) -> tuple:
-    """Per layer: the weight slice, the bias slice and the weight shape in `flat`."""
+def _layout(dims) -> tuple:
+    """Per layer: the weight slice, the bias slice and the weight shape in `flat`.
+    Every use of `dims` passes here, and it must hold two or more integers >= 1."""
+    if len(dims) < 2 or not all(isinstance(d, (int, np.integer)) and d >= 1 for d in dims):
+        raise ValueError(f"dims must be two or more integers >= 1, got {dims}")
+    return _slices(tuple(dims))
+
+
+@functools.cache  # apart from the check: (3.0, 2) would hit the entry of (3, 2)
+def _slices(dims: tuple[int, ...]) -> tuple:
     layers, start = [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         end = start + fan_in * fan_out
@@ -33,8 +40,8 @@ def _layout(dims: tuple[int, ...]) -> tuple:
 
 
 def _views(flat: np.ndarray, dims) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    return ([flat[w].reshape(shape) for w, _, shape in _layout(dims)],
-            [flat[b] for _, b, _ in _layout(dims)])
+    layout = _layout(dims)
+    return [flat[w].reshape(shape) for w, _, shape in layout], [flat[b] for _, b, _ in layout]
 
 
 def _check_finite(flat: np.ndarray) -> None:
@@ -43,7 +50,7 @@ def _check_finite(flat: np.ndarray) -> None:
 
 
 def _size(dims) -> int:  # the number of float64 values that `dims` lays out
-    return sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
+    return _layout(dims)[-1][1].stop
 
 
 @dataclass(eq=False)
@@ -55,6 +62,7 @@ class ModelParams:
     dims: tuple[int, ...]
 
     def __post_init__(self):
+        self.dims = tuple(self.dims)
         if self.flat.dtype != np.float64 or self.flat.shape != (_size(self.dims),):
             raise ValueError(f"dims {self.dims} lay out {_size(self.dims)} float64 values, "
                              f"got {self.flat.size} {self.flat.dtype} in shape {self.flat.shape}")
@@ -68,11 +76,6 @@ class ModelParams:
 
 def init_params(dims, seed: int) -> ModelParams:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, drawn layer by layer; zero biases."""
-    dims = tuple(int(d) for d in dims)
-    if len(dims) < 2:
-        raise ValueError("dims needs an input and an output size")
-    if any(d < 1 for d in dims):
-        raise ValueError("all dims must be positive")
     rng = np.random.default_rng(seed)
     params = ModelParams(np.zeros(_size(dims)), dims)
     for w in params.weights:
@@ -173,8 +176,8 @@ def sgd_step(params: ModelParams, grads: ModelParams, eta: float,
     checked to be finite, and `out` is returned."""
     if not 0 < eta < math.inf:
         raise ValueError(f"eta must be positive and finite, got {eta}")
-    if params.dims != grads.dims:
-        raise ValueError("gradient shapes do not match parameters")
+    if not params.dims == grads.dims == out.dims:
+        raise ValueError(f"dims differ: params {params.dims}, grads {grads.dims}, out {out.dims}")
     t = _decay_mask(params.dims) * params.flat
     t += grads.flat
     t *= eta
@@ -220,9 +223,9 @@ def load_params(path) -> ModelParams:
         raise ValueError(f"{path}: bad dims count {n_dims} for a {len(buf)}-byte file")
     dims = struct.unpack_from(f"<{n_dims}q", buf, 12)
     offset = 12 + 8 * n_dims
-    if min(dims) < 1 or offset + 8 * _size(dims) != len(buf):
-        raise ValueError(f"{path}: header dims do not match a {len(buf)}-byte file")
     try:
+        if offset + 8 * _size(dims) != len(buf):
+            raise ValueError(f"header dims do not match a {len(buf)}-byte file")
         return ModelParams(np.frombuffer(buf, dtype="<f8", offset=offset).astype(np.float64), dims)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

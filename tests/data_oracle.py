@@ -8,9 +8,11 @@ assembles the partition through one owner array; the tests require equal
 bytes from both.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 
-from sfedkd.config import SEED_DATA, SEED_SPLIT, derive_seed
+from sfedkd.config import SEED_DATA, SEED_PARTITION, SEED_SPLIT, PartitionSpec, derive_seed
 from sfedkd.data import largest_remainder_counts
 
 
@@ -97,5 +99,6 @@ def build_clients_oracle(cfg):
     elif ds.test_fraction > 0:
         (features, labels), test = split_train_test_oracle(
             features, labels, c_total, ds.test_fraction, derive_seed(cfg.master_seed, SEED_SPLIT))
-    parts = partition_exdir_indices_oracle(labels, c_total, cfg.partition)
+    spec = PartitionSpec(**asdict(cfg.partition), seed=derive_seed(cfg.master_seed, SEED_PARTITION))
+    parts = partition_exdir_indices_oracle(labels, c_total, spec)
     return [(features[idx], labels[idx]) for idx in parts], test

@@ -13,8 +13,8 @@ import pytest
 from data_oracle import build_clients_oracle
 from sfedkd import cli
 from sfedkd.cli import main
-from sfedkd.config import (SEED_PARTITION, ConfigError, ExperimentConfig, apply_overrides,
-                           derive_seed, load_raw_config, resolve_config)
+from sfedkd.config import (ConfigError, ExperimentConfig, apply_overrides, load_raw_config,
+                           resolve_config)
 from sfedkd.distill import H_EPSILON
 from sfedkd.model import WEIGHT_DECAY, load_params
 
@@ -518,10 +518,8 @@ def test_config_defaults_and_derived_seeds(tmp_path):
     assert WEIGHT_DECAY == H_EPSILON == 1e-4
     # the data and split seeds are not settable: they always derive from master_seed
     assert not {"seed", "split_seed"} & set(asdict(cfg)["dataset"])
-    assert cfg.partition.seed == derive_seed(cfg.master_seed, SEED_PARTITION)
-    # an explicit partition seed is honored verbatim
-    raw2 = dict(raw, partition=dict(raw["partition"], seed=77))
-    assert resolve_config(raw2).partition.seed == 77
+    # and so is the partition seed, derived where the partition is drawn
+    assert "seed" not in asdict(cfg)["partition"]
 
 
 def test_config_validation_paths():

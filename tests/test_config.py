@@ -26,10 +26,8 @@ REJECTED = [
     ("master_seed", "0"), ("master_seed", 1.5),
     ("dataset.kind", 5), ("dataset.name", 5), ("dataset.n_per_class", "x"),
     ("dataset.classes", 2.0), ("dataset.features", "x"), ("dataset.spread", "x"),
-    ("partition.seed", 1.5), ("partition.seed", 2.0), ("dataset.test_fraction", "x"),
-    ("partition.seed", "1"),
+    ("dataset.test_fraction", "x"),
     ("partition.N", "x"), ("partition.C", 1.5), ("partition.alpha", "x"),
-    ("partition.seed", "x"),
     ("model.hidden", 32), ("model.hidden", "x"), ("model.hidden", [1.5]),
     ("train.M", "x"), ("train.K", 1.5), ("train.R", "x"), ("train.E", "x"),
     ("train.batch_size", 64.0), ("train.eta", "x"), ("train.eta", "0.01"),
@@ -43,10 +41,10 @@ REJECTED = [
     ("ablate.k_values", "x"), ("ablate.k_values", [1.5]),
     # bool where a number belongs
     ("master_seed", True), ("dataset.n_per_class", True), ("dataset.classes", True),
-    ("dataset.features", True), ("dataset.spread", True), ("partition.seed", True),
+    ("dataset.features", True), ("dataset.spread", True),
     ("dataset.test_fraction", False), ("master_seed", False),
     ("partition.N", True), ("partition.C", True), ("partition.alpha", True),
-    ("partition.seed", False), ("model.hidden", [True]),
+    ("model.hidden", [True]),
     ("train.M", True), ("train.K", True), ("train.R", True), ("train.E", True),
     ("train.batch_size", True), ("train.eta", True), ("train.eta", False),
     ("train.kd.tau", True), ("train.kd.gamma", True), ("train.kd.beta", True),
@@ -58,7 +56,7 @@ REJECTED = [
     ("dataset.test_fraction", 1), ("dataset.test_fraction", 1.5),
     ("partition.N", -1),
     ("partition.N", 0), ("partition.C", 0), ("partition.alpha", 0),
-    ("partition.seed", -1), ("model.hidden", []), ("model.hidden", [0]),
+    ("model.hidden", []), ("model.hidden", [0]),
     ("model.hidden", [16, -1]),
     ("train.M", 0), ("train.K", 0), ("train.R", 0), ("train.E", 0),
     ("train.batch_size", 0), ("train.eta", 0), ("train.eta", -0.01),
@@ -95,7 +93,8 @@ UNKNOWN = ["color", "dataset.color", "partition.color", "model.color",
            "train.color", "train.kd.color", "eval.color", "output.color",
            "ablate.color",
            # removed fields, still set by a config.resolved.json of an earlier version
-           "dataset.seed", "dataset.split_seed", "train.weight_decay", "train.kd.epsilon"]
+           "dataset.seed", "dataset.split_seed", "train.weight_decay", "train.kd.epsilon",
+           "partition.seed"]
 
 
 def raw_with(path, value):

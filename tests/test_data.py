@@ -65,9 +65,8 @@ BAD_DATA_INPUTS = {
     "partition of no labels": (
         lambda: partition_exdir(np.array([], dtype=np.int64), 2, PartitionSpec(N=2, C=1, seed=0)),
         "cannot partition an empty dataset"),
-    "partition without a seed": (
-        lambda: partition_exdir(np.array([0, 1]), 2, PartitionSpec(N=2, C=1, seed=None)),
-        "partition seed is unset; resolve_config derives it from master_seed"),
+    "partition without a seed": (lambda: PartitionSpec(N=2, C=1, seed=None),
+                                 "seed: expected an integer, got None"),
     "test fraction 0": (lambda: split_train_test(np.array([0, 1]), 2, 0.0, seed=0),
                         "test_fraction must lie in (0, 1)"),
     "test fraction 1": (lambda: split_train_test(np.array([0, 1]), 2, 1.0, seed=0),

@@ -620,6 +620,9 @@ def test_weighted_average_validation():
         weighted_average([], [])
     with pytest.raises(ValueError):
         weighted_average([p], [0])
+    # both sets hold 7 values, laid out differently
+    with pytest.raises(ValueError, match=r"cannot average dims \(1, 2, 1\) with dims \(2, 1, 2\)"):
+        weighted_average([init_params((1, 2, 1), 0), init_params((2, 1, 2), 0)], [1, 1])
 
 
 @pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, 1.0], [1e308, 1e308]])

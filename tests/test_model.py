@@ -70,6 +70,7 @@ def step_into(params, grads, eta):
 
 P, G = init_params((3, 2), 0), init_params((3, 2), 1)
 OUT = ModelParams(np.full_like(P.flat, 7.0), P.dims)  # no rejected step writes it
+Q = init_params((1, 1, 3), 0)  # as many values as P, in another layout
 
 # One call per row that breaks one input rule, and the message it raises.
 BAD_MODEL_INPUTS = {
@@ -79,7 +80,16 @@ BAD_MODEL_INPUTS = {
                          "dims (3, 2) lay out 8 float64 values, got 6 float64 in shape (6,)"),
     "int64 buffer": (lambda: ModelParams(np.zeros(8, dtype=np.int64), (3, 2)),
                      "dims (3, 2) lay out 8 float64 values, got 8 int64 in shape (8,)"),
-    "zero dim": (lambda: init_params((3, 0, 2), seed=0), "all dims must be positive"),
+    "zero dim": (lambda: init_params((3, 0, 2), seed=0),
+                 "dims must be two or more integers >= 1, got (3, 0, 2)"),
+    "one size": (lambda: ModelParams(np.zeros(0), (3,)),
+                 "dims must be two or more integers >= 1, got (3,)"),
+    "zero-width layer": (lambda: ModelParams(np.zeros(2), (2, 0, 2)),
+                         "dims must be two or more integers >= 1, got (2, 0, 2)"),
+    "float size": (lambda: ModelParams(np.zeros(8), (3.0, 2)),
+                   "dims must be two or more integers >= 1, got (3.0, 2)"),
+    "out of another layout": (lambda: sgd_step(Q, Q, 0.1, OUT),
+                              "dims differ: params (1, 1, 3), grads (1, 1, 3), out (3, 2)"),
     "negative eta": (lambda: sgd_step(P, G, -0.1, OUT),
                      "eta must be positive and finite, got -0.1"),
     "nan eta": (lambda: sgd_step(P, G, np.nan, OUT), "eta must be positive and finite, got nan"),
@@ -107,6 +117,7 @@ def test_params_are_views_of_one_flat_buffer():
         assert np.shares_memory(a, p.flat)
     p.weights[1][0, 2] = 5.0   # in-place edits reach the buffer
     assert p.flat[11] == 5.0
+    assert ModelParams(np.zeros(8), [3, 2]).dims == (3, 2)  # list dims are stored as a tuple
 
 
 def test_every_construction_rejects_non_finite():
@@ -382,7 +393,7 @@ def test_sgd_step_matches_per_layer_oracle_bytes(pair, eta):
 def test_sgd_rejects_mismatched_shapes():
     p = init_params((3, 2), seed=0)
     g = init_params((3, 4), seed=0)
-    with pytest.raises(ValueError, match="gradient shapes do not match parameters"):
+    with pytest.raises(ValueError, match=r"dims differ: params \(3, 2\), grads \(3, 4\)"):
         step_into(p, g, 0.1)
 
 
